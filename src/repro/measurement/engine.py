@@ -5,11 +5,12 @@ The engine binds together the routing layer and the probe population:
 - a :class:`ServiceRegistry` records which announcement owns each service
   address, the way the real Internet's routing tables do;
 - :meth:`MeasurementEngine.ping` resolves the probe's AS, looks up its
-  selected route toward the target's announcement, realises the route
-  geographically, and reports an RTT with deterministic per-(probe,
-  target) jitter — re-measuring the same target from the same probe gives
-  the same value, while two prefixes served from the same site via the
-  same path differ slightly (the §5.3 "same path, different RTT" noise);
+  selected route toward the target's announcement, walks it
+  geographically (keeping only the landing site and RTT, no hops), and
+  reports an RTT with deterministic per-(probe, target) jitter —
+  re-measuring the same target from the same probe gives the same value,
+  while two prefixes served from the same site via the same path differ
+  slightly (the §5.3 "same path, different RTT" noise);
 - :meth:`MeasurementEngine.traceroute` additionally reports hops, with a
   deterministic fraction of silent routers (the paper's invalid-p-hop
   traces, filtered in §5.3).
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from repro.measurement.probes import Probe
 from repro.netaddr.ipv4 import IPv4Address
 from repro.routing.engine import RoutingEngine, RoutingTable
-from repro.routing.forwarding import ForwardingPath, Hop, trace_forwarding_path
+from repro.routing.forwarding import ForwardingPath, Hop, trace_forwarding_path, walk
 from repro.routing.route import Announcement
 from repro.topology.graph import Topology
 
@@ -196,16 +197,24 @@ class MeasurementEngine:
         (e.g. two hostnames resolving to the same addresses, Appendix C):
         the same (probe, address, salt) always measures the same RTT.
         """
-        path = self.forwarding_path(probe, addr)
-        if path is None:
+        table = self.table_for(addr)
+        landing = None if table is None else walk(
+            self._topology,
+            table,
+            probe.as_node,
+            probe.location,
+            last_mile_ms=probe.last_mile_ms,
+        )
+        if landing is None:
             return PingResult(probe_id=probe.probe_id, target=addr,
                               rtt_ms=None, catchment=None)
-        rtt = path.rtt_ms * (1.0 + self._jitter(probe.probe_id, addr, salt))
+        origin, rtt_ms, _ = landing
+        rtt = rtt_ms * (1.0 + self._jitter(probe.probe_id, addr, salt))
         return PingResult(
             probe_id=probe.probe_id,
             target=addr,
             rtt_ms=rtt,
-            catchment=path.origin,
+            catchment=origin,
         )
 
     def traceroute(self, probe: Probe, addr: IPv4Address) -> TracerouteResult:

@@ -34,6 +34,7 @@ from repro import obs
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.world import World
     from repro.obs.manifest import RunManifest
+    from repro.routing.engine import RoutingTable
 
 #: Gauge-name prefix shared by everything this module emits.
 HEALTH_PREFIX = "health."
@@ -63,14 +64,18 @@ def catchment_health(world: "World") -> dict[str, float]:
             table = world.engine.table_for(deployment.address_of_region(region))
             sites = 0
             if table is not None:
-                sites = len({c.primary.origin for c in table.best.values()})
+                sites = _distinct_origins(table)
             gauges[f"health.catchment.{dep_name}.{region}.sites"] = float(sites)
     table = world.engine.table_for(world.imperva.ns.address)
     if table is not None:
-        gauges["health.catchment.ns.sites"] = float(
-            len({c.primary.origin for c in table.best.values()})
-        )
+        gauges["health.catchment.ns.sites"] = float(_distinct_origins(table))
     return gauges
+
+
+def _distinct_origins(table: "RoutingTable") -> int:
+    """Origin sites of the table's primary routes, read without
+    materializing a single route."""
+    return len({table.catchment_of(node) for node in table.best})
 
 
 def dns_health(world: "World") -> dict[str, float]:

@@ -498,9 +498,9 @@ def census_routing_table(name: str, table: Any) -> CensusRow:
     gives its byte-identical before/after.
 
     Tables that expose ``census_state()`` (the flat store) are measured
-    through it: the packed columns are the persistent footprint, while
-    lazily materialized ``Route`` objects and views are inspection-time
-    scratch that would double-count against the shared topology.
+    through it: the packed columns are the whole footprint, and the
+    ``best`` view (which builds ``Route`` objects on demand and keeps
+    none) would only double-count the shared announcement.
     """
     state = getattr(table, "census_state", None)
     target = state() if callable(state) else table
@@ -522,21 +522,42 @@ def census_routing_table(name: str, table: Any) -> CensusRow:
 def world_census(world: Any) -> list[CensusRow]:
     """Census of a built world's load-bearing state.
 
-    Covers the topology graph, every announcement's routing table (a
-    cache hit after the build), per-announcement catchment summaries,
-    the DNS mapping services, and — when a provenance capture is live —
-    the explain buffers.  Rows arrive in a deterministic order: shared
-    structures first, then per-announcement rows in announcement order.
+    Covers the topology graph, its flat adjacency (CSR columns plus the
+    exit-km and hot-potato exit memos the routing engine and forwarding
+    walks fill), every announcement's routing table (a cache hit after
+    the build), per-announcement catchment summaries, the DNS mapping
+    services, and — when a provenance capture is live — the explain
+    buffers.  Rows arrive in a deterministic order: shared structures
+    first, then per-announcement rows in announcement order.
     """
     from repro.explain import provenance
     from repro.routing.inspect import summarize_catchment
+    from repro.topology.flat import flat_adjacency
 
+    # One visited set across both rows: the adjacency's exit memo points
+    # at interconnects the topology row already counted.  (The adjacency
+    # holds its topology only through a weakref, which the walk does not
+    # follow.)
+    seen: set[int] = set()
+    size, objects = deep_sizeof(world.topology, seen=seen)
     rows: list[CensusRow] = [
-        census_object(
-            "topology", "Topology", world.topology,
-            nodes=float(world.topology.num_nodes),
+        CensusRow(
+            name="topology", kind="Topology", bytes=size, objects=objects,
+            units={"nodes": float(world.topology.num_nodes)},
         ),
     ]
+    adjacency = flat_adjacency(world.topology)
+    size, objects = deep_sizeof(adjacency, seen=seen)
+    rows.append(
+        CensusRow(
+            name="flat_adjacency", kind="FlatAdjacency", bytes=size,
+            objects=objects,
+            units={
+                "nodes": float(adjacency.num_nodes),
+                "entries": float(adjacency.exit_count()),
+            },
+        )
+    )
     engine = world.engine.routing
     announcements = world.registry.announcements()
     total_bytes = 0

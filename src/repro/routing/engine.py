@@ -115,6 +115,19 @@ class RoutingTable:
         """The equal-best route set at a node, or None if unreachable."""
         return self.best.get(node_id)
 
+    def next_hops_at(self, node_id: int) -> tuple[int, ...] | None:
+        """Next hops of the node's equal-best routes, in route order.
+
+        Empty at an origin site; None when the node holds no route.
+        The forwarding walk reads only this, never a ``Route``.
+        """
+        choice = self.best.get(node_id)
+        if choice is None:
+            return None
+        if choice.tier is PrefTier.ORIGIN:
+            return ()
+        return choice.next_hops()
+
     def route_at(self, node_id: int) -> Route | None:
         """The primary (advertised) route at a node, or None."""
         choice = self.best.get(node_id)

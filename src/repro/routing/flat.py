@@ -15,9 +15,11 @@ stores the same information in five ``array`` columns:
   (``array('i')``, length ``routes + 1``);
 - ``path_nodes`` — all AS paths, flattened (``array('i')``).
 
-Lookups go through a sorted-id bisect index; ``Route``/``RouteChoice``
-objects materialize lazily (and are cached per row) only on inspection
-paths — forwarding, explain, catchment summaries.  The ``best`` mapping
+Lookups go through a sorted-id bisect index.  The forwarding walk reads
+next hops straight off the columns (:meth:`FlatRoutingTable
+.next_hops_at`); ``Route``/``RouteChoice`` objects are built fresh, and
+never kept, only on inspection paths — explain, lint invariants,
+catchment summaries.  The ``best`` mapping
 the rest of the codebase iterates is a read-only view whose iteration
 order is the packed row order, which is what keeps ``encode_table`` (and
 with it every serial-vs-parallel digest) byte-identical between dict and
@@ -37,6 +39,8 @@ from typing import Any, Iterable, Iterator
 
 from repro.routing.engine import RouteChoice, RoutingTable
 from repro.routing.route import Announcement, PrefTier, Route
+
+_ORIGIN = int(PrefTier.ORIGIN)
 
 
 class _BestView(Mapping):
@@ -113,8 +117,6 @@ class FlatRoutingTable(RoutingTable):
         order = sorted(range(len(node_ids)), key=node_ids.__getitem__)
         self._sorted_ids = array("i", [node_ids[row] for row in order])
         self._sorted_rows = array("i", order)
-        #: Lazily materialized RouteChoice per row; None until inspected.
-        self._mat: list[RouteChoice | None] | None = None
         self.best = _BestView(self)  # type: ignore[assignment]
 
     @classmethod
@@ -164,34 +166,41 @@ class FlatRoutingTable(RoutingTable):
         return None
 
     def _choice_for_row(self, row: int) -> RouteChoice:
-        mat = self._mat
-        if mat is None:
-            mat = self._mat = [None] * len(self._node_ids)
-        choice = mat[row]
-        if choice is None:
-            prefix = self.announcement.prefix
-            tier = PrefTier(self._tiers[row])
-            path_start = self._path_start
-            path_nodes = self._path_nodes
-            routes = tuple(
-                Route(
-                    prefix=prefix,
-                    origin=path_nodes[path_start[j + 1] - 1],
-                    path=tuple(path_nodes[path_start[j]:path_start[j + 1]]),
-                    tier=tier,
-                )
-                for j in range(
-                    self._choice_start[row], self._choice_start[row + 1]
-                )
+        """A fresh ``RouteChoice`` for one row (inspection paths only)."""
+        prefix = self.announcement.prefix
+        tier = PrefTier(self._tiers[row])
+        path_start = self._path_start
+        path_nodes = self._path_nodes
+        return RouteChoice(routes=tuple(
+            Route(
+                prefix=prefix,
+                origin=path_nodes[path_start[j + 1] - 1],
+                path=tuple(path_nodes[path_start[j]:path_start[j + 1]]),
+                tier=tier,
             )
-            choice = RouteChoice(routes=routes)
-            mat[row] = choice
-        return choice
+            for j in range(self._choice_start[row], self._choice_start[row + 1])
+        ))
 
     # -- RoutingTable API over the columns ------------------------------
     def choice_at(self, node_id: int) -> RouteChoice | None:
         row = self._row_of(node_id)
         return self._choice_for_row(row) if row is not None else None
+
+    def next_hops_at(self, node_id: int) -> tuple[int, ...] | None:
+        row = self._row_of(node_id)
+        if row is None:
+            return None
+        if self._tiers[row] == _ORIGIN:
+            return ()
+        # Paths start at the holder, so a route's next hop is its
+        # path's second node.
+        path_start = self._path_start
+        path_nodes = self._path_nodes
+        lo = self._choice_start[row]
+        hi = self._choice_start[row + 1]
+        if hi - lo == 1:
+            return (path_nodes[path_start[lo] + 1],)
+        return tuple(path_nodes[path_start[j] + 1] for j in range(lo, hi))
 
     def route_at(self, node_id: int) -> Route | None:
         choice = self.choice_at(node_id)
@@ -218,8 +227,7 @@ class FlatRoutingTable(RoutingTable):
         """What the memory census should walk for this table.
 
         The packed columns plus the bisect index and the shared
-        announcement — but never the lazily materialized ``RouteChoice``
-        cache, whose size reflects inspection history, not the table.
+        announcement; the ``best`` view holds nothing of its own.
         """
         return (
             self.announcement,

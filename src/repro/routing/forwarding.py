@@ -30,8 +30,7 @@ from repro.geo.atlas import City
 from repro.geo.coords import FIBER_KM_PER_MS_RTT, GeoPoint
 from repro.netaddr.ipv4 import IPv4Address
 from repro.routing.engine import RoutingTable
-from repro.routing.route import PrefTier, Route
-from repro.topology.asys import Interconnect, Link
+from repro.topology.flat import flat_adjacency
 from repro.topology.graph import Topology
 
 
@@ -73,59 +72,100 @@ class ForwardingPath:
         return len(self.node_path) - 1
 
 
-def nearest_interconnect(link: Link, point: GeoPoint) -> Interconnect:
-    """The link interconnect geographically nearest ``point``."""
-    return min(
-        link.interconnects,
-        key=lambda ic: (ic.city.location.distance_km(point), str(ic.addr_a)),
-    )
-
-
 def site_city(topology: Topology, node_id: int) -> City:
     """The city of a (single-PoP) site node; first PoP for multi-PoP nodes."""
     return topology.node(node_id).pops[0].city
 
 
-def _pick_exit(
-    topology: Topology, node: int, routes: tuple[Route, ...], point: GeoPoint
-) -> tuple[Route, Interconnect]:
-    """Hot-potato choice among equal-best routes at one node."""
-    best: tuple[float, int, Route, Interconnect] | None = None
-    for route in routes:
-        link = topology.link_between(node, route.next_hop)
-        ic = nearest_interconnect(link, point)
-        km = ic.city.location.distance_km(point)
-        key = (km, route.next_hop)
-        if best is None or key < (best[0], best[1]):
-            best = (km, route.next_hop, route, ic)
-    assert best is not None  # routes is non-empty by RouteChoice invariant
-    return best[2], best[3]
-
-
-def _exit_options(
+def walk(
     topology: Topology,
-    node: int,
-    routes: tuple[Route, ...],
-    point: GeoPoint,
-    chosen: Route,
-) -> tuple[ExitOption, ...]:
-    """Provenance record of every equal-best exit considered at a node.
+    table: RoutingTable,
+    start_node: int,
+    start_point: GeoPoint,
+    last_mile_ms: float = 0.0,
+    primary_only: bool = False,
+    hops: list[Hop] | None = None,
+) -> tuple[int, float, float] | None:
+    """Walk a client's traffic to its catchment: ``(origin, rtt_ms, km)``.
 
-    Recomputes the per-route interconnect distances :func:`_pick_exit`
-    compared — only called when capture is enabled, so the hot path never
-    pays for it.
+    Returns None when the client's AS holds no route to the prefix.
+    Each hop reads the node's equal-best next hops off the table and
+    takes the one whose exit (memoized on the topology's
+    :class:`~repro.topology.flat.FlatAdjacency`) lies nearest the
+    packet's current point, ties to the lower node id.  Kilometres and
+    per-interconnect latencies are summed in walk order, so the floats
+    do not depend on whether an exit was a memo hit.
+
+    ``last_mile_ms`` and ``primary_only`` are as for
+    :func:`trace_forwarding_path`.  ``hops``, when given, receives the
+    traceroute-visible ingress interface of every node after the first;
+    a ping passes None and builds nothing per hop.
     """
-    options = []
-    for route in routes:
-        link = topology.link_between(node, route.next_hop)
-        ic = nearest_interconnect(link, point)
-        options.append(ExitOption(
-            next_hop=route.next_hop,
-            ic_city=ic.city.iata,
-            km=ic.city.location.distance_km(point),
-            chosen=route is chosen,
+    if last_mile_ms < 0:
+        raise ValueError(f"last-mile latency must be non-negative: {last_mile_ms!r}")
+    next_hops_at = table.next_hops_at
+    next_hops = next_hops_at(start_node)
+    if next_hops is None:
+        obs.counter.inc("forwarding.unreachable")
+        return None
+    obs.counter.inc("forwarding.walks")
+    adjacency = flat_adjacency(topology)
+    prov = provenance.active()
+    steps: list[ForwardingStep] = []
+    node = start_node
+    point = start_point
+    total_km = 0.0
+    extra_ms = last_mile_ms
+    hop_count = 0
+    hot_potato_exit = adjacency.hot_potato_exit
+    while next_hops:
+        exits = [hot_potato_exit(node, next_hop, point) for next_hop in next_hops]
+        pick = 0
+        if not primary_only:
+            for i in range(1, len(exits)):
+                if (exits[i].km, next_hops[i]) < (exits[pick].km, next_hops[pick]):
+                    pick = i
+        if prov is not None:
+            steps.append(ForwardingStep(
+                node_id=node,
+                options=tuple(
+                    ExitOption(
+                        next_hop=next_hop,
+                        ic_city=option.interconnect.city.iata,
+                        km=option.km,
+                        chosen=i == pick,
+                    )
+                    for i, (next_hop, option) in enumerate(zip(next_hops, exits))
+                ),
+            ))
+        exit_ = exits[pick]
+        ic = exit_.interconnect
+        total_km += exit_.walk_km
+        point = ic.city.location
+        extra_ms += ic.extra_ms
+        node = next_hops[pick]
+        hop_count += 1
+        if hops is not None:
+            hops.append(Hop(
+                addr=exit_.addr,
+                node_id=node,
+                city=ic.city,
+                ixp_id=exit_.ixp_id,
+                rtt_ms=total_km / FIBER_KM_PER_MS_RTT + extra_ms,
+            ))
+        next_hops = next_hops_at(node)
+        if next_hops is None:  # pragma: no cover - engine guarantees continuity
+            return None
+    total_km += point.distance_km(site_city(topology, node).location)
+    obs.counter.inc("forwarding.hops", hop_count)
+    if prov is not None:
+        prov.record_forwarding(ForwardingTrail(
+            prefix=str(table.prefix),
+            start_node=start_node,
+            origin=node,
+            steps=tuple(steps),
         ))
-    return tuple(options)
+    return node, total_km / FIBER_KM_PER_MS_RTT + extra_ms, total_km
 
 
 def trace_forwarding_path(
@@ -149,69 +189,19 @@ def trace_forwarding_path(
     quantifies how much the equal-best/hot-potato model matters (see
     ``docs/modeling.md`` §3); leave it off for faithful behaviour.
     """
-    if last_mile_ms < 0:
-        raise ValueError(f"last-mile latency must be non-negative: {last_mile_ms!r}")
-    if table.choice_at(start_node) is None:
-        obs.counter.inc("forwarding.unreachable")
-        return None
-    obs.counter.inc("forwarding.walks")
-    prov = provenance.active()
-    steps: list[ForwardingStep] = []
-    node = start_node
-    point = start_point
-    total_km = 0.0
-    extra_ms = last_mile_ms
-    node_path = [start_node]
     hops: list[Hop] = []
-    while True:
-        choice = table.choice_at(node)
-        if choice is None:  # pragma: no cover - engine guarantees continuity
-            return None
-        if choice.tier is PrefTier.ORIGIN:
-            break
-        if primary_only:
-            route = choice.primary
-            ic = nearest_interconnect(
-                topology.link_between(node, route.next_hop), point
-            )
-        else:
-            route, ic = _pick_exit(topology, node, choice.routes, point)
-        if prov is not None:
-            steps.append(ForwardingStep(
-                node_id=node,
-                options=_exit_options(topology, node, choice.routes, point, route),
-            ))
-        link = topology.link_between(node, route.next_hop)
-        total_km += point.distance_km(ic.city.location)
-        point = ic.city.location
-        extra_ms += ic.extra_ms
-        node = route.next_hop
-        node_path.append(node)
-        hops.append(
-            Hop(
-                addr=link.addr_of(node, ic),
-                node_id=node,
-                city=ic.city,
-                ixp_id=link.ixp_id,
-                rtt_ms=total_km / FIBER_KM_PER_MS_RTT + extra_ms,
-            )
-        )
-    dest = site_city(topology, node)
-    total_km += point.distance_km(dest.location)
-    rtt_ms = total_km / FIBER_KM_PER_MS_RTT + extra_ms
-    obs.counter.inc("forwarding.hops", len(hops))
-    if prov is not None:
-        prov.record_forwarding(ForwardingTrail(
-            prefix=str(table.prefix),
-            start_node=start_node,
-            origin=node,
-            steps=tuple(steps),
-        ))
+    landing = walk(
+        topology, table, start_node, start_point, last_mile_ms,
+        primary_only=primary_only, hops=hops,
+    )
+    if landing is None:
+        return None
+    origin, rtt_ms, total_km = landing
     return ForwardingPath(
-        node_path=tuple(node_path),
-        origin=node,
+        node_path=(start_node, *(hop.node_id for hop in hops)),
+        origin=origin,
         hops=tuple(hops),
         rtt_ms=rtt_ms,
         distance_km=total_km,
-        dest_city=dest,
+        dest_city=site_city(topology, origin),
     )

@@ -20,19 +20,27 @@ The exit-kilometre metric (nearest PoP to nearest link interconnect —
 the hot-potato tie-break) is served from a per-adjacency memo backed by
 a module-level city-pair distance memo, filled lazily or all at once via
 :meth:`FlatAdjacency.precompute_km` before a fan-out forks workers.
+
+The forwarding plane keeps a second memo here: the hot-potato exit of
+every ``(node, next hop, point)`` a walk has crossed (see
+:meth:`FlatAdjacency.hot_potato_exit`).  After its first hop a packet
+always sits at an interconnect city, a finite set, so a few thousand
+entries serve every ping and traceroute of a run.  Like the exit-km
+memo it lives and dies with one topology version, every routing table
+shares it, and forked fleet workers inherit it copy-on-write.
 """
 
 from __future__ import annotations
 
 import weakref
 from array import array
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from repro.routing.route import PrefTier
-from repro.topology.asys import LinkKind
+from repro.topology.asys import Interconnect, LinkKind
 
 if TYPE_CHECKING:
     from repro.geo.coords import GeoPoint
+    from repro.netaddr.ipv4 import IPv4Address
     from repro.topology.graph import Topology
 
 #: Great-circle km between two city locations, memoized per GeoPoint
@@ -48,6 +56,23 @@ def _pair_km(a: "GeoPoint", b: "GeoPoint") -> float:
         km = a.distance_km(b)
         _PAIR_KM[key] = km  # repro-lint: disable=fork-global-write -- idempotent content-derived memo
     return km
+
+
+class HotPotatoExit(NamedTuple):
+    """Where a packet at ``point`` leaves a node toward one next hop."""
+
+    #: The link interconnect nearest ``point`` (ties: lowest ``addr_a``
+    #: string).
+    interconnect: Interconnect
+    #: The next hop's interface at that interconnect (what traceroute
+    #: shows).
+    addr: "IPv4Address"
+    #: IXP whose fabric carries the link, or None.
+    ixp_id: int | None
+    #: Interconnect -> point km: the hot-potato tie-break among exits.
+    km: float
+    #: Point -> interconnect km: what the walk adds to its distance.
+    walk_km: float
 
 
 class FlatAdjacency:
@@ -66,11 +91,16 @@ class FlatAdjacency:
         "_peer_ids",
         "_peer_tiers",
         "_km",
+        "_exits",
         "_topology_ref",
         "__weakref__",
     )
 
     def __init__(self, topology: "Topology"):
+        # Imported here: the routing package imports this module (its
+        # forwarding walk reads the exit memo).
+        from repro.routing.route import PrefTier
+
         self.version = topology.version
         self.num_nodes = topology.num_nodes
         # Weak: the memo in flat_adjacency() keys on the topology, so a
@@ -109,6 +139,9 @@ class FlatAdjacency:
         #: ``(node << 32) | neighbor`` -> exit km; filled lazily (or all
         #: at once by :meth:`precompute_km`).
         self._km: dict[int, float] = {}
+        #: point -> ``(node << 32) | next_hop`` -> hot-potato exit;
+        #: filled by forwarding walks.
+        self._exits: dict["GeoPoint", dict[int, HotPotatoExit]] = {}
 
     # ------------------------------------------------------------------
     def providers(self, node_id: int) -> array:
@@ -137,13 +170,7 @@ class FlatAdjacency:
         key = (node_id << 32) | neighbor_id
         km = self._km.get(key)
         if km is None:
-            topology = self._topology_ref()
-            if topology is None:
-                raise RuntimeError(
-                    "FlatAdjacency outlived its topology; exit-km lookups "
-                    "need the source graph (call precompute_km before "
-                    "dropping it)"
-                )
+            topology = self._topology()
             link = topology.link_between(node_id, neighbor_id)
             pops = topology.node(node_id).pops
             km = min(
@@ -154,6 +181,50 @@ class FlatAdjacency:
             km = round(km, 3)
             self._km[key] = km
         return km
+
+    def _topology(self) -> "Topology":
+        topology = self._topology_ref()
+        if topology is None:
+            raise RuntimeError(
+                "FlatAdjacency outlived its topology; exit lookups need "
+                "the source graph"
+            )
+        return topology
+
+    def hot_potato_exit(
+        self, node_id: int, next_hop: int, point: "GeoPoint"
+    ) -> HotPotatoExit:
+        """The exit of ``node_id``'s link toward ``next_hop`` nearest
+        ``point``, memoized per ``(node, next hop, point)``.
+
+        Both distances are stored as the walk computed them, each in its
+        own direction: the walk compares ``km`` and adds ``walk_km``, so
+        replaying the memo reproduces every RTT float bit for bit.
+        """
+        memo = self._exits.get(point)
+        if memo is None:
+            memo = self._exits[point] = {}
+        key = (node_id << 32) | next_hop
+        exit_ = memo.get(key)
+        if exit_ is None:
+            link = self._topology().link_between(node_id, next_hop)
+            ic = min(
+                link.interconnects,
+                key=lambda ic: (ic.city.location.distance_km(point), str(ic.addr_a)),
+            )
+            location = ic.city.location
+            exit_ = memo[key] = HotPotatoExit(
+                interconnect=ic,
+                addr=link.addr_of(next_hop, ic),
+                ixp_id=link.ixp_id,
+                km=location.distance_km(point),
+                walk_km=point.distance_km(location),
+            )
+        return exit_
+
+    def exit_count(self) -> int:
+        """Entries in the hot-potato exit memo."""
+        return sum(len(memo) for memo in self._exits.values())
 
     def precompute_km(self) -> int:
         """Fill the exit-km memo for every directed link end.

@@ -294,6 +294,34 @@ class TestCensus:
             if row.name.startswith("routing_table[")
         ]
         assert agg.bytes == sum(per_table)
+        assert names[1] == "flat_adjacency"
+
+    def test_world_census_counts_the_exit_memo(self, monkeypatch):
+        """The forwarding walks' exit memo shows in the census: it grows
+        on a first ping_all and stays put when the same walks repeat
+        under a new salt.  A fresh world keeps the session world's memo
+        out of the count; serial because fleet workers fill their own
+        copy-on-write copies."""
+        from repro.experiments.config import SMALL
+        from repro.experiments.world import World
+
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        world = World(SMALL)
+
+        def adjacency_row():
+            rows = {row.name: row for row in world_census(world)}
+            return rows["flat_adjacency"]
+
+        before = adjacency_row()
+        assert before.kind == "FlatAdjacency"
+        assert before.units["nodes"] == float(world.topology.num_nodes)
+        addr = world.imperva.ns.address
+        world.ping_all(addr)
+        grown = adjacency_row()
+        assert grown.units["entries"] > before.units["entries"]
+        assert grown.bytes > before.bytes
+        world.ping_all(addr, salt="again")
+        assert adjacency_row().units["entries"] == grown.units["entries"]
 
     def test_staged_footprint_memoized_per_version(self):
         class Staged:  # weak-referenceable, like Topology

@@ -424,9 +424,8 @@ class TestForwarding:
             trace_forwarding_path(net.topo, table, stub,
                                   ATLAS.get("LHR").location, last_mile_ms=-1)
 
-    def test_hot_potato_picks_nearby_equal_best_exit(self):
-        """Two equal-length exits from a tier-1: clients on each coast
-        should leave via their own coast (per-ingress hot potato)."""
+    def _coasts(self):
+        """A tier-1 with two equal-length exits, one per US coast."""
         net = Net()
         t1 = net.node(1, "JFK", tier=Tier.TIER1)
         # Give the tier-1 a second PoP city via interconnect choice only.
@@ -442,6 +441,12 @@ class TestForwarding:
         net.transit(west_site, west_mid, iata="LAX")
         net.transit(east_stub, t1, iata="JFK")
         net.transit(west_stub, t1, iata="LAX")
+        return net
+
+    def test_hot_potato_picks_nearby_equal_best_exit(self):
+        """Two equal-length exits from a tier-1: clients on each coast
+        should leave via their own coast (per-ingress hot potato)."""
+        net = self._coasts()
         table = net.routes(8, 9)
         east_path = trace_forwarding_path(
             net.topo, table, 4, ATLAS.get("JFK").location
@@ -451,6 +456,92 @@ class TestForwarding:
         )
         assert east_path.origin == 8
         assert west_path.origin == 9
+
+    def test_exit_trail_options(self):
+        """The hot-potato options a capture records, pinned per hop:
+        (next hop, interconnect city, km, chosen)."""
+        from repro.explain import provenance
+
+        net = self._coasts()
+        table = net.routes(8, 9)
+        with provenance.capturing() as rec:
+            for stub, iata in ((4, "JFK"), (5, "LAX")):
+                trace_forwarding_path(
+                    net.topo, table, stub, ATLAS.get(iata).location
+                )
+        coast_km = 3935.218414279227
+        expected = {
+            4: (8, [
+                (4, [(1, "JFK", 0.0, True)]),
+                (1, [(2, "JFK", 0.0, True), (3, "LAX", coast_km, False)]),
+                (2, [(8, "JFK", 0.0, True)]),
+            ]),
+            5: (9, [
+                (5, [(1, "LAX", 0.0, True)]),
+                (1, [(2, "JFK", coast_km, False), (3, "LAX", 0.0, True)]),
+                (3, [(9, "LAX", 0.0, True)]),
+            ]),
+        }
+        for stub, (origin, steps) in expected.items():
+            trail = rec.forwarding_for(str(PREFIX), stub)
+            assert trail.origin == origin
+            assert [
+                (step.node_id, [
+                    (o.next_hop, o.ic_city, o.km, o.chosen)
+                    for o in step.options
+                ])
+                for step in trail.steps
+            ] == steps
+
+    def test_walk_after_add_link_matches_fresh_build(self):
+        """A topology mutation between two walks retires the exit memo:
+        the second walk equals one over a topology built with the link
+        from the start."""
+        from repro.topology.flat import flat_adjacency
+
+        def fingerprint(path):
+            return (path.node_path, path.rtt_ms, path.distance_km,
+                    [(h.addr, h.rtt_ms) for h in path.hops])
+
+        start = ATLAS.get("JFK").location
+        net = self._coasts()
+        before = trace_forwarding_path(net.topo, net.routes(8, 9), 4, start)
+        memo = flat_adjacency(net.topo)
+        # A direct JFK stub -> LAX transit link: shorter than via the
+        # tier-1, so the east client now lands on the west site.
+        net.transit(4, 3, iata="LAX")
+        after = trace_forwarding_path(net.topo, net.routes(8, 9), 4, start)
+        assert flat_adjacency(net.topo) is not memo
+        assert after.node_path == (4, 3, 9)
+        assert fingerprint(after) != fingerprint(before)
+
+        fresh = self._coasts()
+        fresh.transit(4, 3, iata="LAX")
+        expected = trace_forwarding_path(
+            fresh.topo, fresh.routes(8, 9), 4, start
+        )
+        assert fingerprint(after) == fingerprint(expected)
+
+    def test_repeated_walk_adds_no_memo_entries(self):
+        from repro.topology.flat import flat_adjacency
+
+        net = self._coasts()
+        table = net.routes(8, 9)
+        adjacency = flat_adjacency(net.topo)
+        assert adjacency.exit_count() == 0
+        starts = ((4, "JFK"), (5, "LAX"))
+        first = [
+            trace_forwarding_path(net.topo, table, stub, ATLAS.get(iata).location)
+            for stub, iata in starts
+        ]
+        filled = adjacency.exit_count()
+        assert filled > 0
+        again = [
+            trace_forwarding_path(net.topo, table, stub, ATLAS.get(iata).location)
+            for stub, iata in starts
+        ]
+        assert adjacency.exit_count() == filled
+        assert again == first
 
 
 class TestEqualBestBounds:
