@@ -33,13 +33,15 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import time
+from typing import Sequence
 
 from repro import obs
 from repro.experiments import config
-from repro.experiments.base import run_instrumented
-from repro.experiments.runner import ALL_EXPERIMENTS
+from repro.experiments.base import experiment_name, run_instrumented
+from repro.experiments.runner import ALL_EXPERIMENTS, run_all
 from repro.experiments.world import World, get_world
 
 
@@ -131,6 +133,12 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _by_name(selected: Sequence[tuple[object, str]],
+             results: list[object]) -> dict[str, object]:
+    """Results keyed by experiment name: the ``done`` the claims read."""
+    return {experiment_name(m): r for (m, _), r in zip(selected, results)}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     wanted = set(args.experiments)
@@ -164,36 +172,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                  argv=sys.argv[1:], profiler=profiler,
                  memory=memory) as recorder:
         world = get_world(cfg)
-        results = []
-        with obs.span("experiments.run_all", experiments=len(selected)):
-            if args.parallel:
-                from repro.experiments.runner import run_selected_parallel
-
-                for (module, description), (result, wall_ms) in zip(
-                    selected, run_selected_parallel(world, selected)
-                ):
-                    results.append(result)
-                    print(result.render())
-                    if args.plots and hasattr(result, "render_plot"):
-                        print(result.render_plot())
-                    print(f"[{description}: {wall_ms / 1000.0:.2f}s]\n")
-            else:
-                for module, description in selected:
-                    start = time.perf_counter()
-                    result, _record = run_instrumented(module, description,
-                                                       world)
-                    elapsed = time.perf_counter() - start
-                    results.append(result)
-                    print(result.render())
-                    if args.plots and hasattr(result, "render_plot"):
-                        print(result.render_plot())
-                    print(f"[{description}: {elapsed:.2f}s]\n")
+        results, _ = run_all(world, selected=selected,
+                             parallel=args.parallel, plots=args.plots)
         if recorder is not None:
             from repro.obs.health import record_health
 
-            # The claim scorecard re-runs experiments; only fold it in
-            # when this run already covered all of them.
-            record_health(world, include_claims=not wanted)
+            record_health(world, _by_name(selected, results))
         if memory is not None and recorder is not None:
             recorder.memory_census = _attach_memory_census(world, recorder)
     if memory is not None and recorder is not None:
@@ -310,11 +294,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     """Generate a markdown report: scorecard + every experiment render."""
     from repro.experiments.claims import render_scorecard, verify_claims
-    from repro.experiments.runner import ALL_EXPERIMENTS
 
     cfg = _config_from_args(args)
     world = get_world(cfg)
-    outcomes = verify_claims(world)
+    results, _ = run_all(world, stream=io.StringIO())
+    outcomes = verify_claims(world, done=_by_name(ALL_EXPERIMENTS, results))
     sections = [
         "# Reproduction report",
         "",
@@ -327,8 +311,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         render_scorecard(outcomes),
         "```",
     ]
-    for module, description in ALL_EXPERIMENTS:
-        result = module.run(world)
+    for (_, description), result in zip(ALL_EXPERIMENTS, results):
         sections += ["", f"## {description}", "", "```",
                      result.render(), "```"]
     text = "\n".join(sections) + "\n"

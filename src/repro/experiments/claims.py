@@ -13,7 +13,7 @@ absolute milliseconds belong to the authors' testbed, not to a simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.analysis.cases import CaseType
 from repro.analysis.mapping import MappingClass
@@ -37,6 +37,7 @@ from repro.experiments import (
     table4,
     table5,
 )
+from repro.experiments.base import experiment_name
 from repro.experiments.world import World
 from repro.geo.areas import AREAS, Area
 from repro.sitemap.pipeline import Technique
@@ -60,7 +61,7 @@ class Claim:
 
 
 class _Results:
-    """Lazily runs and caches experiments for the claim checks."""
+    """Results for the claim checks: taken from ``done``, else run once."""
 
     _MODULES = {
         "fig1": fig1, "fig2": fig2, "fig3": fig3, "fig4": fig4,
@@ -72,9 +73,13 @@ class _Results:
         "resilience": resilience,
     }
 
-    def __init__(self, world: World):
+    def __init__(self, world: World, done: Mapping[str, object]):
         self._world = world
-        self._cache: dict[str, object] = {}
+        self._cache: dict[str, object] = {
+            key: done[experiment_name(module)]
+            for key, module in self._MODULES.items()
+            if experiment_name(module) in done
+        }
 
     def __getitem__(self, key: str):
         if key == "world":
@@ -333,11 +338,22 @@ ALL_CLAIMS: tuple[Claim, ...] = (
 )
 
 
+def experiments_needed() -> set[str]:
+    """Names of the experiments whose results the claim checks read."""
+    return {experiment_name(module) for module in _Results._MODULES.values()}
+
+
 def verify_claims(
-    world: World, claims: tuple[Claim, ...] = ALL_CLAIMS
+    world: World,
+    claims: tuple[Claim, ...] = ALL_CLAIMS,
+    done: Mapping[str, object] | None = None,
 ) -> list[ClaimResult]:
-    """Run every claim check against one world."""
-    results = _Results(world)
+    """Run every claim check against one world.
+
+    ``done`` maps experiment names (``repro list``) to results a run has
+    already produced; only the experiments it lacks are run, once each.
+    """
+    results = _Results(world, done or {})
     outcomes = []
     for claim in claims:
         try:

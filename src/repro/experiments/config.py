@@ -1,19 +1,18 @@
 """Experiment configuration: scales and seeds.
 
 All experiments are deterministic functions of one
-:class:`ExperimentConfig`.  Four presets are provided:
+:class:`ExperimentConfig`.  Three presets are provided:
 
 - :data:`DEFAULT` — the paper-scale world every number in EXPERIMENTS.md
   comes from;
 - :data:`SMALL` — a reduced world for unit tests and quick benchmark
   iterations (same structure, fewer stubs and probes);
 - :data:`LARGE` — ~5k ASes, the smallest tier where parallel routing
-  computes beat serial (fork/stage overhead amortizes);
-- :data:`XL` — ~25k ASes, CAIDA-shaped scale for capacity studies.
+  computes beat serial (fork/stage overhead amortizes).
 
-LARGE and XL add an IX-ring (private peering between transit members of
-consecutive IXPs, the seed-emulator pattern) and shrink per-AS
-infrastructure prefixes so tens of thousands of ASes fit the 10/8 pool.
+LARGE adds an IX-ring (private peering between transit members of
+consecutive IXPs, the seed-emulator pattern) and shrinks per-AS
+infrastructure prefixes so its thousands of ASes fit the 10/8 pool.
 """
 
 from __future__ import annotations
@@ -71,22 +70,8 @@ LARGE = ExperimentConfig(
     probes=replace(DEFAULT.probes, num_probes=3000),
 )
 
-#: ~25k ASes (16 tier-1 + 2000 transit + 23000 stubs), CAIDA-shaped.
-XL = ExperimentConfig(
-    name="xl",
-    topology=TopologyParams(
-        num_tier1=16,
-        num_transit=2000,
-        num_stubs=23000,
-        transit_infra_prefix=22,
-        stub_infra_prefix=25,
-        ixp_ring=True,
-    ),
-    probes=replace(DEFAULT.probes, num_probes=9000),
-)
-
 #: Every named preset, smallest first.
-CONFIGS: tuple[ExperimentConfig, ...] = (SMALL, DEFAULT, LARGE, XL)
+CONFIGS: tuple[ExperimentConfig, ...] = (SMALL, DEFAULT, LARGE)
 
 
 def by_name(name: str) -> ExperimentConfig:

@@ -1,26 +1,20 @@
-"""Run every experiment and render the paper-style report.
+"""Run experiments against one world and print their renders.
 
-Usage::
-
-    python -m repro.experiments.runner [--small] [--trace DIR]
-
-Prints every table and figure to stdout; ``--small`` runs on the reduced
-world used by tests, ``--trace DIR`` records an observability trace and
-writes ``run-<id>.json`` (plus a JSONL event stream) into DIR, and
-``--profile`` prints per-span-path function tables after the report.
+:func:`run_all` is where ``repro run`` and ``repro report`` execute
+experiments; the claim scorecard and the health gauges read its
+results, so no experiment runs twice in one command.
+``python -m repro.experiments.runner ARGS`` is the legacy spelling of
+``repro run ARGS``.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-import time
-from typing import TextIO
+from typing import Any, Iterable, Sequence, TextIO
 
 from repro import obs
 from repro.experiments import (
     baselines,
-    config,
     fig1,
     fig2,
     fig3,
@@ -45,9 +39,8 @@ from repro.experiments import (
     table6,
 )
 from repro.experiments.base import experiment_name, run_instrumented
-from repro.experiments.world import World, get_world
+from repro.experiments.world import World
 from repro.explain import provenance
-from repro.obs.manifest import tracing
 from repro.par.obsbuf import (
     WorkerPayload,
     finish_capture,
@@ -118,57 +111,53 @@ def _init_experiment_worker(world: World | None) -> None:
     _WORKER_WORLD = world
 
 
+def _timed_run(
+    module: Any, description: str, world: World
+) -> tuple[object, float]:
+    """Run one experiment under its span; ``(result, wall_ms)``."""
+    result, span_record = run_instrumented(module, description, world)
+    return result, span_record.wall_ms if span_record is not None else 0.0
+
+
 def _experiment_task(
-    task: tuple[str, bool, int],
+    task: tuple[str, int],
 ) -> tuple[object, float, WorkerPayload | None]:
     """Worker-side: run one experiment, capturing its spans/counters."""
-    name, record, chunk_index = task
+    name, chunk_index = task
     module, description = EXPERIMENTS_BY_NAME[name]
     world = _WORKER_WORLD
     if world is None:
         raise RuntimeError("experiment worker used before initialization")
-    recorder = start_capture(record, chunk_index=chunk_index)
+    recorder = start_capture(chunk_index=chunk_index)
     try:
-        result, span_record = run_instrumented(module, description, world)
+        result, wall_ms = _timed_run(module, description, world)
     finally:
         payload = finish_capture(recorder)
-    wall_ms = span_record.wall_ms if span_record is not None else 0.0
     return result, wall_ms, payload
 
 
 def run_selected_parallel(
     world: World,
-    selected: list[tuple[object, str]],
+    selected: Sequence[tuple[Any, str]],
     workers: int | None = None,
 ) -> list[tuple[object, float]]:
     """Run experiments across worker processes; results in input order.
 
-    Each worker gets its own copy of the world, so per-world measurement
-    caches are not shared between experiments the way they are serially —
-    the classic space-for-time trade of process parallelism.  Results
-    and their renders are nevertheless identical to serial runs: every
-    measurement is content-deterministic.
+    :func:`run_all` calls this once it has chosen the parallel path.
+    Each worker gets its own copy of the world, so per-world state is
+    not shared between experiments the way it is serially.  ``fig6``,
+    ``resilience`` and ``baselines`` allocate fresh service prefixes
+    from the world's pool, so their renders depend on which experiments
+    ran before them in the same process and can differ from a serial
+    run's (ROADMAP item 6).
 
     Returns ``(result, wall_ms)`` pairs; worker span/counter buffers are
     merged into the live recorder in experiment order.
     """
     global _FORK_WORLD
-    if (worker_count(workers) <= 1 or len(selected) <= 1
-            or capture_blocks_parallel()):
-        # Serial fallback in-process: map_deterministic's serial path
-        # would not run the worker initializer.
-        pairs: list[tuple[object, float]] = []
-        for module, description in selected:
-            result, span_record = run_instrumented(module, description, world)
-            pairs.append((
-                result,
-                span_record.wall_ms if span_record is not None else 0.0,
-            ))
-        return pairs
-    record = obs.active() is not None
     with obs.span("par.stage", items=len(selected)):
         tasks = [
-            (experiment_name(module), record, index)
+            (experiment_name(module), index)
             for index, (module, _) in enumerate(selected)
         ]
         forked = pool_context().get_start_method() == "fork"
@@ -198,56 +187,61 @@ def run_all(
     world: World,
     stream: TextIO | None = None,
     *,
+    selected: Sequence[tuple[Any, str]] | None = None,
     parallel: bool = False,
     workers: int | None = None,
+    plots: bool = False,
 ) -> tuple[list[object], obs.Recorder]:
-    """Run every experiment against one world.
+    """Run experiments against one world, each exactly once.
 
-    Returns ``(results, recording)``: the result list in paper order and
-    the recorder whose span tree timed every experiment.  When a recorder
-    is already installed (``repro run --trace``) it is reused; otherwise
-    a private one is created for the duration, so callers can always
-    assert on ``recording.root``.
+    ``selected`` holds ``(module, description)`` pairs (default: every
+    experiment, in paper order).  Each render, its ASCII plot with
+    ``plots``, and a ``[description: N.NNs]`` timing line go to
+    ``stream`` (default stdout).
 
-    With ``parallel=True`` and an effective worker count above 1,
-    independent experiments run across worker processes (results stay in
-    paper order and render identically); provenance capture forces the
-    serial path, as selection trails are process-local.
+    Returns ``(results, recording)``: the results in ``selected`` order
+    and the recorder whose span tree timed every experiment.  When a
+    recorder is already installed (``repro run --trace``) it is reused;
+    otherwise a private one is created for the duration, so callers can
+    always assert on ``recording.root`` and workers always time their
+    experiments.
+
+    With ``parallel=True`` and an effective worker count above 1, the
+    experiments run across worker processes (results stay in order);
+    provenance capture and the profilers force the serial path, as
+    their captures are process-local.
     """
+    if selected is None:
+        selected = ALL_EXPERIMENTS
     out = stream or sys.stdout
     recorder = obs.active()
     owned = recorder is None
     if owned:
         recorder = obs.Recorder("experiments")
         obs.install(recorder)
-    use_parallel = (
-        parallel
-        and worker_count(workers) > 1
-        and not capture_blocks_parallel()
-    )
     results: list[object] = []
     try:
-        with obs.span("experiments.run_all", experiments=len(ALL_EXPERIMENTS)):
-            if use_parallel:
-                outcomes = run_selected_parallel(
-                    world, list(ALL_EXPERIMENTS), workers=workers
-                )
-                for (module, description), (result, wall_ms) in zip(
-                    ALL_EXPERIMENTS, outcomes
-                ):
-                    results.append(result)
-                    print(result.render(), file=out)
-                    print(f"[{description}: {wall_ms / 1000.0:.2f}s]\n",
-                          file=out)
+        with obs.span("experiments.run_all", experiments=len(selected)):
+            outcomes: Iterable[tuple[object, float]]
+            if (parallel and len(selected) > 1
+                    and worker_count(workers) > 1
+                    and not capture_blocks_parallel()):
+                outcomes = run_selected_parallel(world, selected,
+                                                 workers=workers)
             else:
-                for module, description in ALL_EXPERIMENTS:
-                    result, record = run_instrumented(module, description,
-                                                      world)
-                    results.append(result)
-                    print(result.render(), file=out)
-                    elapsed_s = (record.wall_ms / 1000.0
-                                 if record is not None else 0.0)
-                    print(f"[{description}: {elapsed_s:.2f}s]\n", file=out)
+                # Lazy, so each render prints as soon as it is ready.
+                outcomes = (
+                    _timed_run(module, description, world)
+                    for module, description in selected
+                )
+            for (_, description), (result, wall_ms) in zip(selected,
+                                                           outcomes):
+                results.append(result)
+                print(result.render(), file=out)
+                if plots and hasattr(result, "render_plot"):
+                    print(result.render_plot(), file=out)
+                print(f"[{description}: {wall_ms / 1000.0:.2f}s]\n",
+                      file=out)
     finally:
         if owned:
             obs.uninstall()
@@ -255,53 +249,11 @@ def run_all(
     return results, recorder
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner",
-        description="Run every experiment and print the paper-style report.",
-    )
-    parser.add_argument("--small", action="store_true",
-                        help="run on the reduced test-scale world")
-    parser.add_argument("--trace", metavar="DIR",
-                        help="record an obs trace; writes run-<id>.json "
-                             "and events-<id>.jsonl into DIR")
-    parser.add_argument("--profile", action="store_true",
-                        help="attribute wall time to functions per span "
-                             "path and print the tables after the report")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run independent experiments across worker "
-                             "processes (worker count from REPRO_WORKERS)")
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = config.SMALL if args.small else config.DEFAULT
-    cli_argv = list(sys.argv[1:] if argv is None else argv)
-    profiler = None
-    if args.profile:
-        from repro.obs.prof import SpanProfiler
+    """``python -m repro.experiments.runner ARGS``: runs ``repro run ARGS``."""
+    from repro.cli import main as cli_main  # cli imports this module
 
-        profiler = SpanProfiler("runner")
-    with tracing(args.trace, label="runner", config=cfg, argv=cli_argv,
-                 profiler=profiler) as recorder:
-        start = time.perf_counter()
-        world = get_world(cfg)
-        print(f"[world '{cfg.name}' built in {time.perf_counter() - start:.2f}s: "
-              f"{world.topology.num_nodes} nodes, {world.topology.num_links} links, "
-              f"{len(world.usable_probes)} usable probes, {len(world.groups)} groups]\n")
-        run_all(world, parallel=args.parallel)
-        if recorder is not None:
-            from repro.obs.health import record_health
-
-            record_health(world)
-    if profiler is not None:
-        from repro.obs.prof import render_profile
-
-        print(render_profile(profiler.snapshot()))
-    if recorder is not None and recorder.manifest_path is not None:
-        print(f"[obs] manifest written to {recorder.manifest_path}")
-    return 0
+    return cli_main(["run", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -16,18 +16,19 @@ next to its performance fingerprint:
 - ``health.dns.mapping.*`` — Table-2-style mapping-accuracy fractions
   for the Imperva-6 hostname set under LDNS;
 - ``health.claims.passed`` / ``health.claims.total`` — the paper-claim
-  scorecard, as numbers a dashboard can plot.
+  scorecard, as numbers a dashboard can plot, scored from the run's own
+  results (``done``).  Health never runs an experiment, so a partial
+  run (``repro run table3 --trace DIR``) records no claim gauges.
 
 The heavy imports (experiments, analysis) happen inside the functions:
 the obs package stays import-light, and no cycle forms with the modules
 it measures.  ``repro obs dashboard`` re-reads these gauges from the
-manifest via :func:`health_gauges` — computing them costs nothing extra
-when the run already measured everything (world caches are shared).
+manifest via :func:`health_gauges`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from repro import obs
 
@@ -101,11 +102,15 @@ def dns_health(world: "World") -> dict[str, float]:
     return gauges
 
 
-def claims_health(world: "World") -> dict[str, float]:
-    """Paper-claim scorecard pass/fail counts."""
-    from repro.experiments.claims import verify_claims
+def claims_health(
+    world: "World", done: Mapping[str, object]
+) -> dict[str, float]:
+    """Scorecard pass/fail counts from ``done``; empty if it lacks any."""
+    from repro.experiments.claims import experiments_needed, verify_claims
 
-    outcomes = verify_claims(world)
+    if not experiments_needed() <= done.keys():
+        return {}
+    outcomes = verify_claims(world, done=done)
     passed = sum(1 for o in outcomes if o.passed)
     return {
         "health.claims.passed": float(passed),
@@ -115,29 +120,26 @@ def claims_health(world: "World") -> dict[str, float]:
 
 
 def collect_health(
-    world: "World", *, include_claims: bool = True
+    world: "World", done: Mapping[str, object] | None = None
 ) -> dict[str, float]:
     """All health gauges for one world, sorted by name.
 
-    ``include_claims=False`` skips the scorecard — the one component
-    that *runs* experiments rather than reusing what already ran, so
-    partial runs (``repro run table3 --trace ...``) stay cheap.
+    ``done`` maps experiment names to the run's finished results.
     """
     gauges: dict[str, float] = {}
     gauges.update(routing_health(world))
     gauges.update(catchment_health(world))
     gauges.update(dns_health(world))
-    if include_claims:
-        gauges.update(claims_health(world))
+    gauges.update(claims_health(world, done or {}))
     return dict(sorted(gauges.items()))
 
 
 def record_health(
-    world: "World", *, include_claims: bool = True
+    world: "World", done: Mapping[str, object] | None = None
 ) -> dict[str, float]:
     """Compute health gauges under an ``obs.health`` span and emit them."""
     with obs.span("obs.health"):
-        gauges = collect_health(world, include_claims=include_claims)
+        gauges = collect_health(world, done)
         for name, value in gauges.items():
             obs.gauge.set(name, value)
     return gauges

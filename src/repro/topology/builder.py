@@ -123,15 +123,15 @@ class TopologyParams:
     interconnect_extra_ms: tuple[float, float] = (0.1, 1.2)
     ixp_cities: tuple[str, ...] = _DEFAULT_IXP_CITIES
     #: Infrastructure prefix length allocated per AS, by tier.  /19 per
-    #: node caps the 10.0.0.0/8 pool at 2048 ASes; the LARGE/XL presets
-    #: shrink transit and stub allocations to fit tens of thousands.
+    #: node caps the 10.0.0.0/8 pool at 2048 ASes; the LARGE preset
+    #: shrinks transit and stub allocations to fit thousands.
     tier1_infra_prefix: int = 19
     transit_infra_prefix: int = 19
     stub_infra_prefix: int = 19
     #: Wire transit members of consecutive IXPs into a private-peering
     #: ring (the seed-emulator IX-ring pattern).  Off by default so the
     #: DEFAULT/SMALL RNG streams — and their golden topologies — are
-    #: untouched; LARGE/XL enable it.
+    #: untouched; LARGE enables it.
     ixp_ring: bool = False
 
     def __post_init__(self) -> None:
@@ -194,7 +194,7 @@ class InternetBuilder:
         }
         #: Proximity-ranked transit pools per stub metro.  The ranking is
         #: a pure sort (no RNG draws), so memoizing it changes nothing in
-        #: the random stream — it only stops LARGE/XL builds re-sorting
+        #: the random stream — it only stops LARGE builds re-sorting
         #: hundreds of transits for every one of thousands of stubs.
         self._stub_pools: dict[str, list[AutonomousSystem]] = {}
 

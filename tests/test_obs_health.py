@@ -1,8 +1,8 @@
 """Tests for repro.obs.health: domain gauges on instrumented runs.
 
-Uses the session-scoped SMALL world; the claims scorecard
-(``include_claims=True``) re-runs experiments and is exercised only via
-a stubbed world, not the real one.
+Uses the shared SMALL world fixture.  The claim gauges are scored from
+stub results with every experiment's ``run`` patched to fail, which
+shows that health never runs an experiment.
 """
 
 from __future__ import annotations
@@ -10,6 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.experiments.base import TextResult, experiment_name
+from repro.experiments.claims import ALL_CLAIMS
+from repro.experiments.runner import ALL_EXPERIMENTS
 from repro.obs.health import (
     HEALTH_PREFIX,
     catchment_health,
@@ -25,7 +28,7 @@ from repro.obs.manifest import from_recorder
 
 @pytest.fixture(scope="module")
 def gauges(small_world):
-    return collect_health(small_world, include_claims=False)
+    return collect_health(small_world)
 
 
 class TestCollect:
@@ -65,11 +68,45 @@ class TestCollect:
         assert not any(name.startswith("health.claims.") for name in gauges)
 
 
+class TestClaimGauges:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Patch every experiment's ``run`` to fail; returns the calls."""
+        calls: list[str] = []
+        for module, _ in ALL_EXPERIMENTS:
+            def refuse(world, _name=experiment_name(module)):
+                calls.append(_name)
+                raise RuntimeError(f"health ran experiment {_name}")
+            monkeypatch.setattr(module, "run", refuse)
+        return calls
+
+    @staticmethod
+    def _done(drop: str | None = None) -> dict[str, TextResult]:
+        return {
+            name: TextResult(name, "stub")
+            for name in (experiment_name(m) for m, _ in ALL_EXPERIMENTS)
+            if name != drop
+        }
+
+    def test_complete_results_score_every_claim(self, small_world, runs):
+        gauges = collect_health(small_world, self._done())
+        assert gauges["health.claims.total"] == len(ALL_CLAIMS) == 18
+        assert runs == []
+
+    def test_partial_or_no_results_record_no_claim_gauges(self, small_world,
+                                                          runs):
+        for done in (self._done(drop="fig6"), None):
+            gauges = collect_health(small_world, done)
+            assert gauges
+            assert not any(n.startswith("health.claims.") for n in gauges)
+        assert runs == []
+
+
 class TestRecord:
     def test_record_health_sets_gauges_under_span(self, small_world):
         obs.uninstall()
         with obs.recording("health-run") as rec:
-            recorded = record_health(small_world, include_claims=False)
+            recorded = record_health(small_world)
         span = rec.root.find("obs.health")
         assert span is not None
         assert span.gauges == recorded
@@ -80,7 +117,7 @@ class TestRecord:
         with obs.recording("health-run") as rec:
             with obs.span("unrelated"):
                 obs.gauge.set("experiment.custom", 1.0)
-            recorded = record_health(small_world, include_claims=False)
+            recorded = record_health(small_world)
         manifest = from_recorder(rec)
         read_back = health_gauges(manifest)
         assert read_back == recorded

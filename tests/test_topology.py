@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.config import CONFIGS
 from repro.geo.areas import Area
 from repro.geo.atlas import load_default_atlas
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
@@ -252,6 +253,14 @@ class TestInternetBuilder:
     def test_route_server_members_subset_of_members(self, tiny_topology):
         for ixp in tiny_topology.ixps():
             assert ixp.route_server_members <= ixp.members
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda cfg: cfg.name)
+    def test_every_preset_topology_builds(self, cfg):
+        params = cfg.topology
+        summary = summarize(InternetBuilder(params).build())
+        assert summary.nodes_by_tier[Tier.TIER1] == params.num_tier1
+        assert summary.nodes_by_tier[Tier.TRANSIT] == params.num_transit
+        assert summary.nodes_by_tier[Tier.STUB] == params.num_stubs
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

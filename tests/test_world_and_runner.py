@@ -1,12 +1,21 @@
 """Tests for the World helpers, the runner, and topology stats."""
 
 import io
+from collections import Counter
 
 import pytest
 
+from repro import cli
 from repro.dnssim.resolver import DnsMode
-from repro.experiments import runner
+from repro.experiments import fig6, runner
+from repro.experiments import world as world_module
+from repro.experiments.base import TextResult, experiment_name
+from repro.experiments.claims import experiments_needed
+from repro.experiments.config import SMALL
+from repro.par.pool import pool_context
 from repro.topology.stats import summarize
+
+ALL_NAMES = [experiment_name(m) for m, _ in runner.ALL_EXPERIMENTS]
 
 
 class TestWorldHelpers:
@@ -110,6 +119,76 @@ class TestRunner:
     def test_descriptions_unique(self):
         descriptions = [d for _, d in runner.ALL_EXPERIMENTS]
         assert len(set(descriptions)) == len(descriptions)
+
+
+@pytest.fixture
+def shared_small(small_world, monkeypatch):
+    """Commands that ask for the SMALL world get the shared test world."""
+    monkeypatch.setitem(world_module._WORLDS, SMALL.name, small_world)
+    return small_world
+
+
+class TestEachExperimentRunsOnce:
+    """Every command runs each selected experiment exactly once."""
+
+    @pytest.fixture
+    def ran(self, shared_small, monkeypatch, tmp_path):
+        """Stub every experiment's ``run``; returns a count of the calls.
+
+        Calls are appended to a file, so forked workers count too.
+        """
+        log = tmp_path / "ran.log"
+        log.touch()
+        for module, _ in runner.ALL_EXPERIMENTS:
+            def stub(world, _name=experiment_name(module)):
+                with open(log, "a") as f:
+                    f.write(_name + "\n")
+                return TextResult(_name, "stub")
+            monkeypatch.setattr(module, "run", stub)
+        return lambda: Counter(log.read_text().split())
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["run", "--small"], ALL_NAMES),
+        (["run", "--small", "--trace", "{tmp}/trace"], ALL_NAMES),
+        (["run", "table1", "fig6", "--small", "--trace", "{tmp}/trace"],
+         ["table1", "fig6"]),
+        (["report", "--small", "--out", "{tmp}/r.md"], ALL_NAMES),
+        (["verify", "--small"], sorted(experiments_needed())),
+    ], ids=["run", "run-traced", "run-partial-traced", "report", "verify"])
+    def test_cli_command(self, ran, tmp_path, capsys, argv, expected):
+        cli.main([arg.format(tmp=tmp_path) for arg in argv])
+        assert ran() == Counter(expected)
+
+    @pytest.mark.skipif(pool_context().get_start_method() != "fork",
+                        reason="stubbed experiments reach workers by fork")
+    def test_parallel_run(self, ran, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        assert cli.main(["run", "--small", "--parallel"]) == 0
+        assert ran() == Counter(ALL_NAMES)
+
+    def test_legacy_runner(self, ran, capsys):
+        assert runner.main(["--small"]) == 0
+        assert ran() == Counter(ALL_NAMES)
+
+
+def test_untraced_parallel_run_times_each_experiment(shared_small,
+                                                     monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    assert cli.main(["run", "table5", "methodology", "--small",
+                     "--parallel"]) == 0
+    timings = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("[") and line.endswith("s]")]
+    assert len(timings) == 2
+    assert not any(line.endswith(": 0.00s]") for line in timings)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: fig6 allocates fresh /24s from the world's shared "
+    "service pool and ping jitter is hashed on the address, so a second "
+    "run on the same world renders differently"))
+def test_fig6_renders_identically_when_run_twice():
+    world = world_module.World(SMALL)
+    assert fig6.run(world).render() == fig6.run(world).render()
 
 
 class TestTopologyStats:
