@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.report import render_table
 from repro.experiments.world import World
-from repro.measurement.engine import MeasurementEngine
 from repro.sitemap.pipeline import SiteMapper
 
 DEFAULT_CAMPAIGNS = 4
@@ -67,10 +66,10 @@ def run(world: World, campaigns: int = DEFAULT_CAMPAIGNS) -> LongitudinalResult:
         result.observations[name] = {region: [] for region in deployment.region_names}
     for week in range(campaigns):
         # A fresh engine seed = a fresh measurement campaign (different
-        # jitter and probe/hop noise; same routed Internet).
-        engine = MeasurementEngine(
-            world.topology, world.registry,
-            seed=world.config.measurement_seed + 1000 + week,
+        # jitter; same routed Internet, so the campaign shares the world
+        # engine's routing tables and forwarding memo).
+        engine = world.engine.campaign(
+            world.config.measurement_seed + 1000 + week
         )
         for name, deployment in deployments.items():
             mapper = SiteMapper(

@@ -55,7 +55,7 @@ def _area_rtts(
     answers = world.resolve_all(service, DnsMode.LDNS)
     per_probe: dict[int, float] = {}
     for probe in world.usable_probes:
-        ping = world.ping_all(answers[probe.probe_id], salt=salt)[probe.probe_id]
+        ping = world.engine.ping(probe, answers[probe.probe_id], salt=salt)
         if ping.rtt_ms is not None:
             per_probe[probe.probe_id] = ping.rtt_ms
     by_area: dict[Area, list[float]] = {a: [] for a in AREAS}

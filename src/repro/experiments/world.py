@@ -12,8 +12,11 @@ Internet:
   Imperva-6 sets.
 
 Measurements (pings, traceroutes, DNS resolutions, site mappings) are
-cached per target address so the fifteen experiments share work instead
-of re-measuring.
+cached per target address so the experiments share work instead of
+re-measuring.  Beneath those caches the measurement engine walks each
+probe's path once per routing table (see
+:mod:`repro.measurement.engine`), so even an uncached measurement of a
+known path costs only its jitter.
 """
 
 from __future__ import annotations
@@ -170,6 +173,9 @@ class World:
             self._fleet_checked = True
             workers = worker_count()
             if workers > 1:
+                # Tables for announcements registered since the build
+                # are computed here, once, so no worker computes its own.
+                self.engine.routing.compute_many(self.registry.announcements())
                 self._fleet_pool = FleetPool(
                     self.engine,
                     self.usable_probes,

@@ -4,29 +4,53 @@ The engine binds together the routing layer and the probe population:
 
 - a :class:`ServiceRegistry` records which announcement owns each service
   address, the way the real Internet's routing tables do;
-- :meth:`MeasurementEngine.ping` resolves the probe's AS, looks up its
-  selected route toward the target's announcement, walks it
-  geographically (keeping only the landing site and RTT, no hops), and
-  reports an RTT with deterministic per-(probe, target) jitter —
-  re-measuring the same target from the same probe gives the same value,
-  while two prefixes served from the same site via the same path differ
-  slightly (the §5.3 "same path, different RTT" noise);
+- :meth:`MeasurementEngine.ping` finds the routing table behind the
+  target, walks the probe's traffic geographically to its landing site
+  (no hops kept), and reports the path's RTT with deterministic
+  per-(probe, target, salt) jitter — re-measuring the same target from
+  the same probe gives the same value, while two prefixes served from
+  the same site via the same path differ slightly (the §5.3 "same path,
+  different RTT" noise);
 - :meth:`MeasurementEngine.traceroute` additionally reports hops, with a
   deterministic fraction of silent routers (the paper's invalid-p-hop
   traces, filtered in §5.3).
+
+**Measure once.**  Where a probe's traffic lands depends only on the
+target's routing table and on what the walk reads from the probe (its
+AS, location and last mile); a campaign seed or a hostname salt changes
+only the multiplicative jitter.  So the engine walks each (table, probe)
+path once and keeps the seed-free outcome in a :class:`ForwardingMemo`
+— a landing for a ping, the whole :class:`ForwardingPath` for a
+traceroute — and applies the jitter on top, which leaves every RTT float
+bit-identical to a fresh walk.  :meth:`MeasurementEngine.campaign`
+derives an engine for another campaign seed that shares the memo and the
+routing engine.  ``docs/performance.md`` ("Measure once") covers the
+memo's key, lifetime and invalidation.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass
+from typing import Union
 
+from repro.explain import provenance
+from repro.geo.coords import GeoPoint
 from repro.measurement.probes import Probe
 from repro.netaddr.ipv4 import IPv4Address
 from repro.routing.engine import RoutingEngine, RoutingTable
 from repro.routing.forwarding import ForwardingPath, Hop, trace_forwarding_path, walk
 from repro.routing.route import Announcement
 from repro.topology.graph import Topology
+
+#: What a forwarding walk reads from a probe: AS, location, last mile.
+WalkKey = tuple[int, GeoPoint, float]
+#: A memoized walk: ``(origin, rtt_ms)`` from a ping, the full path from
+#: a traceroute, or None when the probe's AS holds no route.
+WalkOutcome = Union[tuple[int, float], ForwardingPath, None]
+#: One routing table's walk memo.
+WalkMemo = dict[WalkKey, WalkOutcome]
 
 
 @dataclass(frozen=True)
@@ -139,6 +163,38 @@ class ServiceRegistry:
         return self._count
 
 
+class ForwardingMemo:
+    """Seed-free forwarding outcomes, shared by an engine and its campaigns.
+
+    - ``targets`` resolves a service address to its routing table and
+      that table's walk memo, so a measurement skips the registry trie
+      and the routing-cache lookup.  It holds the registry size and
+      topology version it was filled under (``snapshot``) and is emptied
+      when either changes.
+    - ``walks`` keys each table's memo on ``(announcement, topology
+      version)``: two addresses of one prefix share it, and a table of an
+      older topology never serves a walk.
+    - ``silent`` records, per router interface, whether it answers
+      traceroute — a property of the router, not of a campaign.
+    """
+
+    def __init__(self) -> None:
+        self.snapshot: tuple[int, int] | None = None
+        self.targets: dict[IPv4Address, tuple[RoutingTable, WalkMemo] | None] = {}
+        self.walks: dict[tuple[Announcement, int], WalkMemo] = {}
+        self.silent: dict[IPv4Address, bool] = {}
+
+    def entries(self) -> int:
+        """Memoized walks over every table: landings plus paths."""
+        return sum(len(memo) for memo in self.walks.values())
+
+    def census_state(self) -> tuple[object, ...]:
+        """What the memory census should walk: the walk memos and the
+        silence map, not the routing tables ``targets`` points at (the
+        census counts those in rows of their own)."""
+        return (*self.walks.values(), self.silent)
+
+
 class MeasurementEngine:
     """Executes measurements from probes."""
 
@@ -161,6 +217,7 @@ class MeasurementEngine:
         # measurement campaign: it uses its own seed so two engines with
         # different campaign seeds see the same silent routers.
         self._hop_silence_seed = hop_silence_seed
+        self._memo = ForwardingMemo()
 
     @property
     def routing(self) -> RoutingEngine:
@@ -170,25 +227,115 @@ class MeasurementEngine:
     def registry(self) -> ServiceRegistry:
         return self._registry
 
+    @property
+    def memo(self) -> ForwardingMemo:
+        return self._memo
+
+    def campaign(self, seed: int) -> "MeasurementEngine":
+        """This engine under another campaign seed.
+
+        The copy shares the registry, the routing engine and the
+        forwarding memo, so it lands every probe where this engine does
+        and walks nothing this engine already walked; only the jitter
+        differs.
+        """
+        engine = copy.copy(self)
+        engine._seed = seed
+        return engine
+
     # ------------------------------------------------------------------
-    def table_for(self, addr: IPv4Address) -> RoutingTable | None:
+    def _target(self, addr: IPv4Address) -> tuple[RoutingTable, WalkMemo] | None:
+        """The routing table behind an address and its walk memo."""
+        memo = self._memo
+        version = self._topology.version
+        snapshot = (len(self._registry), version)
+        if memo.snapshot != snapshot:
+            memo.targets.clear()
+            memo.walks = {
+                key: walks for key, walks in memo.walks.items()
+                if key[1] == version
+            }
+            memo.snapshot = snapshot
+        try:
+            return memo.targets[addr]
+        except KeyError:
+            pass
         announcement = self._registry.lookup(addr)
-        if announcement is None:
+        target: tuple[RoutingTable, WalkMemo] | None = None
+        if announcement is not None:
+            target = (
+                self._routing.compute(announcement),
+                memo.walks.setdefault((announcement, version), {}),
+            )
+        memo.targets[addr] = target
+        return target
+
+    def table_for(self, addr: IPv4Address) -> RoutingTable | None:
+        target = self._target(addr)
+        return None if target is None else target[0]
+
+    def _recall(self, probe: Probe, addr: IPv4Address) -> tuple[
+        RoutingTable, WalkMemo, WalkKey, WalkOutcome, bool
+    ] | None:
+        """The memo entry for a probe's walk toward an address.
+
+        None for an unregistered address, else ``(table, walks, key,
+        outcome, must_walk)``, where ``must_walk`` is set when ``walks``
+        holds nothing under ``key`` or a provenance capture needs the
+        walk's trail.
+        """
+        target = self._target(addr)
+        if target is None:
             return None
-        return self._routing.compute(announcement)
+        table, walks = target
+        key = (probe.as_node, probe.location, probe.last_mile_ms)
+        outcome = walks.get(key)
+        must_walk = ((outcome is None and key not in walks)
+                     or provenance.active() is not None)
+        return table, walks, key, outcome, must_walk
 
     def forwarding_path(self, probe: Probe, addr: IPv4Address) -> ForwardingPath | None:
         """The geographic path a probe's traffic takes toward an address."""
-        table = self.table_for(addr)
-        if table is None:
+        recalled = self._recall(probe, addr)
+        if recalled is None:
             return None
-        return trace_forwarding_path(
+        table, walks, key, outcome, must_walk = recalled
+        # A ping's landing lacks the hops, so only a path or a stored
+        # "unreachable" answers a traceroute.
+        if not must_walk and not isinstance(outcome, tuple):
+            return outcome
+        path = trace_forwarding_path(
             self._topology,
             table,
             probe.as_node,
             probe.location,
             last_mile_ms=probe.last_mile_ms,
         )
+        walks[key] = path
+        return path
+
+    def _landing(self, probe: Probe, addr: IPv4Address) -> tuple[int, float] | None:
+        """Where a probe's traffic lands: ``(origin, rtt_ms)``, unjittered."""
+        recalled = self._recall(probe, addr)
+        if recalled is None:
+            return None
+        table, walks, key, outcome, must_walk = recalled
+        if must_walk:
+            found = walk(
+                self._topology,
+                table,
+                probe.as_node,
+                probe.location,
+                last_mile_ms=probe.last_mile_ms,
+            )
+            # Keep a traceroute's path: it carries the same landing.
+            outcome = walks.setdefault(
+                key, None if found is None else found[:2]
+            )
+        if isinstance(outcome, ForwardingPath):
+            # The same walk() return a ping's own walk would have given.
+            return outcome.origin, outcome.rtt_ms
+        return outcome
 
     def ping(self, probe: Probe, addr: IPv4Address, salt: object = None) -> PingResult:
         """One ping from a probe to a service address.
@@ -197,18 +344,11 @@ class MeasurementEngine:
         (e.g. two hostnames resolving to the same addresses, Appendix C):
         the same (probe, address, salt) always measures the same RTT.
         """
-        table = self.table_for(addr)
-        landing = None if table is None else walk(
-            self._topology,
-            table,
-            probe.as_node,
-            probe.location,
-            last_mile_ms=probe.last_mile_ms,
-        )
+        landing = self._landing(probe, addr)
         if landing is None:
             return PingResult(probe_id=probe.probe_id, target=addr,
                               rtt_ms=None, catchment=None)
-        origin, rtt_ms, _ = landing
+        origin, rtt_ms = landing
         rtt = rtt_ms * (1.0 + self._jitter(probe.probe_id, addr, salt))
         return PingResult(
             probe_id=probe.probe_id,
@@ -257,9 +397,12 @@ class MeasurementEngine:
         return (2.0 * u - 1.0) * self._jitter_fraction
 
     def _hop_silent(self, hop: Hop) -> bool:
-        """Whether a router interface never answers traceroute."""
-        digest = hashlib.sha256(
-            f"silent|{self._hop_silence_seed}|{hop.addr}".encode()
-        ).digest()
-        u = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return u < self._hop_silent_fraction
+        """Whether a router interface never answers traceroute (memoized)."""
+        silent = self._memo.silent.get(hop.addr)
+        if silent is None:
+            digest = hashlib.sha256(
+                f"silent|{self._hop_silence_seed}|{hop.addr}".encode()
+            ).digest()
+            u = int.from_bytes(digest[:8], "big") / float(1 << 64)
+            silent = self._memo.silent[hop.addr] = u < self._hop_silent_fraction
+        return silent

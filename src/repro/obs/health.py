@@ -8,8 +8,9 @@ from the world that just ran and attaches them to the recording as
 next to its performance fingerprint:
 
 - ``health.routing.cache_hit_rate`` — fraction of routing-table lookups
-  served from the per-topology-version cache (the pipeline's main
-  shared-work lever);
+  served from the per-topology-version cache.  The measurement engine
+  resolves each target address once per registry/topology snapshot, so
+  a lookup is one address resolution, not one measurement;
 - ``health.catchment.<deployment>.<region>.sites`` — distinct origin
   sites actually serving each region's prefix (a silently collapsed
   catchment is how reproductions rot);

@@ -524,20 +524,22 @@ def world_census(world: Any) -> list[CensusRow]:
 
     Covers the topology graph, its flat adjacency (CSR columns plus the
     exit-km and hot-potato exit memos the routing engine and forwarding
-    walks fill), every announcement's routing table (a cache hit after
-    the build), per-announcement catchment summaries, the DNS mapping
-    services, and — when a provenance capture is live — the explain
-    buffers.  Rows arrive in a deterministic order: shared structures
-    first, then per-announcement rows in announcement order.
+    walks fill), the measurement engine's forwarding memo (the landings
+    and paths it walked once per routing table), every announcement's
+    routing table (a cache hit after the build), per-announcement
+    catchment summaries, the DNS mapping services, and — when a
+    provenance capture is live — the explain buffers.  Rows arrive in a
+    deterministic order: shared structures first, then per-announcement
+    rows in announcement order.
     """
     from repro.explain import provenance
     from repro.routing.inspect import summarize_catchment
     from repro.topology.flat import flat_adjacency
 
-    # One visited set across both rows: the adjacency's exit memo points
-    # at interconnects the topology row already counted.  (The adjacency
-    # holds its topology only through a weakref, which the walk does not
-    # follow.)
+    # One visited set across the shared rows: the adjacency's exit memo
+    # points at interconnects the topology row already counted, and the
+    # forwarding memo's paths at its cities.  (The adjacency holds its
+    # topology only through a weakref, which the walk does not follow.)
     seen: set[int] = set()
     size, objects = deep_sizeof(world.topology, seen=seen)
     rows: list[CensusRow] = [
@@ -556,6 +558,14 @@ def world_census(world: Any) -> list[CensusRow]:
                 "nodes": float(adjacency.num_nodes),
                 "entries": float(adjacency.exit_count()),
             },
+        )
+    )
+    memo = world.engine.memo
+    size, objects = deep_sizeof(memo.census_state(), seen=seen)
+    rows.append(
+        CensusRow(
+            name="forwarding_memo", kind="ForwardingMemo", bytes=size,
+            objects=objects, units={"entries": float(memo.entries())},
         )
     )
     engine = world.engine.routing

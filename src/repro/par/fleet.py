@@ -16,12 +16,18 @@ probe order, so the returned dicts are equal to the serial loops'.
 
 Determinism caveat handled here: resolver profiles and routing tables
 must be assigned *before* the pool forks, otherwise each worker would
-lazily re-derive them and the ``dns.resolver_assignments`` /
-``routing.cache_hits`` counters would depend on which worker served
-which chunk.  :meth:`FleetPool.__init__` therefore warms the resolver
-pool in the parent (the world warms the routing cache during build), so
-worker-side work is pure cache hits and counter totals match serial
-runs exactly.
+lazily re-derive them — computing its own copy of every new table — and
+the ``dns.resolver_assignments`` / ``routing.compute`` totals would
+depend on which worker served which chunk.  :meth:`FleetPool.__init__`
+therefore warms the resolver pool in the parent, and
+:meth:`repro.experiments.world.World._fleet` computes every registered
+announcement's table before it creates a pool.
+
+One exception is accepted: each worker fills its own copy of the
+measurement engine's forwarding memo (:mod:`repro.measurement.engine`).
+Results never depend on it, but the ``forwarding.*`` counters and the
+per-address ``routing.cache_hits`` count memo misses, so their totals
+depend on how chunks land on workers.
 """
 
 from __future__ import annotations

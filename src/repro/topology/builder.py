@@ -321,6 +321,10 @@ class InternetBuilder:
             provider = self._rng.choices(foreign, weights, k=1)[0]
             if topo.has_link(node.node_id, provider.node_id):
                 continue
+            # A longer loop (EMEA -> NA -> APAC -> EMEA) would close a
+            # customer-provider cycle just as the reverse link would.
+            if _is_upstream_of(topo, node.node_id, provider.node_id):
+                continue
             self._link_transit(topo, customer=node, provider=provider)
         # Private peering between same-area transits sharing a metro.
         for i, a in enumerate(transits):
@@ -581,3 +585,22 @@ class InternetBuilder:
             area0, c0 = quota[0]
             quota[0] = (area0, c0 + (total - assigned))
         return quota
+
+
+def _is_upstream_of(topo: Topology, upstream: int, node: int) -> bool:
+    """Whether ``upstream`` is a direct or indirect provider of ``node``.
+
+    A read-only walk up the provider links: it draws nothing from the
+    builder's RNG, so a build that never meets a would-be cycle stays
+    draw-for-draw identical.
+    """
+    stack = [node]
+    seen = {node}
+    while stack:
+        for provider in topo.providers_of(stack.pop()):
+            if provider == upstream:
+                return True
+            if provider not in seen:
+                seen.add(provider)
+                stack.append(provider)
+    return False

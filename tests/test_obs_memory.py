@@ -323,6 +323,35 @@ class TestCensus:
         world.ping_all(addr, salt="again")
         assert adjacency_row().units["entries"] == grown.units["entries"]
 
+    def test_world_census_counts_the_forwarding_memo(self, monkeypatch):
+        """The measurement engine's walk memo has its own row, right
+        after the adjacency: one entry per walked (table, probe) path,
+        grown by a first ping_all and untouched by a re-salted repeat,
+        which only re-jitters.  Serial, as above."""
+        from repro.experiments.config import SMALL
+        from repro.experiments.world import World
+
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        world = World(SMALL)
+
+        def memo_row():
+            rows = world_census(world)
+            assert [row.name for row in rows][2] == "forwarding_memo"
+            return rows[2]
+
+        before = memo_row()
+        assert before.kind == "ForwardingMemo"
+        assert before.units["entries"] == 0.0
+        addr = world.imperva.ns.address
+        world.ping_all(addr)
+        grown = memo_row()
+        assert 0 < grown.units["entries"] <= len(world.usable_probes)
+        assert grown.bytes > before.bytes
+        world.ping_all(addr, salt="again")
+        repeat = memo_row()
+        assert repeat.units["entries"] == grown.units["entries"]
+        assert repeat.bytes == grown.bytes
+
     def test_staged_footprint_memoized_per_version(self):
         class Staged:  # weak-referenceable, like Topology
             def __init__(self):

@@ -1,8 +1,12 @@
 """Unit tests for topology value types, the graph container, and the builder."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.config import CONFIGS
+from repro.experiments.config import CONFIGS, LARGE, SMALL
 from repro.geo.areas import Area
 from repro.geo.atlas import load_default_atlas
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
@@ -16,6 +20,7 @@ from repro.topology.asys import (
 )
 from repro.topology.builder import AddressPlan, InternetBuilder, TopologyParams
 from repro.topology.graph import Topology, TopologyError
+from repro.topology.io import dump_topology
 from repro.topology.ixp import IXP
 from repro.topology.stats import summarize
 
@@ -41,6 +46,24 @@ def make_link(a, b, kind=LinkKind.TRANSIT, iata="FRA", ixp_id=None, base=0):
         addr_b=IPv4Address(10_000_001 + base),
     )
     return Link(a=a, b=b, kind=kind, interconnects=(ic,), ixp_id=ixp_id)
+
+
+#: sha256 of the SMALL topology's links at topology seed + 375, pinned
+#: before the builder learned to skip provider loops.
+SMALL_375_LINK_DIGEST = (
+    "4e79ecd5398b406692e6491337bacf69cd3a30a1b6d812951810bac234c55717"
+)
+
+
+def _shifted(cfg, shift):
+    return replace(cfg.topology, seed=cfg.topology.seed + shift)
+
+
+def _link_digest(topo):
+    links = dump_topology(topo)["links"]
+    return hashlib.sha256(
+        json.dumps(links, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
 
 
 class TestAsysTypes:
@@ -261,6 +284,23 @@ class TestInternetBuilder:
         assert summary.nodes_by_tier[Tier.TIER1] == params.num_tier1
         assert summary.nodes_by_tier[Tier.TRANSIT] == params.num_transit
         assert summary.nodes_by_tier[Tier.STUB] == params.num_stubs
+
+    @pytest.mark.parametrize(
+        ("cfg", "shift"), [(SMALL, 376), (LARGE, 1376), (LARGE, 2701)],
+        ids=["small+376", "large+1376", "large+2701"],
+    )
+    def test_intercontinental_transit_closes_no_cycle(self, cfg, shift):
+        """Seeds whose intercontinental draw would close a longer
+        customer-provider loop (EMEA -> NA -> APAC -> EMEA) still build:
+        the builder skips that link instead of failing validation."""
+        topo = InternetBuilder(_shifted(cfg, shift)).build()
+        topo.validate()
+
+    def test_cycle_guard_leaves_buildable_worlds_alone(self):
+        """The guard draws nothing from the RNG, so a seed that never met
+        a would-be cycle keeps every link, byte for byte."""
+        topo = InternetBuilder(_shifted(SMALL, 375)).build()
+        assert _link_digest(topo) == SMALL_375_LINK_DIGEST
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
