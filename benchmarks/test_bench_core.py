@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.measurement.engine import MeasurementEngine
 from repro.routing.engine import RoutingEngine
 from repro.routing.forwarding import trace_forwarding_path
 from repro.routing.route import Announcement, OriginSpec
@@ -61,15 +62,26 @@ def test_bench_forwarding_walk(benchmark, world):
 
 
 def test_bench_ping_batch(benchmark, world):
-    """End-to-end pings (routing cached) for 200 probes."""
+    """End-to-end pings for 200 probes, walks included.
+
+    Every round gets a fresh measurement engine whose routing table is
+    computed in setup: the timed region walks each probe's path once
+    (no forwarding-memo hits) and computes no table.
+    """
     addr = world.imperva.im6.address_of_region("EMEA")
-    world.engine.table_for(addr)  # warm the routing cache
     probes = world.usable_probes[:200]
 
-    def pings():
-        return [world.engine.ping(p, addr) for p in probes]
+    def fresh_engine():
+        engine = MeasurementEngine(
+            world.topology, world.registry, seed=world.config.measurement_seed
+        )
+        engine.table_for(addr)
+        return (engine,), {}
 
-    results = benchmark(pings)
+    def pings(engine):
+        return [engine.ping(p, addr) for p in probes]
+
+    results = benchmark.pedantic(pings, setup=fresh_engine, rounds=20)
     assert all(r.reachable for r in results)
 
 

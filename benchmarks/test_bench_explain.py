@@ -10,11 +10,11 @@ protect them:
   history, which is what catches a slow regression against the
   uninstrumented baseline across commits;
 - ``test_disabled_path_not_slower_than_capture`` is the in-process
-  tripwire: the disabled path must not be slower than the same compute
-  with capture *enabled* (which does strictly more work — it allocates
-  a trail per routed node).  If the guard pattern breaks and disabled
-  runs start paying capture costs, the two converge from the wrong side
-  and the margin assert fires.
+  tripwire: one sweep, timed without and with capture.  The captured
+  run does strictly more work (it allocates a trail per routed node
+  and a candidate per refused offer); if the guard pattern breaks and
+  uncaptured runs start paying capture costs, the two converge from
+  the wrong side and the margin assert fires.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.routing.engine import RoutingTable
 from repro.routing.flat import FlatRoutingTable
 from repro.routing.route import Announcement
 from repro.topology.graph import Topology
@@ -177,43 +176,24 @@ def _read_uvarint(body: bytes, offset: int) -> tuple[int, int]:
             raise CacheCorruption("oversized varint")
 
 
-def encode_table(table: RoutingTable) -> bytes:
+def encode_table(table: FlatRoutingTable) -> bytes:
     """Serialise a routing table to a versioned, checksummed blob.
 
-    The node order of ``table.best`` is preserved, so
-    ``encode_table(decode)`` round-trips byte-identically — the property
-    the serial-vs-parallel digest checks build on.  Flat tables encode
-    straight from their packed columns; dict tables walk ``best`` — both
-    produce identical bytes for identical routing state, which is how
-    dict-vs-flat equivalence is asserted in one digest compare.
+    Entries are written straight off the packed columns (no Route
+    objects), in table row order, so ``encode_table(decode)``
+    round-trips byte-identically — the property the serial-vs-parallel
+    digest checks build on.
     """
     body = bytearray()
     key = announcement_key(table.announcement).encode()
     body += struct.pack("<H", len(key)) + key
     _write_uvarint(body, table._num_nodes)
-    _write_uvarint(body, len(table.best))
-    if isinstance(table, FlatRoutingTable):
-        _encode_flat_entries(body, table)
-    else:
-        for node_id, choice in table.best.items():
-            _write_uvarint(body, node_id)
-            _write_uvarint(body, len(choice.routes))
-            for route in choice.routes:
-                body.append(int(route.tier))
-                _write_uvarint(body, len(route.path))
-                for hop in route.path:
-                    _write_uvarint(body, hop)
-    checksum = hashlib.sha256(bytes(body)).digest()
-    return _HEADER.pack(MAGIC, FORMAT_VERSION) + checksum + bytes(body)
-
-
-def _encode_flat_entries(body: bytearray, table: FlatRoutingTable) -> None:
-    """Entry section straight off the packed columns (no Route objects)."""
     node_ids = table._node_ids
     choice_start = table._choice_start
     tiers = table._tiers
     path_start = table._path_start
     path_nodes = table._path_nodes
+    _write_uvarint(body, len(node_ids))
     for row in range(len(node_ids)):
         _write_uvarint(body, node_ids[row])
         lo, hi = choice_start[row], choice_start[row + 1]
@@ -225,11 +205,13 @@ def _encode_flat_entries(body: bytearray, table: FlatRoutingTable) -> None:
             _write_uvarint(body, end - start)
             for k in range(start, end):
                 _write_uvarint(body, path_nodes[k])
+    checksum = hashlib.sha256(bytes(body)).digest()
+    return _HEADER.pack(MAGIC, FORMAT_VERSION) + checksum + bytes(body)
 
 
 def decode_table(
     blob: bytes, announcement: Announcement, topology_version: int
-) -> RoutingTable:
+) -> FlatRoutingTable:
     """Rebuild a routing table from :func:`encode_table` output.
 
     Raises :class:`CacheCorruption` on any structural defect: bad magic,
@@ -246,7 +228,7 @@ def decode_table(
 
 def _decode_table(
     blob: bytes, announcement: Announcement, topology_version: int
-) -> RoutingTable:
+) -> FlatRoutingTable:
     header_len = _HEADER.size + _CHECKSUM_LEN
     if len(blob) < header_len:
         raise CacheCorruption("entry shorter than its header")
@@ -319,7 +301,7 @@ def _decode_table(
     )
 
 
-def tables_digest(tables: Iterable[RoutingTable]) -> str:
+def tables_digest(tables: Iterable[FlatRoutingTable]) -> str:
     """One hex digest over a sequence of tables, order-sensitive.
 
     Two runs (serial vs parallel, or two machines warming the same
@@ -390,7 +372,7 @@ class RoutingTableCache:
     # ------------------------------------------------------------------
     def load(
         self, topology: Topology, announcement: Announcement
-    ) -> RoutingTable | None:
+    ) -> FlatRoutingTable | None:
         """The cached table for an announcement, or None.
 
         Corrupt entries are deleted and counted; they never propagate.
@@ -418,7 +400,7 @@ class RoutingTableCache:
         self,
         topology: Topology,
         announcement: Announcement,
-        table: RoutingTable,
+        table: FlatRoutingTable,
     ) -> Path | None:
         """Persist a table atomically; returns the entry path, or None.
 

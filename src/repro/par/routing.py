@@ -27,7 +27,8 @@ from repro.par.obsbuf import (
     merge_payload,
     start_capture,
 )
-from repro.routing.engine import RoutingEngine, RoutingTable
+from repro.routing.engine import RoutingEngine
+from repro.routing.flat import FlatRoutingTable
 from repro.routing.route import Announcement
 from repro.topology.graph import Topology
 
@@ -65,7 +66,7 @@ def _init_routing_worker(topology: Topology | None) -> None:
 
 def _compute_task(
     task: tuple[Announcement, bool, int],
-) -> tuple[RoutingTable, WorkerPayload | None]:
+) -> tuple[FlatRoutingTable, WorkerPayload | None]:
     """Worker-side: compute one announcement's table, capturing obs."""
     announcement, record, chunk_index = task
     engine = _WORKER_ENGINE
@@ -83,7 +84,7 @@ def compute_fanout(
     topology: Topology,
     announcements: Iterable[Announcement],
     workers: int | None = None,
-) -> list[RoutingTable]:
+) -> list[FlatRoutingTable]:
     """Compute tables for many announcements across worker processes.
 
     Results come back in announcement order and each table is
@@ -149,7 +150,7 @@ def compute_fanout(
         )
     finally:
         _FORK_TOPOLOGY = None
-    tables: list[RoutingTable] = []
+    tables: list[FlatRoutingTable] = []
     with obs.span("par.merge", payloads=len(outcomes)):
         for table, payload in outcomes:
             merge_payload(payload)

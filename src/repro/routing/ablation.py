@@ -10,58 +10,48 @@ isolates how much of the inefficiency BGP's preferences cause — the
 
 from __future__ import annotations
 
-from repro.routing.engine import RouteChoice, RoutingTable
-from repro.routing.route import Announcement, PrefTier, Route
+from repro.routing.flat import FlatRoutingTable
+from repro.routing.route import Announcement, PrefTier
 from repro.topology.graph import Topology
 
 
 def compute_shortest_path_table(
     topology: Topology, announcement: Announcement, max_equal_best: int = 16
-) -> RoutingTable:
+) -> FlatRoutingTable:
     """Hop-count BFS routing table (no preferences, no export rules)."""
-    prefix = announcement.prefix
-    best: dict[int, RouteChoice] = {}
-    frontier: list[int] = []
-    for spec in announcement.origins:
-        if not topology.has_node(spec.site_node):
-            raise ValueError(f"announcement origin {spec.site_node} not in topology")
-        best[spec.site_node] = RouteChoice(
-            routes=(
-                Route(prefix=prefix, origin=spec.site_node,
-                      path=(spec.site_node,), tier=PrefTier.ORIGIN),
-            )
-        )
-        frontier.append(spec.site_node)
+    origin_spec = {spec.site_node: spec for spec in announcement.origins}
+    best: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
+    for site in origin_spec:
+        if not topology.has_node(site):
+            raise ValueError(f"announcement origin {site} not in topology")
+        best[site] = (int(PrefTier.ORIGIN), [(site,)])
+    frontier = list(origin_spec)
     while frontier:
-        candidates: dict[int, list[Route]] = {}
+        candidates: dict[int, list[tuple[int, ...]]] = {}
         for u in frontier:
-            route_u = best[u].primary
-            spec = next(
-                (s for s in announcement.origins if s.site_node == u), None
-            )
+            path_u = best[u][1][0]
+            spec = origin_spec.get(u)
             for v in topology.neighbors_of(u):
                 if v in best:
                     continue
                 if spec is not None and not spec.announces_to(v):
                     continue
-                if v in route_u.path:
+                if v in path_u:
                     continue
-                candidates.setdefault(v, []).append(
-                    Route(prefix=prefix, origin=route_u.origin,
-                          path=(v,) + route_u.path, tier=PrefTier.CUSTOMER)
-                )
+                candidates.setdefault(v, []).append((v,) + path_u)
         frontier = []
-        for v, routes in candidates.items():
-            unique: dict[int, Route] = {}
-            for r in sorted(routes, key=lambda r: (r.next_hop, r.origin)):
-                unique.setdefault(r.next_hop, r)
-            best[v] = RouteChoice(
-                routes=tuple(list(unique.values())[:max_equal_best])
+        for v, paths in candidates.items():
+            # One path per next hop: the lowest (next hop, origin).
+            unique: dict[int, tuple[int, ...]] = {}
+            for path in sorted(paths, key=lambda path: (path[1], path[-1])):
+                unique.setdefault(path[1], path)
+            best[v] = (
+                int(PrefTier.CUSTOMER), list(unique.values())[:max_equal_best]
             )
             frontier.append(v)
-    return RoutingTable(
-        announcement=announcement,
-        best=best,
-        topology_version=topology.version,
-        _num_nodes=topology.num_nodes,
+    return FlatRoutingTable.from_rows(
+        announcement,
+        topology.version,
+        topology.num_nodes,
+        ((node, tier, paths) for node, (tier, paths) in best.items()),
     )

@@ -33,32 +33,38 @@ single-best-announcement behaviour.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
 from repro.explain import provenance
 from repro.explain.provenance import RouteCandidate, SelectionTrail
 from repro.netaddr.ipv4 import IPv4Prefix
 from repro.routing.route import Announcement, OriginSpec, PrefTier, Route
-from repro.topology.asys import LinkKind
 from repro.topology.graph import Topology
 
 if TYPE_CHECKING:
     from repro.par.cache import RoutingTableCache
+    from repro.routing.flat import FlatRoutingTable
     from repro.topology.flat import FlatAdjacency
 
-#: Environment knob for the flat compute path.  Unset or anything else
-#: means *flat* (the default); ``0``/``false``/``off``/``no`` fall back
-#: to the dict-of-dataclasses path.  Both paths are byte-identical
-#: through the codec; the knob exists for A/B benchmarking and triage.
-FLAT_ENV = "REPRO_FLAT"
-
 #: Tie-break description recorded on selection trails: how the engine
-#: orders routes *within* one equal-best set (see :meth:`RoutingEngine
-#: ._rank_key`).
+#: orders routes *within* one equal-best set.
 HOT_POTATO_TIE_BREAK = "hot-potato: nearest exit-interconnect km, then neighbor id, then origin id"
+
+#: Lowercase preference-tier names, as selection trails record them.
+_TIER_NAMES = {int(tier): tier.name.lower() for tier in PrefTier}
+
+
+def _candidate(
+    path: tuple[int, ...], tier: int, reason: str = ""
+) -> RouteCandidate:
+    """Selection-trail entry for one offered path; accepted iff no reason."""
+    return RouteCandidate(
+        path=path, tier=_TIER_NAMES[tier],
+        via=path[1] if len(path) > 1 else path[0],
+        accepted=not reason, reason=reason,
+    )
 
 
 @dataclass(frozen=True)
@@ -165,15 +171,13 @@ class RoutingEngine:
     #: needs enough diversity to pick a nearby exit.
     MAX_EQUAL_BEST = 16
 
-    def __init__(self, topology: Topology, *, use_flat: bool | None = None):
+    #: Cap on candidates kept per selection trail; rejected offers past
+    #: this are dropped rather than growing trails without bound.
+    MAX_TRAIL_CANDIDATES = 64
+
+    def __init__(self, topology: Topology):
         self._topology = topology
-        self._cache: dict[tuple[Announcement, int], RoutingTable] = {}
-        self._exit_km_cache: dict[tuple[int, int], float] = {}
-        self._exit_km_version = topology.version
-        if use_flat is None:
-            raw = os.environ.get(FLAT_ENV, "").strip().lower()
-            use_flat = raw not in {"0", "false", "off", "no"}
-        self._use_flat = use_flat
+        self._cache: dict[tuple[Announcement, int], FlatRoutingTable] = {}
         self._adj: "FlatAdjacency | None" = None
         self._cache_hits = 0
         self._cache_misses = 0
@@ -187,7 +191,7 @@ class RoutingEngine:
     def topology(self) -> Topology:
         return self._topology
 
-    def compute(self, announcement: Announcement) -> RoutingTable:
+    def compute(self, announcement: Announcement) -> FlatRoutingTable:
         """Routing table for an announcement (cached per topology version).
 
         Lookup order: the in-memory cache, then the persistent on-disk
@@ -209,7 +213,7 @@ class RoutingEngine:
         self._cache[key] = table
         return table
 
-    def compute_uncached(self, announcement: Announcement) -> RoutingTable:
+    def compute_uncached(self, announcement: Announcement) -> FlatRoutingTable:
         """One real three-stage compute, bypassing every cache.
 
         This is the unit of work :func:`repro.par.routing.compute_fanout`
@@ -224,7 +228,7 @@ class RoutingEngine:
         self,
         announcements: Iterable[Announcement],
         workers: int | None = None,
-    ) -> list[RoutingTable]:
+    ) -> list[FlatRoutingTable]:
         """Tables for many announcements, optionally computed in parallel.
 
         Cache hits (in-memory, then persistent) resolve inline; only the
@@ -237,7 +241,7 @@ class RoutingEngine:
         """
         announcements = list(announcements)
         version = self._topology.version
-        resolved: dict[int, RoutingTable] = {}
+        resolved: dict[int, FlatRoutingTable] = {}
         pending: list[int] = []
         for index, announcement in enumerate(announcements):
             table = self._cache.get((announcement, version))
@@ -282,7 +286,9 @@ class RoutingEngine:
         return [resolved[i] for i in range(len(announcements))]
 
     # ------------------------------------------------------------------
-    def _load_persistent(self, announcement: Announcement) -> RoutingTable | None:
+    def _load_persistent(
+        self, announcement: Announcement
+    ) -> FlatRoutingTable | None:
         cache = self.persistent_cache
         if cache is None:
             return None
@@ -293,7 +299,7 @@ class RoutingEngine:
         return table
 
     def _store_persistent(
-        self, announcement: Announcement, table: RoutingTable
+        self, announcement: Announcement, table: FlatRoutingTable
     ) -> None:
         cache = self.persistent_cache
         if cache is not None:
@@ -323,416 +329,20 @@ class RoutingEngine:
             adj = self._adj = flat_adjacency(self._topology)
         return adj
 
-    def _exit_km(self, node_id: int, neighbor_id: int) -> float:
-        """Deterministic hot-potato metric for primary-route selection:
-        km from the node's nearest PoP to the closest interconnect of its
-        link toward ``neighbor_id``.
-
-        Values come from the shared :class:`repro.topology.flat
-        .FlatAdjacency` memo, so the dict and flat compute paths rank
-        routes by byte-identical floats; the per-engine dict keeps
-        repeated dict-path lookups a single local probe.
-        """
-        if self._exit_km_version != self._topology.version:
-            self._exit_km_cache.clear()
-            self._exit_km_version = self._topology.version
-        key = (node_id, neighbor_id)
-        cached = self._exit_km_cache.get(key)
-        if cached is not None:
-            return cached
-        km = self._adjacency().exit_km(node_id, neighbor_id)
-        self._exit_km_cache[key] = km
-        return km
-
-    def _rank_key(self, node: int, route: Route) -> tuple[float, int, int]:
-        """Ordering of routes *within* one equal-best set."""
-        return (self._exit_km(node, route.next_hop), route.next_hop, route.origin)
-
-    def _make_choice(
-        self,
-        node: int,
-        routes: list[Route],
-        *,
-        prov: provenance.ProvenanceRecorder | None = None,
-        stage: str = "",
-        rejected: list[RouteCandidate] | None = None,
-    ) -> RouteChoice:
-        ordered = sorted(routes, key=lambda r: self._rank_key(node, r))
-        choice = RouteChoice(routes=tuple(ordered[: self.MAX_EQUAL_BEST]))
-        if len(choice.routes) > 1:
-            obs.counter.inc("routing.equal_best_splits")
-        if prov is not None:
-            candidates = [
-                RouteCandidate(path=r.path, tier=r.tier.name.lower(),
-                               via=r.next_hop, accepted=True)
-                for r in choice.routes
-            ]
-            candidates.extend(
-                RouteCandidate(path=r.path, tier=r.tier.name.lower(),
-                               via=r.next_hop, accepted=False,
-                               reason="equal-best-overflow")
-                for r in ordered[self.MAX_EQUAL_BEST:]
-            )
-            if rejected:
-                candidates.extend(rejected)
-            del candidates[self.MAX_TRAIL_CANDIDATES:]
-            prov.record_selection(SelectionTrail(
-                prefix=str(choice.primary.prefix),
-                node_id=node,
-                stage=stage,
-                winner_tier=choice.tier.name.lower(),
-                winner_hops=choice.hops,
-                tie_break=HOT_POTATO_TIE_BREAK,
-                candidates=tuple(candidates),
-            ))
-        return choice
-
-    #: Cap on candidates kept per selection trail; rejected offers past
-    #: this are dropped rather than growing trails without bound.
-    MAX_TRAIL_CANDIDATES = 64
-
-    def _record_reject(
-        self,
-        prov: provenance.ProvenanceRecorder,
-        prefix_str: str,
-        node: int,
-        candidate: RouteCandidate,
-    ) -> None:
-        """Append a rejected offer to a node's already-recorded trail.
-
-        Trails are frozen, so the stored one is replaced with a copy that
-        carries the extra candidate.  This is how a later stage's refused
-        offer (e.g. a provider route a customer-holding node turned down
-        — the paper's prefer-customer decision) lands on the record of
-        the decision that beat it.
-        """
-        trail = prov.selection_for(prefix_str, node)
-        if trail is None or len(trail.candidates) >= self.MAX_TRAIL_CANDIDATES:
-            return
-        prov.record_selection(SelectionTrail(
-            prefix=trail.prefix,
-            node_id=trail.node_id,
-            stage=trail.stage,
-            winner_tier=trail.winner_tier,
-            winner_hops=trail.winner_hops,
-            tie_break=trail.tie_break,
-            candidates=trail.candidates + (candidate,),
-        ))
-
     # ------------------------------------------------------------------
-    def _compute(self, announcement: Announcement) -> RoutingTable:
-        """Dispatch one real compute to the flat or dict path.
-
-        The flat path produces a :class:`repro.routing.flat
-        .FlatRoutingTable` with byte-identical codec output; provenance
-        capture forces the dict path, which materializes the ``Route``
-        objects selection trails record.
-        """
-        if self._use_flat and provenance.active() is None:
-            return self._compute_flat(announcement)
-        return self._compute_dict(announcement)
-
-    def _compute_dict(self, announcement: Announcement) -> RoutingTable:
-        topo = self._topology
-        prefix = announcement.prefix
-        # Hoisted once per compute: the provenance branches below render
-        # the prefix on every rejected offer, which runs inside the
-        # stage loops.
-        prefix_str = str(prefix)
-        origin_spec: dict[int, OriginSpec] = {
-            spec.site_node: spec for spec in announcement.origins
-        }
-        for site in origin_spec:
-            if not topo.has_node(site):
-                raise ValueError(f"announcement origin {site} not in topology")
-
-        best: dict[int, RouteChoice] = {
-            site: RouteChoice(
-                routes=(
-                    Route(prefix=prefix, origin=site, path=(site,),
-                          tier=PrefTier.ORIGIN),
-                )
-            )
-            for site in origin_spec
-        }
-
-        # Decision provenance (repro.explain): fetched once per compute;
-        # every capture site below guards on `prov is not None`, so the
-        # disabled path costs one global load and no per-route work.
-        prov = provenance.active()
-        if prov is not None:
-            for site in origin_spec:
-                prov.record_selection(SelectionTrail(
-                    prefix=prefix_str,
-                    node_id=site,
-                    stage="origin",
-                    winner_tier="origin",
-                    winner_hops=0,
-                    tie_break="originates the prefix",
-                    candidates=(RouteCandidate(
-                        path=(site,), tier="origin", via=site, accepted=True,
-                    ),),
-                ))
-
-        def may_export(exporter: int, neighbor: int) -> bool:
-            spec = origin_spec.get(exporter)
-            return spec is None or spec.announces_to(neighbor)
-
-        # --- Stage 1: customer routes up ------------------------------
-        with obs.span("routing.stage1_customer"):
-            export_checks = 0
-            routes_pushed = 0
-            frontier = list(origin_spec)
-            while frontier:
-                candidates: dict[int, list[Route]] = {}
-                level_rejects: dict[int, list[RouteCandidate]] = {}
-                for u in frontier:
-                    route_u = best[u].primary
-                    for p in topo.providers_of(u):
-                        if p in best:
-                            if prov is not None:
-                                self._record_reject(prov, prefix_str, p, RouteCandidate(
-                                    path=(p,) + route_u.path, tier="customer",
-                                    via=u, accepted=False, reason="longer-path"))
-                            continue
-                        export_checks += 1
-                        if not may_export(u, p):
-                            if prov is not None:
-                                level_rejects.setdefault(p, []).append(RouteCandidate(
-                                    path=(p,) + route_u.path, tier="customer",
-                                    via=u, accepted=False, reason="not-exported"))
-                            continue
-                        if p in route_u.path:
-                            if prov is not None:
-                                level_rejects.setdefault(p, []).append(RouteCandidate(
-                                    path=(p,) + route_u.path, tier="customer",
-                                    via=u, accepted=False, reason="loop"))
-                            continue
-                        routes_pushed += 1
-                        candidates.setdefault(p, []).append(
-                            Route(
-                                prefix=prefix,
-                                origin=route_u.origin,
-                                path=(p,) + route_u.path,
-                                tier=PrefTier.CUSTOMER,
-                            )
-                        )
-                frontier = []
-                for p, routes in candidates.items():
-                    # BFS level fixes the hop count, so all are equal-best.
-                    best[p] = self._make_choice(
-                        p, routes, prov=prov, stage="stage1-customer",
-                        rejected=level_rejects.get(p))
-                    frontier.append(p)
-            obs.counter.inc("routing.export_checks", export_checks)
-            obs.counter.inc("routing.routes_pushed", routes_pushed)
-
-        # --- Stage 2: peer routes, one lateral hop ---------------------
-        with obs.span("routing.stage2_peer"):
-            export_checks = 0
-            routes_pushed = 0
-            peer_candidates: dict[int, list[Route]] = {}
-            peer_rejects: dict[int, list[RouteCandidate]] = {}
-            for u, choice_u in best.items():
-                route_u = choice_u.primary
-                for v, kind in topo.peers_of(u):
-                    if v in best:
-                        if prov is not None:
-                            self._record_reject(prov, prefix_str, v, RouteCandidate(
-                                path=(v,) + route_u.path,
-                                tier=("rs_peer" if kind is LinkKind.PEER_ROUTE_SERVER
-                                      else "peer"),
-                                via=u, accepted=False, reason="held-better-tier"))
-                        continue
-                    export_checks += 1
-                    if not may_export(u, v):
-                        if prov is not None:
-                            peer_rejects.setdefault(v, []).append(RouteCandidate(
-                                path=(v,) + route_u.path, tier="peer",
-                                via=u, accepted=False, reason="not-exported"))
-                        continue
-                    if v in route_u.path:
-                        if prov is not None:
-                            peer_rejects.setdefault(v, []).append(RouteCandidate(
-                                path=(v,) + route_u.path, tier="peer",
-                                via=u, accepted=False, reason="loop"))
-                        continue
-                    tier = (
-                        PrefTier.RS_PEER
-                        if kind is LinkKind.PEER_ROUTE_SERVER
-                        else PrefTier.PEER
-                    )
-                    routes_pushed += 1
-                    peer_candidates.setdefault(v, []).append(
-                        Route(
-                            prefix=prefix,
-                            origin=route_u.origin,
-                            path=(v,) + route_u.path,
-                            tier=tier,
-                        )
-                    )
-            for v, routes in peer_candidates.items():
-                top_tier = max(r.tier for r in routes)
-                tiered = [r for r in routes if r.tier is top_tier]
-                min_hops = min(r.hops for r in tiered)
-                equal = [r for r in tiered if r.hops == min_hops]
-                if prov is not None:
-                    rejects = peer_rejects.setdefault(v, [])
-                    rejects.extend(
-                        RouteCandidate(path=r.path, tier=r.tier.name.lower(),
-                                       via=r.next_hop, accepted=False,
-                                       reason="lower-tier")
-                        for r in routes if r.tier is not top_tier
-                    )
-                    rejects.extend(
-                        RouteCandidate(path=r.path, tier=r.tier.name.lower(),
-                                       via=r.next_hop, accepted=False,
-                                       reason="longer-path")
-                        for r in tiered if r.hops != min_hops
-                    )
-                best[v] = self._make_choice(
-                    v, equal, prov=prov, stage="stage2-peer",
-                    rejected=peer_rejects.get(v))
-            obs.counter.inc("routing.export_checks", export_checks)
-            obs.counter.inc("routing.routes_pushed", routes_pushed)
-
-        # --- Stage 3: provider routes down ------------------------------
-        with obs.span("routing.stage3_provider"):
-            export_checks = 0
-            routes_pushed = 0
-            heap: list[tuple[int, float, int, int, int]] = []
-            route_of_entry: dict[tuple[int, float, int, int, int], Route] = {}
-
-            def push(candidate: Route, via: int) -> None:
-                nonlocal routes_pushed
-                routes_pushed += 1
-                entry = (
-                    candidate.hops,
-                    self._exit_km(candidate.holder, via),
-                    via,
-                    candidate.origin,
-                    candidate.holder,
-                )
-                route_of_entry[entry] = candidate
-                heapq.heappush(heap, entry)
-
-            provider_rejects: dict[int, list[RouteCandidate]] = {}
-            for u, choice_u in best.items():
-                route_u = choice_u.primary
-                for c in topo.customers_of(u):
-                    if c in best:
-                        if prov is not None:
-                            self._record_reject(prov, prefix_str, c, RouteCandidate(
-                                path=(c,) + route_u.path, tier="provider",
-                                via=u, accepted=False, reason="held-better-tier"))
-                        continue
-                    export_checks += 1
-                    if not may_export(u, c):
-                        if prov is not None:
-                            provider_rejects.setdefault(c, []).append(RouteCandidate(
-                                path=(c,) + route_u.path, tier="provider",
-                                via=u, accepted=False, reason="not-exported"))
-                        continue
-                    if c in route_u.path:
-                        if prov is not None:
-                            provider_rejects.setdefault(c, []).append(RouteCandidate(
-                                path=(c,) + route_u.path, tier="provider",
-                                via=u, accepted=False, reason="loop"))
-                        continue
-                    push(
-                        Route(prefix=prefix, origin=route_u.origin,
-                              path=(c,) + route_u.path, tier=PrefTier.PROVIDER),
-                        via=u,
-                    )
-            provider_routes: dict[int, list[Route]] = {}
-            provider_hops: dict[int, int] = {}
-            while heap:
-                entry = heapq.heappop(heap)
-                cand = route_of_entry.pop(entry)
-                node = cand.holder
-                if node in best:
-                    continue
-                assigned = provider_hops.get(node)
-                if assigned is None:
-                    # First (best) provider route: assign and export onward.
-                    provider_hops[node] = cand.hops
-                    provider_routes[node] = [cand]
-                    for c in topo.customers_of(node):
-                        if c in best:
-                            if prov is not None:
-                                self._record_reject(
-                                    prov, prefix_str, c, RouteCandidate(
-                                        path=(c,) + cand.path, tier="provider",
-                                        via=node, accepted=False,
-                                        reason="held-better-tier"))
-                            continue
-                        if c in cand.path:
-                            if prov is not None:
-                                provider_rejects.setdefault(c, []).append(
-                                    RouteCandidate(
-                                        path=(c,) + cand.path, tier="provider",
-                                        via=node, accepted=False, reason="loop"))
-                            continue
-                        push(
-                            Route(prefix=prefix, origin=cand.origin,
-                                  path=(c,) + cand.path, tier=PrefTier.PROVIDER),
-                            via=node,
-                        )
-                elif cand.hops == assigned:
-                    # Equal-best alternate via a different neighbor.
-                    existing = provider_routes[node]
-                    if (
-                        len(existing) < self.MAX_EQUAL_BEST
-                        and all(r.next_hop != cand.next_hop for r in existing)
-                    ):
-                        existing.append(cand)
-                    elif prov is not None:
-                        reason = ("duplicate-exit"
-                                  if any(r.next_hop == cand.next_hop
-                                         for r in existing)
-                                  else "equal-best-overflow")
-                        provider_rejects.setdefault(node, []).append(RouteCandidate(
-                            path=cand.path, tier="provider",
-                            via=cand.next_hop, accepted=False, reason=reason))
-                else:
-                    # Longer provider routes are simply ignored.
-                    if prov is not None:
-                        provider_rejects.setdefault(node, []).append(RouteCandidate(
-                            path=cand.path, tier="provider",
-                            via=cand.next_hop, accepted=False,
-                            reason="longer-path"))
-            for node, routes in provider_routes.items():
-                best[node] = self._make_choice(
-                    node, routes, prov=prov, stage="stage3-provider",
-                    rejected=provider_rejects.get(node))
-            obs.counter.inc("routing.export_checks", export_checks)
-            obs.counter.inc("routing.routes_pushed", routes_pushed)
-
-        table = RoutingTable(
-            announcement=announcement,
-            best=best,
-            topology_version=topo.version,
-            _num_nodes=topo.num_nodes,
-        )
-        obs.gauge.set("routing.routed_nodes", len(best))
-        if prov is not None:
-            prov.emit("routing.table-computed", prefix=prefix_str,
-                      routed=len(best), origins=len(origin_spec))
-        return table
-
-    # ------------------------------------------------------------------
-    def _compute_flat(self, announcement: Announcement) -> RoutingTable:
+    def _compute(self, announcement: Announcement) -> FlatRoutingTable:
         """The three-stage sweep over flat arrays and plain path tuples.
 
         A route is just its AS-path tuple (``path[0]`` the holder,
         ``path[1]`` the next hop, ``path[-1]`` the origin); a node's
         equal-best set is ``(tier, [paths])`` with ``paths[0]`` primary.
-        Every ordering decision — BFS-level candidate discovery order,
-        the hot-potato sort key, heap entry tuples, equal-best caps and
-        dedup — mirrors :meth:`_compute_dict` exactly, so the packed
-        table it returns encodes byte-identically.  Runs only when no
-        provenance capture is active (trails need the dict path's
-        ``Route`` objects).
+
+        Under a provenance capture the same sweep records one
+        :class:`SelectionTrail` per routed node: its accepted paths, any
+        equal-best overflow, then the offers it refused, in the order
+        the sweep met them.  Recording happens only on branches that
+        refuse or settle a route, behind a ``prov is not None`` check,
+        so an uncaptured compute does no trail work.
         """
         from repro.routing.flat import FlatRoutingTable
 
@@ -747,30 +357,64 @@ class RoutingEngine:
 
         exit_km = adj.exit_km
         max_equal = self.MAX_EQUAL_BEST
+        trail_cap = self.MAX_TRAIL_CANDIDATES
 
         best: dict[int, tuple[int, list[tuple[int, ...]]]] = {
             site: (int(PrefTier.ORIGIN), [(site,)]) for site in origin_spec
         }
 
+        # Decision provenance (repro.explain), fetched once per compute.
+        # ``trails`` holds each routed node's stage and candidates;
+        # ``refused`` holds offers to nodes not yet routed, for the trail
+        # they settle with in the current BFS level or stage.
+        prov = provenance.active()
+        trails: dict[int, tuple[str, list[RouteCandidate]]] = {}
+        refused: dict[int, list[RouteCandidate]] = {}
+        if prov is not None:
+            for site in origin_spec:
+                trails[site] = ("origin", [_candidate((site,), best[site][0])])
+
         def may_export(exporter: int, neighbor: int) -> bool:
             spec = origin_spec.get(exporter)
             return spec is None or spec.announces_to(neighbor)
 
+        def refuse(node: int, path: tuple[int, ...], tier: int, reason: str) -> None:
+            """Record an offer ``node`` turned down (captures only): on
+            its trail while under the cap if it is routed, else held for
+            the trail it settles with."""
+            trail = trails.get(node)
+            if trail is None:
+                refused.setdefault(node, []).append(_candidate(path, tier, reason))
+            elif len(trail[1]) < trail_cap:
+                trail[1].append(_candidate(path, tier, reason))
+
         splits = 0
 
         def settle(
-            node: int, paths: list[tuple[int, ...]]
-        ) -> list[tuple[int, ...]]:
-            """Hot-potato sort + equal-best cap (cf. :meth:`_make_choice`)."""
+            node: int, tier: int, paths: list[tuple[int, ...]], stage: str
+        ) -> None:
+            """Hot-potato sort + equal-best cap, then route the node."""
             nonlocal splits
+            overflow: Sequence[tuple[int, ...]] = ()
             if len(paths) > 1:
                 paths.sort(
                     key=lambda path: (exit_km(node, path[1]), path[1], path[-1])
                 )
-                del paths[max_equal:]
+                if len(paths) > max_equal:
+                    overflow = paths[max_equal:]
+                    del paths[max_equal:]
                 if len(paths) > 1:
                     splits += 1
-            return paths
+            best[node] = (tier, paths)
+            if prov is not None:
+                candidates = [_candidate(path, tier) for path in paths]
+                candidates += [
+                    _candidate(path, tier, "equal-best-overflow")
+                    for path in overflow
+                ]
+                candidates += refused.get(node, ())
+                del candidates[trail_cap:]
+                trails[node] = (stage, candidates)
 
         # --- Stage 1: customer routes up ------------------------------
         with obs.span("routing.stage1_customer"):
@@ -780,16 +424,25 @@ class RoutingEngine:
             providers = adj.providers
             frontier = list(origin_spec)
             while frontier:
+                refused.clear()
                 candidates: dict[int, list[tuple[int, ...]]] = {}
                 for u in frontier:
                     path_u = best[u][1][0]
                     for p in providers(u):
                         if p in best:
+                            if prov is not None:
+                                refuse(p, (p,) + path_u, customer_tier,
+                                       "longer-path")
                             continue
                         export_checks += 1
                         if not may_export(u, p):
+                            if prov is not None:
+                                refuse(p, (p,) + path_u, customer_tier,
+                                       "not-exported")
                             continue
                         if p in path_u:
+                            if prov is not None:
+                                refuse(p, (p,) + path_u, customer_tier, "loop")
                             continue
                         routes_pushed += 1
                         extended = (p,) + path_u
@@ -801,7 +454,7 @@ class RoutingEngine:
                 frontier = []
                 for p, paths in candidates.items():
                     # BFS level fixes the hop count, so all are equal-best.
-                    best[p] = (customer_tier, settle(p, paths))
+                    settle(p, customer_tier, paths, "stage1-customer")
                     frontier.append(p)
             obs.counter.inc("routing.export_checks", export_checks)
             obs.counter.inc("routing.routes_pushed", routes_pushed)
@@ -813,6 +466,7 @@ class RoutingEngine:
         with obs.span("routing.stage2_peer"):
             export_checks = 0
             routes_pushed = 0
+            refused.clear()
             peers = adj.peers
             peer_candidates: dict[
                 int, tuple[list[int], list[tuple[int, ...]]]
@@ -821,11 +475,17 @@ class RoutingEngine:
                 path_u = paths_u[0]
                 for v, tier in peers(u):
                     if v in best:
+                        if prov is not None:
+                            refuse(v, (v,) + path_u, tier, "held-better-tier")
                         continue
                     export_checks += 1
                     if not may_export(u, v):
+                        if prov is not None:
+                            refuse(v, (v,) + path_u, tier, "not-exported")
                         continue
                     if v in path_u:
+                        if prov is not None:
+                            refuse(v, (v,) + path_u, tier, "loop")
                         continue
                     routes_pushed += 1
                     held_peer = peer_candidates.get(v)
@@ -839,7 +499,14 @@ class RoutingEngine:
                 tiered = [p for t, p in zip(tiers, paths) if t == top_tier]
                 min_len = min(len(p) for p in tiered)
                 equal = [p for p in tiered if len(p) == min_len]
-                best[v] = (top_tier, settle(v, equal))
+                if prov is not None:
+                    for t, p in zip(tiers, paths):
+                        if t != top_tier:
+                            refuse(v, p, t, "lower-tier")
+                    for p in tiered:
+                        if len(p) != min_len:
+                            refuse(v, p, top_tier, "longer-path")
+                settle(v, top_tier, equal, "stage2-peer")
             obs.counter.inc("routing.export_checks", export_checks)
             obs.counter.inc("routing.routes_pushed", routes_pushed)
             if splits:
@@ -850,6 +517,7 @@ class RoutingEngine:
         with obs.span("routing.stage3_provider"):
             export_checks = 0
             routes_pushed = 0
+            refused.clear()
             customers = adj.customers
             provider_tier = int(PrefTier.PROVIDER)
             heap: list[tuple[int, float, int, int, int]] = []
@@ -874,11 +542,19 @@ class RoutingEngine:
                 path_u = paths_u[0]
                 for c in customers(u):
                     if c in best:
+                        if prov is not None:
+                            refuse(c, (c,) + path_u, provider_tier,
+                                   "held-better-tier")
                         continue
                     export_checks += 1
                     if not may_export(u, c):
+                        if prov is not None:
+                            refuse(c, (c,) + path_u, provider_tier,
+                                   "not-exported")
                         continue
                     if c in path_u:
+                        if prov is not None:
+                            refuse(c, (c,) + path_u, provider_tier, "loop")
                         continue
                     push((c,) + path_u, u)
             provider_paths: dict[int, list[tuple[int, ...]]] = {}
@@ -896,8 +572,13 @@ class RoutingEngine:
                     provider_paths[node] = [path]
                     for c in customers(node):
                         if c in best:
+                            if prov is not None:
+                                refuse(c, (c,) + path, provider_tier,
+                                       "held-better-tier")
                             continue
                         if c in path:
+                            if prov is not None:
+                                refuse(c, (c,) + path, provider_tier, "loop")
                             continue
                         push((c,) + path, node)
                 elif entry[0] == assigned:
@@ -909,9 +590,16 @@ class RoutingEngine:
                         and all(p[1] != via for p in existing)
                     ):
                         existing.append(path)
-                # Longer provider routes are simply ignored.
+                    elif prov is not None:
+                        duplicate = any(p[1] == via for p in existing)
+                        refuse(node, path, provider_tier,
+                               "duplicate-exit" if duplicate
+                               else "equal-best-overflow")
+                elif prov is not None:
+                    # Longer provider routes are refused.
+                    refuse(node, path, provider_tier, "longer-path")
             for node, paths in provider_paths.items():
-                best[node] = (provider_tier, settle(node, paths))
+                settle(node, provider_tier, paths, "stage3-provider")
             obs.counter.inc("routing.export_checks", export_checks)
             obs.counter.inc("routing.routes_pushed", routes_pushed)
             if splits:
@@ -927,4 +615,20 @@ class RoutingEngine:
             ),
         )
         obs.gauge.set("routing.routed_nodes", len(best))
+        if prov is not None:
+            prefix_str = str(announcement.prefix)
+            for node, (stage, trail) in trails.items():
+                tier, paths = best[node]
+                prov.record_selection(SelectionTrail(
+                    prefix=prefix_str,
+                    node_id=node,
+                    stage=stage,
+                    winner_tier=_TIER_NAMES[tier],
+                    winner_hops=len(paths[0]) - 1,
+                    tie_break=("originates the prefix" if stage == "origin"
+                               else HOT_POTATO_TIE_BREAK),
+                    candidates=tuple(trail),
+                ))
+            prov.emit("routing.table-computed", prefix=prefix_str,
+                      routed=len(best), origins=len(origin_spec))
         return table

@@ -3,8 +3,9 @@
 A dict-of-dataclasses :class:`~repro.routing.engine.RoutingTable` costs
 ~404 bytes per stored route (the `docs/performance.md` memory baseline):
 every route is a frozen dataclass holding a tuple, every equal-best set
-another dataclass, every node a dict slot.  :class:`FlatRoutingTable`
-stores the same information in five ``array`` columns:
+another dataclass, every node a dict slot.  :class:`FlatRoutingTable`,
+the table every routing compute returns, stores the same information
+in five ``array`` columns:
 
 - ``node_ids``  — routed nodes, table insertion order (``array('i')``);
 - ``choice_start`` — per-node ``[start, end)`` slice into the route
@@ -21,9 +22,8 @@ next hops straight off the columns (:meth:`FlatRoutingTable
 never kept, only on inspection paths — explain, lint invariants,
 catchment summaries.  The ``best`` mapping
 the rest of the codebase iterates is a read-only view whose iteration
-order is the packed row order, which is what keeps ``encode_table`` (and
-with it every serial-vs-parallel digest) byte-identical between dict and
-flat computes.
+order is the packed row order, the order ``encode_table`` writes (and
+with it every serial-vs-parallel digest).
 
 Pickling ships the packed columns, so a worker process returns five
 array buffers instead of a dataclass tree — the shrunken merge payload

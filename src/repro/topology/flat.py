@@ -13,8 +13,8 @@ instead of touching (and copying) the object topology's refcounts.
 Neighbor order inside each CSR row is the *insertion order* of the
 underlying topology's adjacency lists.  The engine's results are
 insertion-order sensitive (equal-best sets preserve discovery order
-before the hot-potato sort), so this mirroring is what keeps flat and
-dict computes byte-identical.
+before the hot-potato sort), so this mirroring keeps every routing
+digest tied to the topology's own adjacency order.
 
 The exit-kilometre metric (nearest PoP to nearest link interconnect —
 the hot-potato tie-break) is served from a per-adjacency memo backed by
@@ -163,9 +163,9 @@ class FlatAdjacency:
         """Hot-potato metric: km from the node's nearest PoP to the
         closest interconnect of its link toward ``neighbor_id``.
 
-        Byte-for-byte the same value :class:`repro.routing.engine
-        .RoutingEngine` historically computed inline: the same min over
-        interconnect x PoP city pairs, rounded to 3 decimals.
+        The same min over interconnect x PoP city pairs, rounded to 3
+        decimals, that :func:`repro.lint.invariants._exit_km`
+        recomputes independently.
         """
         key = (node_id << 32) | neighbor_id
         km = self._km.get(key)

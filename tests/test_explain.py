@@ -206,6 +206,34 @@ class TestRoutingCapture:
         assert len(rec) == 0
         assert len(table.best) > 0
 
+    def test_refused_route_server_offer_keeps_its_tier(self):
+        """An origin that withholds the prefix from a route-server peer:
+        the peer's trail records the refused offer as ``rs_peer``."""
+        from repro.routing.engine import RoutingEngine
+        from repro.routing.route import Announcement, OriginSpec
+        from repro.topology.asys import LinkKind
+        from tests.test_routing import PREFIX, Net
+
+        net = Net()
+        net.ixp(1)
+        origin, peer, provider = net.node(1), net.node(2), net.node(3)
+        net.transit(origin, provider)
+        net.peer(origin, peer, kind=LinkKind.PEER_ROUTE_SERVER, ixp_id=1)
+        net.peer(peer, provider)
+        announcement = Announcement(prefix=PREFIX, origins=(
+            OriginSpec(site_node=origin, neighbors=frozenset({provider})),
+        ))
+        with capturing() as rec:
+            RoutingEngine(net.topo).compute(announcement)
+        trail = rec.selection_for(str(PREFIX), peer)
+        assert trail.stage == "stage2-peer"
+        assert [(c.path, c.tier) for c in trail.accepted] == [
+            ((peer, provider, origin), "peer")
+        ]
+        assert [(c.path, c.tier, c.reason) for c in trail.rejected] == [
+            ((peer, origin), "rs_peer", "not-exported")
+        ]
+
     def test_capture_does_not_change_results(self, captured, small_world):
         table, _rec = captured
         baseline = small_world.engine.table_for(small_world.imperva.ns.address)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.measurement.engine import MeasurementEngine, ServiceRegistry
-from repro.routing.engine import FLAT_ENV
+from repro.measurement.engine import ServiceRegistry
 from repro.routing.forwarding import trace_forwarding_path
 
 #: Ping + traceroute of every registered address from every usable probe.
@@ -89,16 +88,6 @@ class TestGoldenForwardingDigest:
         digest = _measure(
             small_world.engine, _subset(small_world), _addresses(small_world)
         )
-        assert digest == SUBSET_DIGEST
-
-    def test_dict_tables_match(self, small_world, monkeypatch):
-        monkeypatch.setenv(FLAT_ENV, "0")
-        engine = MeasurementEngine(
-            small_world.topology, small_world.registry,
-            seed=small_world.config.measurement_seed,
-        )
-        assert not engine.routing._use_flat
-        digest = _measure(engine, _subset(small_world), _addresses(small_world))
         assert digest == SUBSET_DIGEST
 
     def test_primary_only(self, small_world):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.geo.atlas import load_default_atlas
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
+from repro.par.cache import encode_table
 from repro.routing.engine import RouteChoice, RoutingEngine, RoutingTable
 from repro.routing.forwarding import trace_forwarding_path
 from repro.routing.route import Announcement, OriginSpec, PrefTier, Route
@@ -19,6 +20,7 @@ from repro.topology.asys import (
     PoP,
     Tier,
 )
+from repro.topology.flat import flat_adjacency
 from repro.topology.graph import Topology
 from repro.topology.ixp import IXP
 
@@ -569,9 +571,10 @@ class TestEqualBestBounds:
         assert choice is not None
         assert len(choice.routes) == RoutingEngine.MAX_EQUAL_BEST
         # The kept set is ordered by the engine's within-set rank...
-        engine = RoutingEngine(net.topo)
+        exit_km = flat_adjacency(net.topo).exit_km
         ranked = sorted(
-            choice.routes, key=lambda r: engine._rank_key(dest, r)
+            choice.routes,
+            key=lambda r: (exit_km(dest, r.next_hop), r.next_hop, r.origin),
         )
         assert list(choice.routes) == ranked
         # ...and is exactly the best sixteen of all twenty candidates.
@@ -593,31 +596,48 @@ class TestEqualBestBounds:
 
 
 class TestExitKmCache:
+    """The engine ranks equal-best routes by the exit km of the
+    topology's flat adjacency, a memo that lives for one version."""
+
+    def _pair(self, net):
+        """Origin 1 and destination 2 joined through JFK and SIN mids."""
+        origin = net.node(1, "FRA", tier=Tier.CDN)
+        dest = net.node(2, "LHR", tier=Tier.STUB)
+        for mid, iata in ((3, "JFK"), (4, "SIN")):
+            net.node(mid, iata)
+            net.transit(origin, mid, iata=iata)
+            net.transit(dest, mid, iata=iata)
+        return Announcement(prefix=PREFIX, origins=(OriginSpec(site_node=origin),))
+
     def test_invalidated_on_topology_version_bump(self):
+        """A compute after a topology mutation equals a fresh engine's."""
         net = Net()
-        a = net.node(1, "FRA")
-        b = net.node(2, "AMS")
-        net.transit(a, b, iata="AMS")
+        ann = self._pair(net)
         engine = RoutingEngine(net.topo)
-        km = engine._exit_km(1, 2)
-        assert (1, 2) in engine._exit_km_cache
-        before = net.topo.version
-        net.node(3, "LHR")  # any mutation bumps the version
-        assert net.topo.version > before
-        km_again = engine._exit_km(1, 2)
-        assert km_again == pytest.approx(km)
-        # The stale cache was dropped, then repopulated with this entry.
-        assert engine._exit_km_version == net.topo.version
-        assert set(engine._exit_km_cache) == {(1, 2)}
+        before = engine.compute(ann)
+        assert before.choice_at(2).next_hops() == (3, 4)
+        # A third provider interconnecting in London is the nearest
+        # exit; the node is absent from every pre-mutation memo.
+        net.node(5, "LHR")
+        net.transit(1, 5, iata="LHR")
+        net.transit(2, 5, iata="LHR")
+        after = engine.compute(ann)
+        assert after.choice_at(2).next_hops() == (5, 3, 4)
+        assert encode_table(after) == encode_table(
+            RoutingEngine(net.topo).compute(ann)
+        )
 
     def test_memoizes_within_one_version(self):
+        """Within one version every engine ranks with the topology's
+        memo: an entry planted there reorders the next compute."""
         net = Net()
-        a = net.node(1, "FRA")
-        b = net.node(2, "AMS")
-        net.transit(a, b, iata="AMS")
-        engine = RoutingEngine(net.topo)
-        assert engine._exit_km(1, 2) == pytest.approx(engine._exit_km(1, 2))
-        assert len(engine._exit_km_cache) == 1
+        ann = self._pair(net)
+        assert RoutingEngine(net.topo).compute(ann).choice_at(2).next_hops() == (3, 4)
+        adjacency = flat_adjacency(net.topo)
+        adjacency._km[(2 << 32) | 4] = 0.0  # the SIN exit, now "nearest"
+        table = RoutingEngine(net.topo).compute(ann)
+        assert flat_adjacency(net.topo) is adjacency
+        assert table.choice_at(2).next_hops() == (4, 3)
 
 
 class TestRoutingTableNumNodes:

@@ -1,158 +1,138 @@
-"""Dict-vs-flat equivalence for the packed routing store.
+"""The packed routing store against pinned digests and the fixpoint oracle.
 
-The flat compute path (:meth:`RoutingEngine._compute_flat` returning a
-:class:`repro.routing.flat.FlatRoutingTable`) must be observationally
-identical to the dict path it replaced: byte-identical codec encodings,
-the same inspection-API answers, and the same explain trails (provenance
-captures force the dict path).  Every test here compares the two paths
-on the same topology and announcement.
+The engine's one sweep writes a
+:class:`repro.routing.flat.FlatRoutingTable`.  Its output is pinned two
+ways: table and selection-trail digests per preset, and a row-for-row
+comparison with the naive fixpoint solver of
+``tests/test_routing_properties.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from repro.cdn.edgio import build_edgio
+from repro.cdn.imperva import build_imperva
+from repro.experiments.config import DEFAULT, LARGE, SMALL
 from repro.explain import provenance
-from repro.geo.atlas import load_default_atlas
-from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
+from repro.measurement.engine import ServiceRegistry
+from repro.netaddr.ipv4 import IPv4Prefix
 from repro.par.cache import decode_table, encode_table, tables_digest
-from repro.routing.engine import FLAT_ENV, RoutingEngine
+from repro.routing.engine import RoutingEngine
 from repro.routing.flat import FlatRoutingTable
 from repro.routing.route import Announcement, OriginSpec
-from repro.topology.asys import (
-    AutonomousSystem,
-    Interconnect,
-    Link,
-    LinkKind,
-    PoP,
-    Tier,
-)
+from repro.tangled.testbed import build_tangled
+from repro.topology.asys import Tier
+from repro.topology.builder import InternetBuilder
 from repro.topology.graph import Topology
+from tests.test_routing import Net
+from tests.test_routing_properties import assert_matches_oracle, fixpoint_routes
 
-ATLAS = load_default_atlas()
 PREFIX = IPv4Prefix.parse("198.18.0.0/24")
 
+#: ``repro digest`` of each preset's 27 announcements (the LARGE one is
+#: also perfbench's ``routing-large`` pin).
+TABLES_DIGESTS = {
+    "small": "6829ed2a9a305d1269ccc2900c1f54ce31d9f4fcbfaedecdb1389033760ee1f0",
+    "default": "889ef8d3353affa379cadda0916e62eefc81b841c86ca53f77878acf7c6bb334",
+    "large": "c28ab2407228cdf1b63e8a0853ccd68483f4dd998a6c4128bcb5b577dc6b0e20",
+}
 
-class Net:
-    """Terse imperative topology construction (mirrors test_routing)."""
+#: :func:`trail_digest` of SMALL's 27 announcements.
+SMALL_TRAIL_DIGEST = (
+    "30b687738ca76d368341741551fe65ddb77c5b8b74104261da2cf9c302c38ebe"
+)
 
-    def __init__(self):
-        self.topo = Topology()
-        self._addr = 167772160  # 10.0.0.0
+PRESETS = {"small": SMALL, "default": DEFAULT, "large": LARGE}
 
-    def node(self, nid, iata="FRA", tier=Tier.TRANSIT):
-        self.topo.add_node(
-            AutonomousSystem(
-                node_id=nid, asn=nid, name=f"as{nid}", tier=tier,
-                home_country=ATLAS.get(iata).country,
-                pops=(PoP(city=ATLAS.get(iata)),),
-            )
+
+def deployed(name: str) -> tuple[Topology, list[Announcement]]:
+    """A preset's topology and the announcements its deployments
+    register, in registration order (the build steps of ``World``)."""
+    cfg = PRESETS[name]
+    topology = InternetBuilder(cfg.topology).build()
+    edgio = build_edgio(topology, seed=cfg.deployment_seed)
+    imperva = build_imperva(topology, seed=cfg.deployment_seed + 1)
+    tangled = build_tangled(topology, seed=cfg.deployment_seed + 2)
+    registry = ServiceRegistry()
+    for deployment in (edgio.eg3, edgio.eg4, imperva.im6, imperva.ns, tangled):
+        deployment.register(registry)
+    return topology, registry.announcements()
+
+
+def trail_digest(topology: Topology, announcements: list[Announcement]) -> str:
+    """SHA-256 over every selection trail (sorted by prefix and node),
+    then every breadcrumb, of fresh uncached computes under capture."""
+    engine = RoutingEngine(topology)
+    with provenance.capturing() as recorder:
+        for announcement in announcements:
+            engine.compute_uncached(announcement)
+    hasher = hashlib.sha256()
+    for key in sorted(recorder.selection):
+        trail = recorder.selection[key].to_dict()
+        hasher.update(json.dumps(trail, sort_keys=True).encode())
+    for name, fields in recorder.events:
+        hasher.update(
+            json.dumps([name, fields], sort_keys=True, default=str).encode()
         )
-        return nid
-
-    def _ic(self, iata):
-        a = IPv4Address(self._addr)
-        b = IPv4Address(self._addr + 1)
-        self._addr += 2
-        return Interconnect(city=ATLAS.get(iata), addr_a=a, addr_b=b)
-
-    def transit(self, customer, provider, iata="FRA"):
-        self.topo.add_link(Link(a=customer, b=provider, kind=LinkKind.TRANSIT,
-                                interconnects=(self._ic(iata),)))
+    return hasher.hexdigest()
 
 
-def _pair(topology, announcement):
-    """(flat table, dict table) for one announcement."""
-    flat = RoutingEngine(topology, use_flat=True).compute_uncached(announcement)
-    dict_ = RoutingEngine(topology, use_flat=False).compute_uncached(announcement)
-    assert isinstance(flat, FlatRoutingTable)
-    assert not isinstance(dict_, FlatRoutingTable)
-    return flat, dict_
+@pytest.fixture(scope="module")
+def presets():
+    """:func:`deployed`, each preset built at most once per module."""
+    built: dict[str, tuple[Topology, list[Announcement]]] = {}
+
+    def get(name: str) -> tuple[Topology, list[Announcement]]:
+        if name not in built:
+            built[name] = deployed(name)
+        return built[name]
+
+    return get
 
 
-def _assert_equivalent(topology, flat, dict_):
-    """The full inspection-API parity check between the two stores."""
-    assert encode_table(flat) == encode_table(dict_)
-    assert tables_digest([flat]) == tables_digest([dict_])
-    assert flat.num_routes() == dict_.num_routes()
-    assert flat.reachable_fraction() == dict_.reachable_fraction()
-    assert flat.best == dict_.best
-    assert dict_.best == flat.best
-    for node in topology.nodes():
-        node_id = node.node_id
-        assert flat.catchment_of(node_id) == dict_.catchment_of(node_id)
-        f_choice = flat.choice_at(node_id)
-        d_choice = dict_.choice_at(node_id)
-        if d_choice is None:
-            assert f_choice is None
-            assert flat.route_at(node_id) is None
-        else:
-            assert f_choice is not None
-            assert f_choice.routes == d_choice.routes
-            assert flat.route_at(node_id) == dict_.route_at(node_id)
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(TABLES_DIGESTS))
+    def test_tables_digest(self, name, presets):
+        topology, announcements = presets(name)
+        assert len(announcements) == 27
+        tables = RoutingEngine(topology).compute_many(announcements)
+        assert tables_digest(tables) == TABLES_DIGESTS[name]
+
+    def test_small_trail_digest(self, presets):
+        assert trail_digest(*presets("small")) == SMALL_TRAIL_DIGEST
 
 
 class TestSmallWorldEquivalence:
-    def test_every_announcement_matches(self, small_world):
-        announcements = small_world.registry.announcements()
-        assert announcements
+    def test_every_announcement_matches(self, presets):
+        """Every SMALL announcement, row for row against the oracle."""
+        topology, announcements = presets("small")
+        engine = RoutingEngine(topology)
         for announcement in announcements:
-            flat, dict_ = _pair(small_world.topology, announcement)
-            _assert_equivalent(small_world.topology, flat, dict_)
-
-    def test_batch_digests_identical(self, small_world):
-        announcements = small_world.registry.announcements()
-        flat_engine = RoutingEngine(small_world.topology, use_flat=True)
-        dict_engine = RoutingEngine(small_world.topology, use_flat=False)
-        flat_digest = tables_digest(
-            flat_engine.compute(a) for a in announcements
-        )
-        dict_digest = tables_digest(
-            dict_engine.compute(a) for a in announcements
-        )
-        assert flat_digest == dict_digest
+            table = engine.compute_uncached(announcement)
+            assert_matches_oracle(topology, announcement, table)
 
 
 class TestDefaultTopologyEquivalence:
-    @pytest.fixture(scope="class")
-    def default_topology(self):
-        from repro.experiments.config import DEFAULT
-        from repro.topology.builder import InternetBuilder
-
-        return InternetBuilder(DEFAULT.topology).build()
-
-    def test_anycast_announcement_matches(self, default_topology):
-        stubs = [n.node_id for n in default_topology.nodes()
-                 if n.tier is Tier.STUB]
+    def test_anycast_announcement_matches(self, presets):
+        topology, _announcements = presets("default")
+        stubs = [n.node_id for n in topology.nodes() if n.tier is Tier.STUB]
         announcement = Announcement(
             prefix=PREFIX,
             origins=(OriginSpec(site_node=stubs[0]),
                      OriginSpec(site_node=stubs[len(stubs) // 2]),
                      OriginSpec(site_node=stubs[-1])),
         )
-        flat, dict_ = _pair(default_topology, announcement)
-        _assert_equivalent(default_topology, flat, dict_)
-
-
-class TestFlatKnob:
-    def test_env_disables_flat_path(self, tiny_topology, monkeypatch):
-        monkeypatch.setenv(FLAT_ENV, "0")
-        engine = RoutingEngine(tiny_topology)
-        assert engine._use_flat is False
-        monkeypatch.setenv(FLAT_ENV, "1")
-        assert RoutingEngine(tiny_topology)._use_flat is True
-        monkeypatch.delenv(FLAT_ENV)
-        assert RoutingEngine(tiny_topology)._use_flat is True
-
-    def test_explicit_argument_wins(self, tiny_topology, monkeypatch):
-        monkeypatch.setenv(FLAT_ENV, "0")
-        assert RoutingEngine(tiny_topology, use_flat=True)._use_flat is True
+        table = RoutingEngine(topology).compute_uncached(announcement)
+        assert_matches_oracle(topology, announcement, table)
 
 
 class TestExplainTrailParity:
-    """Provenance captures force the dict path inside a flat-default
-    engine, so explain trails keep their Route-object fidelity — and the
-    table computed under capture still digests identically."""
+    """A provenance capture records trails from the same sweep, and the
+    table computed under capture encodes identically."""
 
     def test_trails_and_digest_under_capture(self, tiny_topology):
         stub = next(n.node_id for n in tiny_topology.nodes()
@@ -160,23 +140,22 @@ class TestExplainTrailParity:
         announcement = Announcement(
             prefix=PREFIX, origins=(OriginSpec(site_node=stub),)
         )
-        engine = RoutingEngine(tiny_topology, use_flat=True)
+        engine = RoutingEngine(tiny_topology)
         baseline = engine.compute_uncached(announcement)
-        assert isinstance(baseline, FlatRoutingTable)
         with provenance.capturing() as recorder:
             captured = engine.compute_uncached(announcement)
-        assert not isinstance(captured, FlatRoutingTable)
+        assert isinstance(captured, FlatRoutingTable)
         assert encode_table(captured) == encode_table(baseline)
         trailed = [
             node_id for node_id in captured.best
             if recorder.selection_for(str(PREFIX), node_id) is not None
         ]
-        assert trailed, "capture produced no selection trails"
+        assert trailed == list(captured.best)
 
 
 class TestFlatEdgeCases:
-    def test_equal_best_overflow_capped_like_dict(self):
-        """>16 equal candidates at one node: both stores keep the same 16."""
+    def test_equal_best_overflow_capped_like_oracle(self):
+        """>16 equal candidates at one node: the oracle's best 16."""
         net = Net()
         sink = net.node(1, tier=Tier.STUB)
         origins = []
@@ -188,13 +167,15 @@ class TestFlatEdgeCases:
             prefix=PREFIX,
             origins=tuple(OriginSpec(site_node=o) for o in origins),
         )
-        flat, dict_ = _pair(net.topo, announcement)
-        _assert_equivalent(net.topo, flat, dict_)
-        choice = flat.choice_at(sink)
+        table = RoutingEngine(net.topo).compute_uncached(announcement)
+        assert_matches_oracle(net.topo, announcement, table)
+        choice = table.choice_at(sink)
         assert choice is not None and len(choice.routes) == 16
+        # Every exit is in FRA: the tie falls to the lowest neighbor ids.
+        assert choice.next_hops() == tuple(range(2, 18))
 
     def test_unreachable_node_absent_from_flat_store(self):
-        """Export restriction leaves a node unreachable in both stores."""
+        """Export restriction leaves a node unreachable."""
         net = Net()
         origin = net.node(1, tier=Tier.STUB)
         reached = net.node(2)
@@ -207,11 +188,11 @@ class TestFlatEdgeCases:
             prefix=PREFIX,
             origins=(OriginSpec(site_node=origin, neighbors=(reached,)),),
         )
-        flat, dict_ = _pair(net.topo, announcement)
-        _assert_equivalent(net.topo, flat, dict_)
-        assert flat.choice_at(starved) is None
-        assert flat.catchment_of(starved) is None
-        assert flat.reachable_fraction() == pytest.approx(2.0 / 3.0)
+        table = RoutingEngine(net.topo).compute_uncached(announcement)
+        assert_matches_oracle(net.topo, announcement, table)
+        assert table.choice_at(starved) is None
+        assert table.catchment_of(starved) is None
+        assert table.reachable_fraction() == pytest.approx(2.0 / 3.0)
 
     def test_unreachable_nodes_survive_codec_roundtrip(self):
         net = Net()
@@ -223,13 +204,13 @@ class TestFlatEdgeCases:
         announcement = Announcement(
             prefix=PREFIX, origins=(OriginSpec(site_node=origin),)
         )
-        flat, dict_ = _pair(net.topo, announcement)
-        _assert_equivalent(net.topo, flat, dict_)
-        assert flat.choice_at(stranded) is None
-        assert flat.reachable_fraction() == pytest.approx(2.0 / 3.0)
-        blob = encode_table(flat)
-        decoded = decode_table(blob, announcement, flat.topology_version)
+        table = RoutingEngine(net.topo).compute_uncached(announcement)
+        assert stranded not in fixpoint_routes(net.topo, announcement)
+        assert table.choice_at(stranded) is None
+        assert table.reachable_fraction() == pytest.approx(2.0 / 3.0)
+        blob = encode_table(table)
+        decoded = decode_table(blob, announcement, table.topology_version)
         assert isinstance(decoded, FlatRoutingTable)
-        assert decoded.choice_at(stranded) is None
-        assert decoded.reachable_fraction() == flat.reachable_fraction()
+        assert_matches_oracle(net.topo, announcement, decoded)
+        assert decoded.reachable_fraction() == table.reachable_fraction()
         assert encode_table(decoded) == blob
