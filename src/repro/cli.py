@@ -16,10 +16,8 @@ Commands:
   ``ingest`` / ``trend`` for the append-only benchmark history,
   ``timeline`` for per-worker Gantt lanes + parallel overhead
   attribution, ``speedup`` for the serial-vs-parallel crossover
-  analyzer, ``dashboard`` for the combined per-run report (terminal or
-  ``--html``), and the live-telemetry trio ``tail`` / ``watch`` /
-  ``watchdog`` for following, dashboarding, and stall-gating a run
-  while it is still executing;
+  analyzer, and ``dashboard`` for the combined per-run report
+  (terminal or ``--html``);
 - ``explain`` — decision provenance: ``client`` (why one probe landed
   where it did, end to end), ``diff`` (attribute every flipped client
   between two prefixes to the AS decision that changed, §5.4), and
@@ -360,29 +358,13 @@ def _cmd_lg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_run_artifact(path: str):
-    """Load any run artifact: manifest, checkpoint, or events JSONL.
-
-    ``run-<id>.json`` and ``run-<id>.checkpoint.json`` load as
-    manifests directly; an ``events-<id>.jsonl`` stream — including the
-    torn stream of a killed run — is replayed into a partial manifest
-    (unclosed spans marked ``open``, ``incomplete=True``).
-    """
-    from repro.obs.manifest import load_manifest
-
-    if str(path).endswith(".jsonl"):
-        from repro.obs.live import manifest_from_events
-
-        return manifest_from_events(path)
-    return load_manifest(path)
-
-
 def _cmd_obs_summary(args: argparse.Namespace) -> int:
     """Top spans by self time + counter/gauge tables for one manifest."""
+    from repro.obs.manifest import load_manifest
     from repro.obs.report import render_summary
 
     try:
-        manifest = _load_run_artifact(args.run)
+        manifest = load_manifest(args.run)
     except (OSError, ValueError) as exc:
         print(f"cannot read manifest {args.run}: {exc}", file=sys.stderr)
         return 2
@@ -565,10 +547,11 @@ def _cmd_obs_dashboard(args: argparse.Namespace) -> int:
     """Combined report for one run: spans, profile, health, trends."""
     from pathlib import Path
 
+    from repro.obs.manifest import load_manifest
     from repro.obs.report import render_dashboard, render_dashboard_html
 
     try:
-        manifest = _load_run_artifact(args.run)
+        manifest = load_manifest(args.run)
     except (OSError, ValueError) as exc:
         print(f"cannot read manifest {args.run}: {exc}", file=sys.stderr)
         return 2
@@ -593,132 +576,6 @@ def _cmd_obs_dashboard(args: argparse.Namespace) -> int:
         out.write_text(page, encoding="utf-8")
         print(f"\ndashboard written to {out}")
     return 0
-
-
-def _cmd_obs_tail(args: argparse.Namespace) -> int:
-    """Follow a live event stream, one human line per event."""
-    from repro.obs.live import (
-        EventFollower,
-        render_tail_line,
-        resolve_events_path,
-    )
-
-    try:
-        path = resolve_events_path(args.target, wait_s=args.wait)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    follower = EventFollower(path)
-    deadline = (
-        None if args.timeout is None else time.monotonic() + args.timeout
-    )
-    try:
-        while True:
-            for event in follower.poll():
-                line = render_tail_line(event)
-                if line is not None:
-                    print(line, flush=True)
-            if follower.completed:
-                return 0
-            if args.once:
-                return 0
-            if deadline is not None and time.monotonic() >= deadline:
-                if args.until_end:
-                    print(
-                        f"timeout: no run_end after {args.timeout:.0f}s "
-                        f"({path})",
-                        file=sys.stderr,
-                    )
-                    return 1
-                return 0
-            time.sleep(args.poll)
-    except KeyboardInterrupt:
-        return 0
-
-
-def _cmd_obs_watch(args: argparse.Namespace) -> int:
-    """Live terminal dashboard: span stack, % complete, ETA, workers."""
-    from repro.obs.events import EventLog
-    from repro.obs.live import (
-        EventFollower,
-        compute_status,
-        expectations_for_label,
-        heartbeat_dir_for,
-        read_worker_heartbeats,
-        render_watch,
-        replay_events,
-        resolve_events_path,
-        worker_statuses,
-    )
-
-    try:
-        path = resolve_events_path(args.target, wait_s=args.wait)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    follower = EventFollower(path)
-    hb_dir = heartbeat_dir_for(path)
-    expectations = None
-    clear = sys.stdout.isatty() and not args.once
-    try:
-        while True:
-            follower.poll()
-            view = replay_events(EventLog(list(follower.events)))
-            if expectations is None:
-                expectations = expectations_for_label(
-                    args.history, view.label
-                )
-            workers = worker_statuses(read_worker_heartbeats(hb_dir))
-            status = compute_status(
-                view, expectations, now_unix=time.time(), workers=workers
-            )
-            frame = render_watch(status)
-            if clear:
-                print("\x1b[2J\x1b[H" + frame, flush=True)
-            else:
-                print(frame, flush=True)
-            if args.once or follower.completed:
-                return 0
-            print("", flush=True)
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-
-
-def _cmd_obs_watchdog(args: argparse.Namespace) -> int:
-    """Stall check over one stream; --gate exits non-zero on findings."""
-    from repro.obs.live import (
-        expectations_for_label,
-        heartbeat_dir_for,
-        read_worker_heartbeats,
-        replay_events,
-        resolve_events_path,
-        worker_statuses,
-    )
-    from repro.obs.watchdog import check_stream, gate_exit_code, render_report
-
-    try:
-        path = resolve_events_path(args.target)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    from repro.obs.events import read_events
-
-    events = read_events(path)
-    view = replay_events(events)
-    expectations = expectations_for_label(args.history, view.label)
-    beats = read_worker_heartbeats(heartbeat_dir_for(path))
-    findings = check_stream(
-        view,
-        expectations,
-        hb_gap_s=args.hb_gap,
-        worker_gap_s=args.worker_gap,
-        mad_k=args.mad_k,
-        min_budget_ms=args.min_budget,
-        worker_beats=beats,
-    )
-    print(render_report(view, findings, workers=worker_statuses(beats)))
-    return gate_exit_code(findings) if args.gate else 0
 
 
 def _explain_session(args: argparse.Namespace):
@@ -978,16 +835,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser(
         "obs",
-        help="observability: summary / compare / profile / ingest / "
-             "trend / timeline / speedup / dashboard / tail / watch / "
-             "watchdog")
+        help="observability: summary / compare / profile / memory / "
+             "ingest / trend / timeline / speedup / dashboard")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
     p_obs_summary = obs_sub.add_parser(
         "summary", help="where one traced run spent its time")
-    p_obs_summary.add_argument(
-        "run",
-        help="a run-<id>.json manifest, a run-<id>.checkpoint.json from "
-             "a crashed run, or an events-<id>.jsonl stream")
+    p_obs_summary.add_argument("run", help="a run-<id>.json manifest")
     p_obs_summary.add_argument("--top", type=int, default=15, metavar="N",
                                help="span paths to show (default 15)")
     p_obs_summary.set_defaults(func=_cmd_obs_summary)
@@ -1099,9 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_dash = obs_sub.add_parser(
         "dashboard",
         help="combined report for one run: spans, profile, health, trends")
-    p_obs_dash.add_argument(
-        "run",
-        help="a run-<id>.json manifest, checkpoint, or events JSONL")
+    p_obs_dash.add_argument("run", help="a run-<id>.json manifest")
     p_obs_dash.add_argument("--history", default=None, metavar="DIR",
                             help="also render trend sparklines from DIR")
     p_obs_dash.add_argument("--html", default=None, metavar="OUT",
@@ -1113,73 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="render a static-analysis section from a "
                                  "`repro lint --json` findings file")
     p_obs_dash.set_defaults(func=_cmd_obs_dashboard)
-    p_obs_tail = obs_sub.add_parser(
-        "tail",
-        help="follow a live event stream (torn-tail tolerant)")
-    p_obs_tail.add_argument("target",
-                            help="a trace directory or an "
-                                 "events-<id>.jsonl file")
-    p_obs_tail.add_argument("--until-end", action="store_true",
-                            help="exit 0 on run_end, 1 on --timeout "
-                                 "(for CI babysitting)")
-    p_obs_tail.add_argument("--once", action="store_true",
-                            help="print the current stream contents and "
-                                 "exit without following")
-    p_obs_tail.add_argument("--timeout", type=float, default=None,
-                            metavar="S",
-                            help="stop following after S seconds")
-    p_obs_tail.add_argument("--poll", type=float, default=0.25, metavar="S",
-                            help="poll interval in seconds (default 0.25)")
-    p_obs_tail.add_argument("--wait", type=float, default=10.0, metavar="S",
-                            help="wait up to S seconds for the stream file "
-                                 "to appear (default 10)")
-    p_obs_tail.set_defaults(func=_cmd_obs_tail)
-    p_obs_watch = obs_sub.add_parser(
-        "watch",
-        help="live dashboard: span stack, %% complete vs history, ETA, "
-             "per-worker liveness")
-    p_obs_watch.add_argument("target",
-                             help="a trace directory or an "
-                                  "events-<id>.jsonl file")
-    p_obs_watch.add_argument("--history", default="obs/history",
-                             metavar="DIR",
-                             help="trend history for the progress/ETA "
-                                  "model (default obs/history)")
-    p_obs_watch.add_argument("--interval", type=float, default=1.0,
-                             metavar="S",
-                             help="refresh interval in seconds (default 1)")
-    p_obs_watch.add_argument("--once", action="store_true",
-                             help="render one frame and exit")
-    p_obs_watch.add_argument("--wait", type=float, default=10.0, metavar="S",
-                             help="wait up to S seconds for the stream file "
-                                  "to appear (default 10)")
-    p_obs_watch.set_defaults(func=_cmd_obs_watch)
-    p_obs_wd = obs_sub.add_parser(
-        "watchdog",
-        help="stall detection: open spans past their historical budget, "
-             "heartbeat gaps, hung workers")
-    p_obs_wd.add_argument("target",
-                          help="a trace directory or an "
-                               "events-<id>.jsonl file")
-    p_obs_wd.add_argument("--history", default="obs/history", metavar="DIR",
-                          help="trend history for span budgets "
-                               "(default obs/history)")
-    p_obs_wd.add_argument("--gate", action="store_true",
-                          help="exit non-zero on any error finding")
-    p_obs_wd.add_argument("--hb-gap", type=float, default=10.0, metavar="S",
-                          help="max seconds of total event silence "
-                               "(default 10)")
-    p_obs_wd.add_argument("--worker-gap", type=float, default=30.0,
-                          metavar="S",
-                          help="max seconds a worker may sit inside one "
-                               "task (default 30)")
-    p_obs_wd.add_argument("--mad-k", type=float, default=4.0, metavar="K",
-                          help="MAD multiplier over the historical p95 "
-                               "(default 4.0, matching obs trend)")
-    p_obs_wd.add_argument("--min-budget", type=float, default=250.0,
-                          metavar="MS",
-                          help="floor on any span budget (default 250ms)")
-    p_obs_wd.set_defaults(func=_cmd_obs_watchdog)
 
     p_explain = sub.add_parser(
         "explain",

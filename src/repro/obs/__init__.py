@@ -4,7 +4,8 @@ The observability substrate of the reproduction pipeline:
 
 - :mod:`repro.obs.recorder` — spans, counters, gauges, and the
   process-local :class:`Recorder` (no-op when disabled);
-- :mod:`repro.obs.events` — JSONL event streaming for long runs;
+- :mod:`repro.obs.events` — the span ``start``/``end`` stream
+  (``events-<id>.jsonl``) a traced run writes as it goes;
 - :mod:`repro.obs.manifest` — run manifests (config, seeds, git SHA,
   span tree) and the :func:`~repro.obs.manifest.tracing` helper;
 - :mod:`repro.obs.prof` — deterministic span-aware function profiler
@@ -18,13 +19,7 @@ The observability substrate of the reproduction pipeline:
 - :mod:`repro.obs.health` — domain health gauges recorded at the end of
   instrumented runs (``health.*``);
 - :mod:`repro.obs.report` — ``obs summary`` / ``obs compare`` /
-  ``obs dashboard`` rendering;
-- :mod:`repro.obs.live` — live-run telemetry: stream following
-  (``repro obs tail`` / ``watch``), progress/ETA against the trend
-  history, crash-safe checkpoint manifests, and the per-worker
-  heartbeat side-channel;
-- :mod:`repro.obs.watchdog` — stall detection over a live stream
-  (``repro obs watchdog [--gate]``).
+  ``obs dashboard`` rendering.
 
 Typical instrumentation::
 

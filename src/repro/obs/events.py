@@ -1,21 +1,11 @@
-"""JSONL event streaming for long recordings.
+"""The span event stream: one JSONL line per span start or end.
 
-A run that takes minutes should be observable *while it runs*: the
-recorder can mirror every span start/end to an append-only JSONL file
-through an :class:`EventSink`.  Unlike the manifest (written once at the
-end), the event stream is flushed incrementally, so a killed run still
-leaves a usable timeline behind.
-
-Stream framing (schema 2): the first line of every stream is a
-``run_header`` event (run id, label, config name, pid, absolute start
-time), the recorder interleaves periodic ``hb`` heartbeat events
-(wall/CPU/RSS, open-span path, counter totals) with the span
-``start``/``end`` events, and a clean close appends a terminal
-``run_end`` sentinel.  A reader can therefore tell a *finished* stream
-(``run_end`` present) from a *stalled or killed* one (stream simply
-stops) — :func:`read_events` returns an :class:`EventLog` whose
-``completed`` flag makes the distinction one attribute away for every
-consumer.
+The recorder mirrors every span ``start`` and ``end`` to an
+:class:`EventSink`.  A traced run writes them to ``events-<id>.jsonl``
+through :class:`JsonlEventSink`.  Unlike the manifest, which is written
+once at the end, the stream is flushed as it goes, so a killed run
+still leaves its timeline behind.  The stream has no end marker: a
+finished run is the one with a ``run-<id>.json`` manifest next to it.
 """
 
 from __future__ import annotations
@@ -23,17 +13,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Protocol
-
-#: Event-stream layout version, stamped into the ``run_header``.
-#: Version 2 added the run_header / hb / run_end framing events.
-EVENTS_SCHEMA = 2
-
-#: Event kinds a stream may carry, in the order they typically appear.
-EV_RUN_HEADER = "run_header"
-EV_START = "start"
-EV_END = "end"
-EV_HEARTBEAT = "hb"
-EV_RUN_END = "run_end"
 
 
 class EventSink(Protocol):
@@ -45,18 +24,10 @@ class EventSink(Protocol):
 
 
 class JsonlEventSink:
-    """Appends one JSON object per recorder event to a file.
+    """Writes one JSON object per recorder event to a file.
 
-    The file handle is flushed every ``flush_every`` events so the
-    timeline of a long (or crashed) run is salvageable mid-flight.
-
-    The file is opened with create-exclusive (``"x"``) semantics: a
-    fresh stream always gets a fresh inode.  When the path already
-    exists (a re-run into the same trace directory), the stale file is
-    unlinked first and created anew rather than truncated in place —
-    a reader tailing the old stream keeps its handle on the old inode
-    and sees a stable (if abandoned) prefix, never a file shrinking
-    under its read offset.
+    The file handle is flushed every ``flush_every`` events and on
+    close, so a crashed run loses at most its last unflushed batch.
     """
 
     def __init__(self, path: Path | str, flush_every: int = 32):
@@ -64,13 +35,7 @@ class JsonlEventSink:
             raise ValueError(f"flush_every must be positive: {flush_every!r}")
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._fh = open(self.path, "x", encoding="utf-8")
-        except FileExistsError:
-            # Replace, never truncate: give concurrent tail readers the
-            # old inode and this stream a new one.
-            self.path.unlink()
-            self._fh = open(self.path, "x", encoding="utf-8")
+        self._fh = open(self.path, "w", encoding="utf-8")
         self._flush_every = flush_every
         self._pending = 0
         self._closed = False
@@ -82,12 +47,6 @@ class JsonlEventSink:
         self._fh.write("\n")
         self._pending += 1
         if self._pending >= self._flush_every:
-            self._fh.flush()
-            self._pending = 0
-
-    def flush(self) -> None:
-        """Force pending events to disk (used around heartbeats)."""
-        if not self._closed:
             self._fh.flush()
             self._pending = 0
 
@@ -112,38 +71,13 @@ class ListEventSink:
         self.closed = True
 
 
-class EventLog(list):  # type: ignore[type-arg]
-    """The parsed events of one stream, plus liveness metadata.
-
-    A plain ``list`` of event dicts (so every pre-existing consumer
-    keeps working unchanged) with two extra attributes:
-
-    - ``completed`` — True when the stream carries a ``run_end``
-      sentinel, i.e. the recording closed cleanly.  False means the
-      run is still in flight, stalled, or was killed.
-    - ``header`` — the ``run_header`` event when the stream has one
-      (schema 2 streams always do; pre-header streams return None).
-    """
-
-    def __init__(self, events: list[dict[str, object]] | None = None):
-        super().__init__(events or [])
-        self.completed: bool = any(
-            e.get("ev") == EV_RUN_END for e in self
-        )
-        self.header: dict[str, object] | None = next(
-            (e for e in self if e.get("ev") == EV_RUN_HEADER), None
-        )
-
-
-def read_events(path: Path | str) -> EventLog:
-    """Parse a JSONL event stream back into an :class:`EventLog`.
+def read_events(path: Path | str) -> list[dict[str, object]]:
+    """Parse a JSONL event stream back into a list of event dicts.
 
     A truncated *final* line — the signature of a run killed mid-write —
     is tolerated and dropped, so the timeline of a crashed run stays
     readable.  A malformed line anywhere else means the file is corrupt,
-    not torn, and still raises.  The returned log is a plain list of
-    event dicts whose ``completed`` attribute distinguishes a cleanly
-    finished stream (``run_end`` seen) from a crashed or in-flight one.
+    not torn, and still raises.
     """
     events: list[dict[str, object]] = []
     with open(path, encoding="utf-8") as fh:
@@ -157,4 +91,4 @@ def read_events(path: Path | str) -> EventLog:
             if any(later for later in lines[index + 1:]):
                 raise
             break  # torn tail write; keep the parsed prefix
-    return EventLog(events)
+    return events

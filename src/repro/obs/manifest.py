@@ -107,10 +107,6 @@ class RunManifest:
     #: census), when the run was captured with ``--memory``.  Plain data
     #: with ``{"schema", "profile", "census"}`` keys.
     memory: dict[str, object] | None = None
-    #: True for crash-safe checkpoints and manifests reconstructed from
-    #: the event stream of a killed run: the span tree is partial and
-    #: unclosed spans carry ``status="open"``.
-    incomplete: bool = False
 
     def counters(self) -> dict[str, float]:
         """Counter totals over the whole span tree."""
@@ -140,8 +136,6 @@ class RunManifest:
             data["explain"] = self.explain
         if self.memory is not None:
             data["memory"] = self.memory
-        if self.incomplete:
-            data["incomplete"] = True
         return data
 
     @classmethod
@@ -174,7 +168,6 @@ class RunManifest:
             profile=profile,
             explain=explain,
             memory=memory,
-            incomplete=bool(data.get("incomplete", False)),
         )
 
 
@@ -245,10 +238,13 @@ def tracing(
     argv: list[str] | None = None,
     profiler: SpanProfiler | None = None,
     memory: MemoryProfiler | None = None,
-    heartbeat_every_s: float | None = None,
-    checkpoint_every_s: float = 5.0,
 ) -> Iterator[Recorder | None]:
     """Record the block and export ``run-<id>.json`` + event JSONL.
+
+    A trace directory receives exactly two files: the span stream
+    ``events-<id>.jsonl`` (span ``start``/``end`` lines, written as the
+    run goes, so a killed run leaves it behind) and, once the block
+    exits, the manifest ``run-<id>.json``.
 
     ``trace_dir=None`` disables tracing entirely (yields None), so CLI
     code can wrap its work unconditionally::
@@ -267,53 +263,19 @@ def tracing(
     profiler forces parallel entry points serial for the duration (see
     :func:`repro.par.pool.capture_blocks_parallel`).
 
-    With a trace directory the run is *live-observable* end to end
-    (see :mod:`repro.obs.live`): the event stream opens with a
-    run-header and closes with a ``run_end`` sentinel, heartbeats are
-    emitted every ``heartbeat_every_s`` (default 1s; 0 disables), a
-    crash-safe checkpoint manifest ``run-<id>.checkpoint.json`` is
-    flushed at least every ``checkpoint_every_s`` (removed once the
-    real manifest lands), and the worker heartbeat side-channel dir
-    ``hb-<run_id>/`` is installed for any pool forked inside the block.
-
     Whatever recorder was installed before is restored afterwards.
     """
     if trace_dir is None and profiler is None and memory is None:
         yield None
         return
-    # Lazy import: live builds on manifest (RunManifest, seeds_of), so
-    # manifest must not import live at module load.
-    from repro.obs import live as _live
-
     run_id = new_run_id()
     sink: JsonlEventSink | None = None
     out_dir: Path | None = None
-    checkpoint: "_live.CheckpointWriter | None" = None
-    previous_hb_dir: Path | None = None
-    hb_dir_set = False
     if trace_dir is not None:
         out_dir = Path(trace_dir)
         sink = JsonlEventSink(out_dir / f"events-{run_id}.jsonl")
-        checkpoint = _live.CheckpointWriter(
-            out_dir, run_id, config=config, argv=argv,
-            every_s=checkpoint_every_s,
-        )
-        previous_hb_dir = _live.set_worker_heartbeat_dir(
-            out_dir / f"hb-{run_id}"
-        )
-        hb_dir_set = True
-    run_info: dict[str, object] = {"run_id": run_id}
-    config_name = getattr(config, "name", None)
-    if config_name is not None:
-        run_info["config"] = config_name
     recorder = Recorder(label, event_sink=sink, profiler=profiler,
-                        memory=memory, run_info=run_info,
-                        heartbeat_every_s=heartbeat_every_s)
-    recorder.checkpoint = checkpoint
-    if checkpoint is not None:
-        # An immediate first checkpoint: even a run killed seconds in
-        # leaves a loadable (if nearly empty) manifest behind.
-        checkpoint.maybe_write(recorder, force=True)
+                        memory=memory)
     previous = _recorder.active()
     _recorder.install(recorder)
     if profiler is not None:
@@ -324,8 +286,6 @@ def tracing(
         yield recorder
     finally:
         _recorder.install(previous)
-        if hb_dir_set:
-            _live.set_worker_heartbeat_dir(previous_hb_dir)
         if memory is not None:
             memory.stop()
         if profiler is not None:
@@ -333,6 +293,3 @@ def tracing(
         manifest = from_recorder(recorder, config=config, run_id=run_id, argv=argv)
         if out_dir is not None:
             recorder.manifest_path = write_manifest(manifest, out_dir)
-            if checkpoint is not None:
-                # The full manifest supersedes the crash checkpoint.
-                checkpoint.remove()

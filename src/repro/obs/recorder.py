@@ -23,7 +23,6 @@ Counter increments and gauge values attach to the innermost open span.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -33,7 +32,6 @@ from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checking only
     from repro.obs.events import EventSink
-    from repro.obs.live import CheckpointWriter
     from repro.obs.memory import MemoryProfiler
     from repro.obs.prof import SpanProfiler
 
@@ -117,22 +115,28 @@ class SpanRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "SpanRecord":
+        """Rebuild a span tree; raises ``ValueError`` when it is malformed."""
+        if not isinstance(data, dict) or "name" not in data:
+            raise ValueError("every span must be an object with a 'name'")
         children = data.get("children", [])
         if not isinstance(children, list):
             raise ValueError("span 'children' must be a list")
-        return cls(
-            name=str(data["name"]),
-            attrs=dict(data.get("attrs", {})),  # type: ignore[call-overload]
-            wall_ms=float(data.get("wall_ms", 0.0)),  # type: ignore[arg-type]
-            cpu_ms=float(data.get("cpu_ms", 0.0)),  # type: ignore[arg-type]
-            rss_peak_delta_kib=int(data.get("rss_peak_delta_kib", 0)),  # type: ignore[call-overload]
-            status=str(data.get("status", "ok")),
-            counters={str(k): float(v)
-                      for k, v in dict(data.get("counters", {})).items()},  # type: ignore[call-overload]
-            gauges={str(k): float(v)
-                    for k, v in dict(data.get("gauges", {})).items()},  # type: ignore[call-overload]
-            children=[cls.from_dict(c) for c in children],
-        )
+        try:
+            return cls(
+                name=str(data["name"]),
+                attrs=dict(data.get("attrs", {})),  # type: ignore[call-overload]
+                wall_ms=float(data.get("wall_ms", 0.0)),  # type: ignore[arg-type]
+                cpu_ms=float(data.get("cpu_ms", 0.0)),  # type: ignore[arg-type]
+                rss_peak_delta_kib=int(data.get("rss_peak_delta_kib", 0)),  # type: ignore[call-overload]
+                status=str(data.get("status", "ok")),
+                counters={str(k): float(v)
+                          for k, v in dict(data.get("counters", {})).items()},  # type: ignore[call-overload]
+                gauges={str(k): float(v)
+                        for k, v in dict(data.get("gauges", {})).items()},  # type: ignore[call-overload]
+                children=[cls.from_dict(c) for c in children],
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed span {data['name']!r}: {exc}") from exc
 
 
 def _plain(value: object) -> object:
@@ -212,8 +216,6 @@ class Recorder:
         event_sink: "EventSink | None" = None,
         profiler: "SpanProfiler | None" = None,
         memory: "MemoryProfiler | None" = None,
-        run_info: dict[str, object] | None = None,
-        heartbeat_every_s: float | None = None,
     ):
         self.root = SpanRecord(name=label)
         self._stack: list[SpanRecord] = [self.root]
@@ -241,40 +243,6 @@ class Recorder:
         #: to embed in the manifest's "memory" payload, set by producers
         #: before tracing() exits.
         self.memory_census: list[dict[str, object]] | None = None
-        #: Wall-clock start (``perf_counter``) of each span on the open
-        #: stack, index-parallel to ``_stack``; lets heartbeat and
-        #: checkpoint snapshots stamp elapsed time onto open spans.
-        self._open_wall0: list[float] = [self._wall_origin]
-        #: Running counter totals across the whole run, maintained on
-        #: every increment so heartbeats snapshot counters in O(keys)
-        #: instead of walking the span tree.
-        self._counter_totals: dict[str, float] = {}
-        #: Optional crash-safe checkpoint writer (repro.obs.live);
-        #: ``maybe_write`` is called from the heartbeat tick.
-        self.checkpoint: "CheckpointWriter | None" = None
-        # Heartbeats are opportunistic: checked on span push/pop, no
-        # threads.  Default on (1s) when events stream somewhere a tail
-        # reader could watch, off for purely in-memory recordings.
-        if heartbeat_every_s is None:
-            heartbeat_every_s = 1.0 if event_sink is not None else 0.0
-        self._hb_every = float(heartbeat_every_s)
-        self._hb_last = self._wall_origin
-        if event_sink is not None:
-            from repro.obs.events import EVENTS_SCHEMA
-
-            header: dict[str, object] = {
-                "ev": "run_header",
-                "schema": EVENTS_SCHEMA,
-                "label": label,
-                "pid": os.getpid(),
-                "unix": time.time(),  # repro-lint: disable=fork-wallclock -- absolute stream anchor for live readers, not a duration
-            }
-            if run_info:
-                header.update(run_info)
-            event_sink.emit(header)
-            flush = getattr(event_sink, "flush", None)
-            if callable(flush):
-                flush()
 
     @property
     def current(self) -> SpanRecord:
@@ -298,57 +266,9 @@ class Recorder:
     def counter_inc(self, name: str, amount: float = 1.0) -> None:
         counters = self._stack[-1].counters
         counters[name] = counters.get(name, 0.0) + amount
-        totals = self._counter_totals
-        totals[name] = totals.get(name, 0.0) + amount
 
     def gauge_set(self, name: str, value: float) -> None:
         self._stack[-1].gauges[name] = float(value)
-
-    def open_spans(self) -> list[tuple[SpanRecord, float]]:
-        """The open span stack as ``(record, perf_counter start)`` pairs.
-
-        Includes the root; consumed by checkpoint snapshots to stamp an
-        elapsed wall time onto spans that have not closed yet.
-        """
-        return list(zip(self._stack, self._open_wall0))
-
-    def open_path(self) -> str:
-        """Slash-joined names of the open spans below the root."""
-        return "/".join(record.name for record in self._stack[1:])
-
-    def heartbeat_event(self, now: float | None = None) -> None:
-        """Emit one ``hb`` event (and flush it) to the event sink."""
-        if self._events is None:
-            return
-        if now is None:
-            now = time.perf_counter()
-        self._events.emit({
-            "ev": "hb",
-            "t_ms": round((now - self._wall_origin) * 1000.0, 3),
-            "unix": time.time(),
-            "cpu_ms": round((time.process_time() - self._cpu_origin) * 1000.0, 3),
-            "rss_kib": _peak_rss_kib(),
-            "path": self.open_path(),
-            "depth": len(self._stack) - 1,
-            "counters": dict(self._counter_totals),
-        })
-        # Heartbeats exist to be read while the run is alive: bypass
-        # the sink's batching so the tail reader sees them promptly.
-        flush = getattr(self._events, "flush", None)
-        if callable(flush):
-            flush()
-
-    def _tick(self) -> None:
-        """Opportunistic heartbeat check, piggybacked on span push/pop."""
-        if self._hb_every <= 0.0:
-            return
-        now = time.perf_counter()
-        if now - self._hb_last < self._hb_every:
-            return
-        self._hb_last = now
-        self.heartbeat_event(now)
-        if self.checkpoint is not None:
-            self.checkpoint.maybe_write(self)
 
     def finish(self) -> SpanRecord:
         """Stamp the root span's totals (idempotent) and close the sink."""
@@ -358,14 +278,6 @@ class Recorder:
             self.root.cpu_ms = (time.process_time() - self._cpu_origin) * 1000.0
             self.root.rss_peak_delta_kib = max(0, _peak_rss_kib() - self._rss_origin)
             if self._events is not None:
-                self._events.emit({
-                    "ev": "run_end",
-                    "t_ms": round(self.root.wall_ms, 3),
-                    "wall_ms": round(self.root.wall_ms, 3),
-                    "cpu_ms": round(self.root.cpu_ms, 3),
-                    "status": self.root.status,
-                    "unix": time.time(),  # repro-lint: disable=fork-wallclock -- absolute end-of-run stamp for live readers, not a duration
-                })
                 self._events.close()
         return self.root
 
@@ -373,7 +285,6 @@ class Recorder:
     def _push(self, record: SpanRecord) -> None:
         self._stack[-1].children.append(record)
         self._stack.append(record)
-        self._open_wall0.append(time.perf_counter())
         if self.profiler is not None:
             self.profiler.span_push(record.name)
         if self.memory is not None:
@@ -386,7 +297,6 @@ class Recorder:
                 "depth": len(self._stack) - 1,
                 "attrs": {k: _plain(v) for k, v in record.attrs.items()},
             })
-        self._tick()
 
     def _pop(self, record: SpanRecord) -> None:
         # Unwind to the matching record so a mis-nested exit cannot wedge
@@ -394,7 +304,6 @@ class Recorder:
         while len(self._stack) > 1:
             if self._stack.pop() is record:
                 break
-        del self._open_wall0[len(self._stack):]
         if self.profiler is not None:
             self.profiler.span_pop()
         if self.memory is not None:
@@ -408,7 +317,6 @@ class Recorder:
                 "status": record.status,
                 "counters": dict(record.counters),
             })
-        self._tick()
 
 
 #: The process-local recorder; None means tracing is disabled.
@@ -451,8 +359,6 @@ def recording(
     event_sink: "EventSink | None" = None,
     profiler: "SpanProfiler | None" = None,
     memory: "MemoryProfiler | None" = None,
-    run_info: dict[str, object] | None = None,
-    heartbeat_every_s: float | None = None,
 ) -> Iterator[Recorder]:
     """Install a fresh recorder for the duration of the block.
 
@@ -464,8 +370,7 @@ def recording(
     global _CURRENT
     previous = _CURRENT
     recorder = Recorder(label, event_sink=event_sink, profiler=profiler,
-                        memory=memory, run_info=run_info,
-                        heartbeat_every_s=heartbeat_every_s)
+                        memory=memory)
     _CURRENT = recorder
     if profiler is not None:
         profiler.start()

@@ -62,11 +62,6 @@ def render_summary(manifest: RunManifest, top: int = 15) -> str:
         f"wall      {manifest.root.wall_ms / 1000.0:.2f}s  "
         f"(cpu {manifest.root.cpu_ms / 1000.0:.2f}s)",
     ]
-    if manifest.incomplete:
-        lines.append(
-            "state     INCOMPLETE — partial tree from a crashed or "
-            "still-running recording; unclosed spans are marked [open]"
-        )
     if manifest.seeds:
         seeds = ", ".join(f"{k}={v}" for k, v in sorted(manifest.seeds.items()))
         lines.append(f"seeds     {seeds}")
@@ -388,11 +383,6 @@ def dashboard_sections(
         f"wall      {manifest.root.wall_ms / 1000.0:.2f}s  "
         f"(cpu {manifest.root.cpu_ms / 1000.0:.2f}s)",
     ]
-    if manifest.incomplete:
-        header.append(
-            "state     INCOMPLETE — partial tree from a crashed or "
-            "still-running recording; unclosed spans are marked [open]"
-        )
     if manifest.seeds:
         seeds = ", ".join(f"{k}={v}" for k, v in sorted(manifest.seeds.items()))
         header.append(f"seeds     {seeds}")

@@ -40,11 +40,8 @@ TREND_SCHEMA = 1
 _SERIES_PREFIXES = ("experiment.", "world.", "routing.", "experiments.",
                     "par.")
 
-#: 1 / Phi^-1(3/4): scales a MAD to a normal-consistent sigma.  Public
-#: because the live-telemetry budgets (repro.obs.live) use the same
-#: robust statistics as this regression gate.
-MAD_SIGMA = 1.4826
-_MAD_SIGMA = MAD_SIGMA
+#: 1 / Phi^-1(3/4): scales a MAD to a normal-consistent sigma.
+_MAD_SIGMA = 1.4826
 
 
 def metric_unit(metric: str) -> str:

@@ -87,12 +87,7 @@ def _init_fleet_worker(state: FleetState | None, fork_key: int) -> None:
     tracemalloc) belong to the parent, so
     :func:`repro.par.pool.reset_worker_capture` disables them up front;
     tracing re-enters per task through
-    :func:`repro.par.obsbuf.start_capture`.  That reset also emits the
-    worker's first liveness beat (``init``) into the heartbeat
-    side-channel (:mod:`repro.obs.live`); subsequent ``task_start`` /
-    ``task_end`` beats come from the capture bracket in each chunk
-    function, so ``repro obs watch`` sees this fleet's per-worker
-    liveness and the watchdog can flag a hung probe chunk.
+    :func:`repro.par.obsbuf.start_capture`.
     """
     from repro.par.pool import reset_worker_capture
 

@@ -44,7 +44,6 @@ import tracemalloc
 from typing import Any
 
 from repro import obs
-from repro.obs.live import worker_beat
 from repro.obs.recorder import _peak_rss_kib
 
 #: The wire form of one worker capture: ``{"spans": [...], "counters":
@@ -68,12 +67,6 @@ def start_capture(
     merged wrapper span.  The caller must pair this with
     :func:`finish_capture`.
     """
-    # Liveness beat before the enabled check: the side-channel is
-    # orthogonal to span capture (a no-op when the run is untraced).
-    if chunk_index is not None:
-        worker_beat("task_start", chunk=chunk_index)
-    else:
-        worker_beat("task_start")
     if not enabled:
         return None
     recorder = obs.Recorder("par-worker")
@@ -85,14 +78,6 @@ def start_capture(
 
 def finish_capture(recorder: obs.Recorder | None) -> WorkerPayload | None:
     """Uninstall the buffer recorder and lower it to a payload."""
-    chunk_index = (
-        None if recorder is None
-        else recorder.root.attrs.get("chunk_index")
-    )
-    if isinstance(chunk_index, int):
-        worker_beat("task_end", chunk=chunk_index)
-    else:
-        worker_beat("task_end")
     if recorder is None:
         return None
     obs.uninstall()

@@ -101,16 +101,11 @@ def reset_worker_capture() -> None:
 
     from repro import obs
     from repro.explain import provenance
-    from repro.obs.live import worker_beat
 
     obs.install(None)
     provenance.install(None)
     if tracemalloc.is_tracing():
         tracemalloc.stop()
-    # First liveness beat: the worker exists and survived its fork.  The
-    # side-channel dir was inherited copy-on-write from the parent (set
-    # by tracing()); a no-op when the run is untraced.
-    worker_beat("init")
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
@@ -146,20 +141,9 @@ def chunk_ranges(num_items: int, num_chunks: int) -> list[tuple[int, int]]:
 
 
 def _apply_chunk(payload: tuple[Callable[[Any], Any], list[Any]]) -> list[Any]:
-    """Worker-side: apply ``fn`` to one chunk, preserving item order.
-
-    Brackets the chunk with worker heartbeats (repro.obs.live): a
-    ``task_start`` without a matching ``task_end`` is how the stall
-    watchdog recognises a hung worker.  No-ops when untraced.
-    """
-    from repro.obs.live import worker_beat
-
+    """Worker-side: apply ``fn`` to one chunk, preserving item order."""
     fn, chunk = payload
-    worker_beat("task_start", items=len(chunk))
-    try:
-        return [fn(item) for item in chunk]
-    finally:
-        worker_beat("task_end", items=len(chunk))
+    return [fn(item) for item in chunk]
 
 
 def map_deterministic(

@@ -154,21 +154,18 @@ class TestDisabledNoOp:
 
 class TestEvents:
     def test_events_stream_framing_and_spans(self):
-        """Schema 2: header first, span traffic, run_end sentinel last."""
+        """The stream is span traffic only: one start and one end per span."""
         sink = ListEventSink()
         with obs.recording("t", event_sink=sink) as rec:
             with obs.span("a"):
                 obs.counter.inc("n", 2)
         assert rec.root.find("a") is not None
-        kinds = [e["ev"] for e in sink.events]
-        assert kinds == ["run_header", "start", "end", "run_end"]
-        header = sink.events[0]
-        assert header["label"] == "t"
-        assert header["schema"] == 2
-        spans = [(e["ev"], e["span"]) for e in sink.events[1:3]]
-        assert spans == [("start", "a"), ("end", "a")]
-        assert sink.events[2]["counters"] == {"n": 2.0}
-        assert sink.events[-1]["status"] == "ok"
+        assert [(e["ev"], e["span"]) for e in sink.events] == [
+            ("start", "a"), ("end", "a"),
+        ]
+        assert sink.events[0]["depth"] == 1
+        assert sink.events[1]["counters"] == {"n": 2.0}
+        assert sink.events[1]["status"] == "ok"
         assert sink.closed
 
     def test_jsonl_sink_round_trip(self, tmp_path):
@@ -178,12 +175,11 @@ class TestEvents:
             with obs.span("a"), obs.span("b"):
                 pass
         events = read_events(path)
-        assert [e["ev"] for e in events] == [
-            "run_header", "start", "start", "end", "end", "run_end",
+        assert type(events) is list
+        assert [(e["ev"], e["span"]) for e in events] == [
+            ("start", "a"), ("start", "b"), ("end", "b"), ("end", "a"),
         ]
-        assert events[2]["depth"] == 2
-        assert events.completed
-        assert events.header is not None and events.header["label"] == "t"
+        assert events[1]["depth"] == 2
 
     def test_truncated_final_line_is_tolerated(self, tmp_path):
         """A run killed mid-append leaves a readable prefix."""
@@ -195,40 +191,9 @@ class TestEvents:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"ev":"start","span":"torn","t_m')  # no newline, torn
         events = read_events(path)
-        assert [e["ev"] for e in events] == [
-            "run_header", "start", "end", "run_end",
+        assert [(e["ev"], e["span"]) for e in events] == [
+            ("start", "a"), ("end", "a"),
         ]
-        assert all(e["span"] == "a" for e in events if "span" in e)
-
-    def test_read_events_completed_false_without_run_end(self, tmp_path):
-        """A stream cut before the sentinel reads as not-completed."""
-        path = tmp_path / "events.jsonl"
-        sink = JsonlEventSink(path, flush_every=1)
-        recorder = obs.Recorder("t", event_sink=sink)
-        with recorder.span("a"):
-            pass
-        sink.flush()  # simulate a kill: never finish(), never run_end
-        events = read_events(path)
-        assert [e["ev"] for e in events] == ["run_header", "start", "end"]
-        assert not events.completed
-        recorder.finish()
-
-    def test_jsonl_sink_replaces_never_truncates(self, tmp_path):
-        """Re-running into the same path must not shrink the old inode."""
-        path = tmp_path / "events.jsonl"
-        first = JsonlEventSink(path, flush_every=1)
-        first.emit({"ev": "start", "span": "old"})
-        first.close()
-        with open(path, encoding="utf-8") as old_handle:
-            second = JsonlEventSink(path, flush_every=1)
-            second.emit({"ev": "start", "span": "new"})
-            second.close()
-            # The tailing reader's handle still sees the old stream,
-            # stable and complete — not a truncated or rewritten file.
-            old_lines = old_handle.read().splitlines()
-        assert json.loads(old_lines[0])["span"] == "old"
-        new_events = read_events(path)
-        assert [e["span"] for e in new_events] == ["new"]
 
     def test_malformed_middle_line_raises(self, tmp_path):
         """Corruption (not a crash) must not be silently skipped."""
@@ -253,7 +218,7 @@ class TestEvents:
 
 
 class TestConcurrentReaderWriter:
-    """A tail reader racing the writer only ever sees shorter prefixes."""
+    """A reader racing the writer only ever sees shorter prefixes."""
 
     def test_read_events_mid_flush_sees_prefix(self, tmp_path):
         """read_events at every byte-boundary cut of a real stream."""
@@ -270,63 +235,6 @@ class TestConcurrentReaderWriter:
             partial.write_bytes(full[:cut])
             events = read_events(partial)  # must never raise
             assert len(events) <= total
-
-    def test_follower_buffers_partial_line_until_newline(self, tmp_path):
-        """The incremental follower holds a torn line, then parses it."""
-        from repro.obs.live import EventFollower
-
-        path = tmp_path / "events.jsonl"
-        line = '{"ev":"start","span":"a","t_ms":1}'
-        path.write_text(line[:10], encoding="utf-8")  # writer mid-flush
-        follower = EventFollower(path)
-        assert follower.poll() == []  # shorter prefix, no parse error
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line[10:] + "\n")
-        events = follower.poll()
-        assert [e["span"] for e in events] == ["a"]
-        assert not follower.completed
-
-    def test_follower_interleaved_with_writer(self, tmp_path):
-        """Poll after every emitted event of a live recording."""
-        from repro.obs.live import EventFollower
-
-        path = tmp_path / "events.jsonl"
-        sink = JsonlEventSink(path, flush_every=1)
-        follower = EventFollower(path)
-        seen = []
-        recorder = obs.Recorder("t", event_sink=sink)
-        obs.install(recorder)
-        try:
-            for index in range(5):
-                with obs.span("step", index=index):
-                    pass
-                seen.extend(follower.poll())
-                assert not follower.completed
-        finally:
-            obs.uninstall()
-        seen.extend(follower.poll())
-        assert follower.completed
-        kinds = [e["ev"] for e in seen]
-        assert kinds[0] == "run_header"
-        assert kinds[-1] == "run_end"
-        assert kinds.count("start") == 5 and kinds.count("end") == 5
-
-    def test_follower_restarts_on_replaced_stream(self, tmp_path):
-        """A re-run into the same path (new inode) restarts the tail."""
-        from repro.obs.live import EventFollower
-
-        path = tmp_path / "events.jsonl"
-        first = JsonlEventSink(path, flush_every=1)
-        first.emit({"ev": "start", "span": "old", "t_ms": 1})
-        first.emit({"ev": "end", "span": "old", "t_ms": 2})
-        first.close()
-        follower = EventFollower(path)
-        assert [e["span"] for e in follower.poll()] == ["old", "old"]
-        second = JsonlEventSink(path, flush_every=1)
-        second.emit({"ev": "start", "span": "new", "t_ms": 1})
-        second.close()
-        fresh = follower.poll()
-        assert [e["span"] for e in fresh] == ["new"]
 
 
 def _manifest_with(spans: dict[str, float], run_id: str) -> RunManifest:
@@ -380,6 +288,24 @@ class TestManifest:
         assert len(events) == 1
         assert read_events(events[0])
         assert obs.active() is None
+
+    def test_trace_dir_holds_only_manifest_and_stream(self, tmp_path):
+        """A traced parallel map leaves the manifest and the stream, nothing else."""
+        from repro.par.pool import map_deterministic
+
+        with tracing(tmp_path, label="tr") as rec, obs.span("stage"):
+            absolute = map_deterministic(abs, [-1, -2, -3, -4], workers=2)
+        assert absolute == [1, 2, 3, 4]
+        assert rec is not None and rec.manifest_path is not None
+        run_id = rec.manifest_path.name[len("run-"):-len(".json")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"events-{run_id}.jsonl", f"run-{run_id}.json",
+        ]
+        lines = (tmp_path / f"events-{run_id}.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        events = [json.loads(line) for line in lines]
+        assert {e["ev"] for e in events} == {"start", "end"}
+        assert "par.dispatch" in {e["span"] for e in events}
 
     def test_tracing_none_is_disabled(self):
         with tracing(None) as rec:
@@ -538,6 +464,17 @@ class TestDashboard:
         ) == 2
 
 
+#: Manifests whose span tree is malformed: every ``obs`` command that
+#: loads one must exit 2 with a message, not a traceback.
+MALFORMED_MANIFESTS = [
+    pytest.param({"spans": {}}, id="nameless-span"),
+    pytest.param({"spans": {"name": "run", "children": [1]}},
+                 id="non-object-child"),
+    pytest.param({"spans": {"name": "run", "wall_ms": [1]}},
+                 id="list-valued-field"),
+]
+
+
 class TestObsCli:
     def test_summary_exit_codes(self, tmp_path, capsys):
         manifest = _manifest_with({"alpha": 5.0}, "cli-1")
@@ -568,6 +505,38 @@ class TestObsCli:
         ) == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out and "run/slow" in out
+
+    @pytest.mark.parametrize("body", MALFORMED_MANIFESTS)
+    @pytest.mark.parametrize(
+        "command", ["summary", "compare", "memory", "timeline", "dashboard"])
+    def test_malformed_manifest_fails_with_message(
+        self, tmp_path, capsys, command, body
+    ):
+        bad = tmp_path / "run-bad.json"
+        bad.write_text(json.dumps(body), encoding="utf-8")
+        argv = ["obs", command, str(bad)]
+        if command == "compare":
+            argv.append(str(bad))
+        assert cli.main(argv) == 2
+        assert "cannot read manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", MALFORMED_MANIFESTS)
+    def test_malformed_manifest_is_not_ingested(self, tmp_path, capsys, body):
+        bad = tmp_path / "run-bad.json"
+        bad.write_text(json.dumps(body), encoding="utf-8")
+        history = tmp_path / "history"
+        assert cli.main(
+            ["obs", "ingest", str(bad), "--history", str(history)]) == 2
+        assert "cannot ingest" in capsys.readouterr().err
+        assert not history.exists()
+
+    @pytest.mark.parametrize("command", ["summary", "dashboard"])
+    def test_event_stream_is_not_a_manifest(self, tmp_path, capsys, command):
+        with tracing(tmp_path, label="tr"), obs.span("stage"):
+            pass
+        (stream,) = tmp_path.glob("events-*.jsonl")
+        assert cli.main(["obs", command, str(stream)]) == 2
+        assert "cannot read manifest" in capsys.readouterr().err
 
     def test_compare_rejects_unreadable_files(self, tmp_path):
         assert cli.main(
