@@ -141,7 +141,7 @@ def test_bench_memory_capture_off_overhead(monkeypatch):
     monkeypatch.setattr(Recorder, "_pop", stock_pop)
     start = time.perf_counter()
     with recording("bench-overhead") as recorder:
-        World(SMALL).close()
+        World(SMALL)
     build_wall = time.perf_counter() - start
 
     def count_spans(record) -> int:

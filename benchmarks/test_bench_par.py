@@ -128,18 +128,16 @@ def test_bench_cache_warm(benchmark, world, tmp_path):
 
 def test_bench_world_build_serial(benchmark, monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    world = benchmark.pedantic(
+    benchmark.pedantic(
         lambda: World(SMALL), rounds=3, iterations=1, warmup_rounds=0
     )
     _mark(benchmark)
-    world.close()
 
 
 def test_bench_world_build_parallel(benchmark, monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, str(BENCH_WORKERS))
-    world = benchmark.pedantic(
+    benchmark.pedantic(
         lambda: World(SMALL), rounds=3, iterations=1, warmup_rounds=0
     )
     _mark(benchmark)
     benchmark.extra_info["workers"] = BENCH_WORKERS
-    world.close()

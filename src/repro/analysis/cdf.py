@@ -11,7 +11,10 @@ def percentile(values: list[float], p: float) -> float:
     """The p-th percentile (0 < p ≤ 100) with linear interpolation.
 
     Matches the convention of numpy's default ("linear") method, which is
-    what measurement papers conventionally report.
+    what measurement papers conventionally report, down to numpy's
+    two-sided lerp: interpolating from the nearer endpoint keeps the
+    result monotone in ``p`` where ``a * (1 - f) + b * f`` underflows
+    (two equal subnormals would otherwise give 0.0 at p=50 only).
     """
     if not values:
         raise ValueError("percentile of empty data is undefined")
@@ -26,7 +29,10 @@ def percentile(values: list[float], p: float) -> float:
     if lo == hi:
         return ordered[lo]
     frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    a, b = ordered[lo], ordered[hi]
+    if frac < 0.5:
+        return a + (b - a) * frac
+    return b - (b - a) * (1.0 - frac)
 
 
 @dataclass(frozen=True)

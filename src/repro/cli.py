@@ -170,8 +170,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                  argv=sys.argv[1:], profiler=profiler,
                  memory=memory) as recorder:
         world = get_world(cfg)
-        results, _ = run_all(world, selected=selected,
-                             parallel=args.parallel, plots=args.plots)
+        results, _ = run_all(world, selected=selected, plots=args.plots)
         if recorder is not None:
             from repro.obs.health import record_health
 
@@ -777,9 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--memory", action="store_true",
                        help="attribute allocations to span paths and census "
                             "routing-state sizes (forces serial compute)")
-    p_run.add_argument("--parallel", action="store_true",
-                       help="run independent experiments across worker "
-                            "processes (worker count from REPRO_WORKERS)")
     p_run.add_argument("--cache-dir", metavar="DIR",
                        help="persist routing tables under DIR "
                             "(see also REPRO_CACHE_DIR)")

@@ -10,7 +10,7 @@ results, so no experiment runs twice in one command.
 from __future__ import annotations
 
 import sys
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Sequence, TextIO
 
 from repro import obs
 from repro.experiments import (
@@ -38,21 +38,8 @@ from repro.experiments import (
     table5,
     table6,
 )
-from repro.experiments.base import experiment_name, run_instrumented
+from repro.experiments.base import run_instrumented
 from repro.experiments.world import World
-from repro.explain import provenance
-from repro.par.obsbuf import (
-    WorkerPayload,
-    finish_capture,
-    merge_payload,
-    start_capture,
-)
-from repro.par.pool import (
-    capture_blocks_parallel,
-    map_deterministic,
-    pool_context,
-    worker_count,
-)
 
 #: (module, description) in paper order.
 ALL_EXPERIMENTS = (
@@ -81,115 +68,12 @@ ALL_EXPERIMENTS = (
     (baselines, "§2.2 baselines comparison (DailyCatch / AnyOpt / ReOpt)"),
 )
 
-#: Short name -> (module, description); the addressing scheme experiment
-#: workers use (modules themselves never cross the process boundary).
-EXPERIMENTS_BY_NAME = {
-    experiment_name(module): (module, description)
-    for module, description in ALL_EXPERIMENTS
-}
-
-_WORKER_WORLD: World | None = None
-
-#: Parent-side staging slot for ``fork`` pools: children inherit the
-#: world copy-on-write instead of unpickling it (see repro.par.routing).
-_FORK_WORLD: World | None = None
-
-
-def _init_experiment_worker(world: World | None) -> None:
-    """Receive the world; runs once per experiment-worker process."""
-    global _WORKER_WORLD
-    obs.install(None)
-    provenance.install(None)
-    if world is None:
-        world = _FORK_WORLD
-    if world is None:
-        raise RuntimeError("experiment worker started without a world")
-    # An experiment worker must never fork its own nested fleet pool,
-    # and a pool inherited across fork would be unusable anyway.
-    world._fleet_pool = None
-    world._fleet_checked = True
-    _WORKER_WORLD = world
-
-
-def _timed_run(
-    module: Any, description: str, world: World
-) -> tuple[object, float]:
-    """Run one experiment under its span; ``(result, wall_ms)``."""
-    result, span_record = run_instrumented(module, description, world)
-    return result, span_record.wall_ms if span_record is not None else 0.0
-
-
-def _experiment_task(
-    task: tuple[str, int],
-) -> tuple[object, float, WorkerPayload | None]:
-    """Worker-side: run one experiment, capturing its spans/counters."""
-    name, chunk_index = task
-    module, description = EXPERIMENTS_BY_NAME[name]
-    world = _WORKER_WORLD
-    if world is None:
-        raise RuntimeError("experiment worker used before initialization")
-    recorder = start_capture(chunk_index=chunk_index)
-    try:
-        result, wall_ms = _timed_run(module, description, world)
-    finally:
-        payload = finish_capture(recorder)
-    return result, wall_ms, payload
-
-
-def run_selected_parallel(
-    world: World,
-    selected: Sequence[tuple[Any, str]],
-    workers: int | None = None,
-) -> list[tuple[object, float]]:
-    """Run experiments across worker processes; results in input order.
-
-    :func:`run_all` calls this once it has chosen the parallel path.
-    Each worker gets its own copy of the world, so per-world state is
-    not shared between experiments the way it is serially.  ``fig6``,
-    ``resilience`` and ``baselines`` allocate fresh service prefixes
-    from the world's pool, so their renders depend on which experiments
-    ran before them in the same process and can differ from a serial
-    run's (ROADMAP item 6).
-
-    Returns ``(result, wall_ms)`` pairs; worker span/counter buffers are
-    merged into the live recorder in experiment order.
-    """
-    global _FORK_WORLD
-    with obs.span("par.stage", items=len(selected)):
-        tasks = [
-            (experiment_name(module), index)
-            for index, (module, _) in enumerate(selected)
-        ]
-        forked = pool_context().get_start_method() == "fork"
-        initargs: tuple[World | None] = (None,) if forked else (world,)
-        if forked:
-            _FORK_WORLD = world
-    try:
-        outcomes = map_deterministic(
-            _experiment_task,
-            tasks,
-            workers=workers,
-            chunk_size=1,
-            initializer=_init_experiment_worker,
-            initargs=initargs,
-        )
-    finally:
-        _FORK_WORLD = None
-    merged: list[tuple[object, float]] = []
-    with obs.span("par.merge", payloads=len(outcomes)):
-        for result, wall_ms, payload in outcomes:
-            merge_payload(payload)
-            merged.append((result, wall_ms))
-    return merged
-
 
 def run_all(
     world: World,
     stream: TextIO | None = None,
     *,
     selected: Sequence[tuple[Any, str]] | None = None,
-    parallel: bool = False,
-    workers: int | None = None,
     plots: bool = False,
 ) -> tuple[list[object], obs.Recorder]:
     """Run experiments against one world, each exactly once.
@@ -203,13 +87,8 @@ def run_all(
     and the recorder whose span tree timed every experiment.  When a
     recorder is already installed (``repro run --trace``) it is reused;
     otherwise a private one is created for the duration, so callers can
-    always assert on ``recording.root`` and workers always time their
-    experiments.
-
-    With ``parallel=True`` and an effective worker count above 1, the
-    experiments run across worker processes (results stay in order);
-    provenance capture and the profilers force the serial path, as
-    their captures are process-local.
+    always assert on ``recording.root`` and every timing line reads the
+    experiment's span.
     """
     if selected is None:
         selected = ALL_EXPERIMENTS
@@ -222,20 +101,9 @@ def run_all(
     results: list[object] = []
     try:
         with obs.span("experiments.run_all", experiments=len(selected)):
-            outcomes: Iterable[tuple[object, float]]
-            if (parallel and len(selected) > 1
-                    and worker_count(workers) > 1
-                    and not capture_blocks_parallel()):
-                outcomes = run_selected_parallel(world, selected,
-                                                 workers=workers)
-            else:
-                # Lazy, so each render prints as soon as it is ready.
-                outcomes = (
-                    _timed_run(module, description, world)
-                    for module, description in selected
-                )
-            for (_, description), (result, wall_ms) in zip(selected,
-                                                           outcomes):
+            for module, description in selected:
+                result, record = run_instrumented(module, description, world)
+                wall_ms = record.wall_ms if record is not None else 0.0
                 results.append(result)
                 print(result.render(), file=out)
                 if plots and hasattr(result, "render_plot"):

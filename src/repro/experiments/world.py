@@ -44,8 +44,6 @@ from repro.measurement.grouping import ProbeGroup, group_probes
 from repro.measurement.probes import Probe, ProbePopulation
 from repro.netaddr.ipv4 import IPv4Address
 from repro.par.cache import resolve_cache
-from repro.par.fleet import FleetPool
-from repro.par.pool import capture_blocks_parallel, worker_count
 from repro.sitemap.pipeline import SiteMapper, SiteMappingResult
 from repro.tangled.testbed import TangledTestbed, build_tangled
 from repro.topology.builder import InternetBuilder
@@ -140,71 +138,6 @@ class World:
         self._trace_cache: dict[IPv4Address, dict[int, TracerouteResult]] = {}
         self._resolve_cache: dict[tuple[str, DnsMode], dict[int, IPv4Address]] = {}
         self._sitemap_cache: dict[tuple[IPv4Address, tuple[str, ...]], SiteMappingResult] = {}
-        self._fleet_pool: FleetPool | None = None
-        self._fleet_checked = False
-        self._fleet_snapshot: tuple[int, int] | None = None
-
-    # ------------------------------------------------------------------
-    # Probe-fleet fan-out (repro.par)
-    # ------------------------------------------------------------------
-    def _fleet(self) -> FleetPool | None:
-        """The persistent worker pool, or None when running serially.
-
-        Created lazily at the first fleet measurement so the workers
-        inherit the fully built world — warm routing cache included.
-
-        Workers hold a snapshot of the world from pool-creation time, so
-        the pool is rebuilt whenever the world has visibly changed since
-        (an experiment registering a new announcement — e.g. the ReOpt
-        deployments of the baselines experiment — or a topology
-        mutation); measuring against a stale snapshot would silently
-        report the new prefixes unreachable.
-        """
-        if capture_blocks_parallel():
-            # Provenance / profiler capture is process-local; measure
-            # serially while one is attached.
-            return None
-        current = (len(self.registry), self.topology.version)
-        if self._fleet_pool is not None and self._fleet_snapshot != current:
-            self._fleet_pool.close()
-            self._fleet_pool = None
-            self._fleet_checked = False
-        if not self._fleet_checked:
-            self._fleet_checked = True
-            workers = worker_count()
-            if workers > 1:
-                # Tables for announcements registered since the build
-                # are computed here, once, so no worker computes its own.
-                self.engine.routing.compute_many(self.registry.announcements())
-                self._fleet_pool = FleetPool(
-                    self.engine,
-                    self.usable_probes,
-                    self.resolvers,
-                    {
-                        EG3_HOSTNAME: self.eg3_service,
-                        EG4_HOSTNAME: self.eg4_service,
-                        IM6_HOSTNAME: self.im6_service,
-                    },
-                    workers,
-                )
-                self._fleet_snapshot = current
-        return self._fleet_pool
-
-    def close(self) -> None:
-        """Shut down the fleet pool (a no-op for serial worlds)."""
-        if self._fleet_pool is not None:
-            self._fleet_pool.close()
-            self._fleet_pool = None
-            self._fleet_checked = False
-
-    def __getstate__(self) -> dict[str, object]:
-        # Worlds are shipped to experiment workers; executors cannot
-        # cross that boundary, and a child world must never fork its own
-        # nested pool.
-        state = dict(self.__dict__)
-        state["_fleet_pool"] = None
-        state["_fleet_checked"] = True
-        return state
 
     # ------------------------------------------------------------------
     # Cached measurement primitives
@@ -216,15 +149,11 @@ class World:
         key = (addr, salt)
         cached = self._ping_cache.get(key)
         if cached is None:
-            fleet = self._fleet()
             with obs.span("world.ping_all", addr=str(addr)):
-                if fleet is not None:
-                    cached = fleet.ping_all(addr, salt=salt)
-                else:
-                    cached = {
-                        p.probe_id: self.engine.ping(p, addr, salt=salt)
-                        for p in self.usable_probes
-                    }
+                cached = {
+                    p.probe_id: self.engine.ping(p, addr, salt=salt)
+                    for p in self.usable_probes
+                }
                 obs.counter.inc("measurement.pings", len(cached))
             self._ping_cache[key] = cached
         return cached
@@ -233,15 +162,11 @@ class World:
         """Traceroute to ``addr`` from every usable probe (cached)."""
         cached = self._trace_cache.get(addr)
         if cached is None:
-            fleet = self._fleet()
             with obs.span("world.trace_all", addr=str(addr)):
-                if fleet is not None:
-                    cached = fleet.trace_all(addr)
-                else:
-                    cached = {
-                        p.probe_id: self.engine.traceroute(p, addr)
-                        for p in self.usable_probes
-                    }
+                cached = {
+                    p.probe_id: self.engine.traceroute(p, addr)
+                    for p in self.usable_probes
+                }
                 obs.counter.inc("measurement.traceroutes", len(cached))
             self._trace_cache[addr] = cached
         return cached
@@ -253,16 +178,9 @@ class World:
         key = (service.hostname, mode)
         cached = self._resolve_cache.get(key)
         if cached is None:
-            fleet = self._fleet()
             with obs.span("world.resolve_all", hostname=service.hostname,
                           mode=mode.value):
-                parallel = (
-                    fleet.resolve_all(service, mode)
-                    if fleet is not None else None
-                )
-                # Services not shipped to the workers (ad-hoc ones built
-                # inside an experiment) resolve serially.
-                cached = parallel if parallel is not None else {
+                cached = {
                     p.probe_id: self.resolvers.resolve(service, p, mode)
                     for p in self.usable_probes
                 }

@@ -65,10 +65,6 @@ WORKER_ENTRYPOINTS: tuple[str, ...] = (
     "repro.par.pool._apply_chunk",
     "repro.par.routing._init_routing_worker",
     "repro.par.routing._compute_task",
-    "repro.par.fleet._init_fleet_worker",
-    "repro.par.fleet._ping_chunk",
-    "repro.par.fleet._trace_chunk",
-    "repro.par.fleet._resolve_chunk",
 )
 
 #: Worker initializers are *expected* to stage worker-local globals —

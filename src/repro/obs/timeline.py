@@ -44,7 +44,7 @@ from repro.obs.manifest import RunManifest
 from repro.obs.recorder import SpanRecord
 
 #: Timeline JSON schema; bump on breaking layout changes.
-TIMELINE_SCHEMA = 1
+TIMELINE_SCHEMA = 2
 
 PHASE_STAGE = "par.stage"
 PHASE_FORK = "par.fork"
@@ -146,23 +146,17 @@ class Timeline:
     label: str
     total_wall_ms: float
     regions: list[Region]
-    #: par.stage / par.fork wall time outside any region (e.g. a fleet
-    #: pool built under a span whose dispatches happen elsewhere).
-    orphan_phase_ms: dict[str, float]
 
     @property
     def parallel_elapsed_ms(self) -> float:
-        return (sum(r.elapsed_ms for r in self.regions)
-                + sum(self.orphan_phase_ms.values()))
+        return sum(r.elapsed_ms for r in self.regions)
 
     def attribution(self) -> dict[str, float]:
-        """Run-level bucket -> ms over every region plus orphan phases."""
+        """Run-level bucket -> ms over every region."""
         totals = dict.fromkeys(BUCKETS, 0.0)
         for region in self.regions:
             for bucket, ms in region.attribution().items():
                 totals[bucket] += ms
-        totals["stage"] += self.orphan_phase_ms.get(PHASE_STAGE, 0.0)
-        totals["fork"] += self.orphan_phase_ms.get(PHASE_FORK, 0.0)
         return totals
 
 
@@ -216,14 +210,12 @@ def _walk_regions(
 def build_timeline(manifest: RunManifest) -> Timeline:
     """Reconstruct the parallel timeline of one run manifest."""
     regions: list[Region] = []
-    region_spans: set[int] = set()
     for path, parent in _walk_regions(manifest.root, ""):
         phase_ms = dict.fromkeys(_PHASE_NAMES, 0.0)
         workers = 0
         for child in parent.children:
             if child.name in phase_ms:
                 phase_ms[child.name] += child.wall_ms
-                region_spans.add(id(child))
             if child.name == PHASE_DISPATCH:
                 workers = max(
                     workers,
@@ -241,16 +233,11 @@ def build_timeline(manifest: RunManifest) -> Timeline:
             phase_ms=phase_ms,
             lanes=_lanes_from_chunks(chunks),
         ))
-    orphans = dict.fromkeys((PHASE_STAGE, PHASE_FORK), 0.0)
-    for _, record in manifest.root.walk():
-        if record.name in orphans and id(record) not in region_spans:
-            orphans[record.name] += record.wall_ms
     return Timeline(
         run_id=manifest.run_id,
         label=manifest.label,
         total_wall_ms=manifest.root.wall_ms,
         regions=regions,
-        orphan_phase_ms=orphans,
     )
 
 
@@ -363,9 +350,6 @@ def timeline_to_dict(timeline: Timeline) -> dict[str, object]:
         "parallel_elapsed_ms": round(timeline.parallel_elapsed_ms, 3),
         "attribution_ms": {
             k: round(v, 3) for k, v in timeline.attribution().items()
-        },
-        "orphan_phase_ms": {
-            k: round(v, 3) for k, v in timeline.orphan_phase_ms.items()
         },
         "regions": [
             {

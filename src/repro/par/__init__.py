@@ -1,15 +1,14 @@
 """``repro.par`` — deterministic parallel compute + persistent caching.
 
-Three pieces, one contract (*parallelism must be invisible in the
+Four pieces, one contract (*parallelism must be invisible in the
 results*):
 
 - :mod:`repro.par.pool` — ``REPRO_WORKERS`` resolution and the
   order-stable :func:`~repro.par.pool.map_deterministic` fan-out;
 - :mod:`repro.par.routing` — prefix-parallel
   :func:`~repro.par.routing.compute_fanout` behind
-  :meth:`repro.routing.engine.RoutingEngine.compute_many`;
-- :mod:`repro.par.fleet` — the persistent probe-fleet pool behind
-  ``World.ping_all`` / ``trace_all`` / ``resolve_all``;
+  :meth:`repro.routing.engine.RoutingEngine.compute_many`, the one
+  place work fans out to worker processes;
 - :mod:`repro.par.cache` — the on-disk routing-table store behind
   ``repro cache stats|clear`` and ``--cache-dir``;
 - :mod:`repro.par.obsbuf` — per-worker span/counter buffers merged
@@ -32,7 +31,6 @@ from repro.par.cache import (
     set_default_cache,
     tables_digest,
 )
-from repro.par.fleet import FleetPool
 from repro.par.obsbuf import (
     WorkerPayload,
     finish_capture,
@@ -42,7 +40,6 @@ from repro.par.obsbuf import (
 from repro.par.pool import (
     WORKERS_ENV,
     capture_blocks_parallel,
-    chunk_ranges,
     map_deterministic,
     pool_context,
     worker_count,
@@ -53,12 +50,10 @@ __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_FLAG_ENV",
     "CacheCorruption",
-    "FleetPool",
     "RoutingTableCache",
     "WORKERS_ENV",
     "WorkerPayload",
     "capture_blocks_parallel",
-    "chunk_ranges",
     "clear_default_cache",
     "compute_fanout",
     "default_cache_dir",

@@ -120,26 +120,6 @@ def pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-def chunk_ranges(num_items: int, num_chunks: int) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` ranges covering ``num_items`` items.
-
-    Sizes differ by at most one and the concatenation of the ranges is
-    exactly ``0..num_items`` in order — the property that makes a chunked
-    merge order-stable.
-    """
-    if num_items <= 0:
-        return []
-    num_chunks = max(1, min(num_chunks, num_items))
-    base, extra = divmod(num_items, num_chunks)
-    ranges: list[tuple[int, int]] = []
-    lo = 0
-    for index in range(num_chunks):
-        hi = lo + base + (1 if index < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
 def _apply_chunk(payload: tuple[Callable[[Any], Any], list[Any]]) -> list[Any]:
     """Worker-side: apply ``fn`` to one chunk, preserving item order."""
     fn, chunk = payload

@@ -26,8 +26,8 @@ every ``(node, next hop, point)`` a walk has crossed (see
 :meth:`FlatAdjacency.hot_potato_exit`).  After its first hop a packet
 always sits at an interconnect city, a finite set, so a few thousand
 entries serve every ping and traceroute of a run.  Like the exit-km
-memo it lives and dies with one topology version, every routing table
-shares it, and forked fleet workers inherit it copy-on-write.
+memo it lives and dies with one topology version, and every routing
+table shares it.
 """
 
 from __future__ import annotations

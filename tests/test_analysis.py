@@ -1,7 +1,7 @@
 """Tests for CDFs, mapping classification, comparison, and case studies."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.analysis.cdf import EmpiricalCDF, percentile
 from repro.analysis.cases import (
@@ -63,6 +63,7 @@ class TestPercentile:
         assert min(values) - tol <= got <= max(values) + tol
 
     @given(floats_list)
+    @example([5e-324, 5e-324])
     def test_monotone_in_p_property(self, values):
         ps = [10, 30, 50, 70, 90]
         results = [percentile(values, p) for p in ps]

@@ -235,24 +235,25 @@ class TestExperiments:
         )
 
 
-class TestFleet:
-    def test_new_table_computed_once_in_the_parent(self, monkeypatch):
-        """A prefix registered after the build gets its table from the
-        parent before the fleet pool forks, so no worker computes one
-        and the span count matches a serial run."""
+class TestWorkers:
+    def test_new_prefix_measured_in_process(self, monkeypatch):
+        """Workers compute routing only: a prefix registered after the
+        build is computed once and pinged in this process, with no
+        ``par.*`` span anywhere in the recording."""
         monkeypatch.setenv("REPRO_WORKERS", "2")
         world = World(SMALL)
-        try:
-            network = world.tangled.network
-            announcement = network.announcement(
-                network.allocate_service_prefix(), world.tangled.site_names[:3]
-            )
-            world.registry.register(announcement)
-            _, misses = world.engine.routing.cache_stats()
-            with obs.recording("fleet") as recorder:
-                pings = world.ping_all(announcement.prefix.address(1))
-            assert len(recorder.root.find_all("routing.compute")) == 1
-            assert world.engine.routing.cache_stats()[1] == misses + 1
-            assert any(ping.reachable for ping in pings.values())
-        finally:
-            world.close()
+        network = world.tangled.network
+        announcement = network.announcement(
+            network.allocate_service_prefix(), world.tangled.site_names[:3]
+        )
+        world.registry.register(announcement)
+        _, misses = world.engine.routing.cache_stats()
+        with obs.recording("workers") as recorder:
+            pings = world.ping_all(announcement.prefix.address(1))
+        assert len(recorder.root.find_all("routing.compute")) == 1
+        assert world.engine.routing.cache_stats()[1] == misses + 1
+        assert any(ping.reachable for ping in pings.values())
+        assert not [
+            record.name for _, record in recorder.root.walk()
+            if record.name.startswith("par.")
+        ]

@@ -296,16 +296,14 @@ class TestCensus:
         assert agg.bytes == sum(per_table)
         assert names[1] == "flat_adjacency"
 
-    def test_world_census_counts_the_exit_memo(self, monkeypatch):
+    def test_world_census_counts_the_exit_memo(self):
         """The forwarding walks' exit memo shows in the census: it grows
         on a first ping_all and stays put when the same walks repeat
         under a new salt.  A fresh world keeps the session world's memo
-        out of the count; serial because fleet workers fill their own
-        copy-on-write copies."""
+        out of the count."""
         from repro.experiments.config import SMALL
         from repro.experiments.world import World
 
-        monkeypatch.setenv("REPRO_WORKERS", "1")
         world = World(SMALL)
 
         def adjacency_row():
@@ -323,15 +321,14 @@ class TestCensus:
         world.ping_all(addr, salt="again")
         assert adjacency_row().units["entries"] == grown.units["entries"]
 
-    def test_world_census_counts_the_forwarding_memo(self, monkeypatch):
+    def test_world_census_counts_the_forwarding_memo(self):
         """The measurement engine's walk memo has its own row, right
         after the adjacency: one entry per walked (table, probe) path,
         grown by a first ping_all and untouched by a re-salted repeat,
-        which only re-jitters.  Serial, as above."""
+        which only re-jitters."""
         from repro.experiments.config import SMALL
         from repro.experiments.world import World
 
-        monkeypatch.setenv("REPRO_WORKERS", "1")
         world = World(SMALL)
 
         def memo_row():

@@ -134,16 +134,6 @@ class TestSyntheticTimeline:
         assert attribution["compute"] == 0.0
         assert attribution["imbalance"] == pytest.approx(90.0)
 
-    def test_orphan_phases_counted_at_run_level(self):
-        manifest = _synthetic_manifest()
-        manifest.root.children.append(
-            obs.SpanRecord(name=PHASE_STAGE, wall_ms=7.0)
-        )
-        timeline = build_timeline(manifest)
-        assert timeline.orphan_phase_ms[PHASE_STAGE] == pytest.approx(7.0)
-        assert timeline.parallel_elapsed_ms == pytest.approx(117.0)
-        assert timeline.attribution()["stage"] == pytest.approx(12.0)
-
     def test_render_covers_all_buckets_and_lanes(self):
         timeline = build_timeline(_synthetic_manifest())
         text = render_timeline(timeline, width=32)
@@ -161,7 +151,7 @@ class TestSyntheticTimeline:
     def test_to_dict_round_trips_through_json(self):
         data = timeline_to_dict(build_timeline(_synthetic_manifest()))
         again = json.loads(json.dumps(data))
-        assert again["schema"] == 1
+        assert again["schema"] == 2
         region = again["regions"][0]
         assert region["workers"] == 2
         assert region["attribution_ms"]["compute"] == 60.0

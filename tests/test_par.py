@@ -12,8 +12,6 @@ import struct
 import pytest
 
 from repro import obs
-from repro.dnssim.resolver import DnsMode
-from repro.experiments.world import EG3_HOSTNAME
 from repro.netaddr.ipv4 import IPv4Prefix
 from repro.par.cache import (
     CACHE_DIR_ENV,
@@ -33,12 +31,10 @@ from repro.par.cache import (
     tables_digest,
     topology_hash,
 )
-from repro.par.fleet import FleetPool
 from repro.par.obsbuf import finish_capture, merge_payload, start_capture
 from repro.par.pool import (
     WORKERS_ENV,
     capture_blocks_parallel,
-    chunk_ranges,
     map_deterministic,
     reset_worker_capture,
     worker_count,
@@ -97,29 +93,6 @@ class TestWorkerCount:
         monkeypatch.setenv(WORKERS_ENV, "8")
         assert worker_count(2) == 2
         assert worker_count(0) == 1
-
-
-class TestChunkRanges:
-    def test_covers_all_items_in_order(self):
-        ranges = chunk_ranges(10, 3)
-        assert ranges == [(0, 4), (4, 7), (7, 10)]
-
-    def test_sizes_differ_by_at_most_one(self):
-        for items in range(1, 40):
-            for chunks in range(1, 12):
-                ranges = chunk_ranges(items, chunks)
-                sizes = [hi - lo for lo, hi in ranges]
-                assert sum(sizes) == items
-                assert max(sizes) - min(sizes) <= 1
-                assert ranges[0][0] == 0 and ranges[-1][1] == items
-                for (_, a_hi), (b_lo, _) in zip(ranges, ranges[1:]):
-                    assert a_hi == b_lo
-
-    def test_more_chunks_than_items_collapses(self):
-        assert chunk_ranges(2, 8) == [(0, 1), (1, 2)]
-
-    def test_empty(self):
-        assert chunk_ranges(0, 4) == []
 
 
 class TestMapDeterministic:
@@ -675,39 +648,6 @@ class TestParallelEquality:
         # The world precomputed the same tables during build.
         built = [small_world.engine.routing.compute(a) for a in anns]
         assert tables_digest(built) == tables_digest(serial)
-
-    def test_fleet_pool_matches_serial_loops(self, small_world):
-        world = small_world
-        pool = FleetPool(
-            world.engine,
-            world.usable_probes,
-            world.resolvers,
-            {EG3_HOSTNAME: world.eg3_service},
-            workers=2,
-        )
-        try:
-            addr = world.imperva.ns.address
-            serial_pings = {
-                p.probe_id: world.engine.ping(p, addr)
-                for p in world.usable_probes
-            }
-            assert pool.ping_all(addr) == serial_pings
-            serial_traces = {
-                p.probe_id: world.engine.traceroute(p, addr)
-                for p in world.usable_probes
-            }
-            assert pool.trace_all(addr) == serial_traces
-            serial_dns = {
-                p.probe_id: world.resolvers.resolve(
-                    world.eg3_service, p, DnsMode.LDNS
-                )
-                for p in world.usable_probes
-            }
-            assert pool.resolve_all(world.eg3_service, DnsMode.LDNS) == serial_dns
-            # Services not shipped at construction fall back to the caller.
-            assert pool.resolve_all(world.eg4_service, DnsMode.LDNS) is None
-        finally:
-            pool.close()
 
 
 class TestCacheCli:

@@ -12,7 +12,6 @@ from repro.experiments import world as world_module
 from repro.experiments.base import TextResult, experiment_name
 from repro.experiments.claims import experiments_needed
 from repro.experiments.config import SMALL
-from repro.par.pool import pool_context
 from repro.topology.stats import summarize
 
 ALL_NAMES = [experiment_name(m) for m, _ in runner.ALL_EXPERIMENTS]
@@ -132,20 +131,15 @@ class TestEachExperimentRunsOnce:
     """Every command runs each selected experiment exactly once."""
 
     @pytest.fixture
-    def ran(self, shared_small, monkeypatch, tmp_path):
-        """Stub every experiment's ``run``; returns a count of the calls.
-
-        Calls are appended to a file, so forked workers count too.
-        """
-        log = tmp_path / "ran.log"
-        log.touch()
+    def ran(self, shared_small, monkeypatch):
+        """Stub every experiment's ``run``; returns the live call count."""
+        calls: Counter[str] = Counter()
         for module, _ in runner.ALL_EXPERIMENTS:
             def stub(world, _name=experiment_name(module)):
-                with open(log, "a") as f:
-                    f.write(_name + "\n")
+                calls[_name] += 1
                 return TextResult(_name, "stub")
             monkeypatch.setattr(module, "run", stub)
-        return lambda: Counter(log.read_text().split())
+        return calls
 
     @pytest.mark.parametrize("argv, expected", [
         (["run", "--small"], ALL_NAMES),
@@ -157,25 +151,15 @@ class TestEachExperimentRunsOnce:
     ], ids=["run", "run-traced", "run-partial-traced", "report", "verify"])
     def test_cli_command(self, ran, tmp_path, capsys, argv, expected):
         cli.main([arg.format(tmp=tmp_path) for arg in argv])
-        assert ran() == Counter(expected)
-
-    @pytest.mark.skipif(pool_context().get_start_method() != "fork",
-                        reason="stubbed experiments reach workers by fork")
-    def test_parallel_run(self, ran, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert cli.main(["run", "--small", "--parallel"]) == 0
-        assert ran() == Counter(ALL_NAMES)
+        assert ran == Counter(expected)
 
     def test_legacy_runner(self, ran, capsys):
         assert runner.main(["--small"]) == 0
-        assert ran() == Counter(ALL_NAMES)
+        assert ran == Counter(ALL_NAMES)
 
 
-def test_untraced_parallel_run_times_each_experiment(shared_small,
-                                                     monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    assert cli.main(["run", "table5", "methodology", "--small",
-                     "--parallel"]) == 0
+def test_untraced_run_times_each_experiment(shared_small, capsys):
+    assert cli.main(["run", "table5", "methodology", "--small"]) == 0
     timings = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("[") and line.endswith("s]")]
     assert len(timings) == 2
@@ -183,7 +167,7 @@ def test_untraced_parallel_run_times_each_experiment(shared_small,
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 6: fig6 allocates fresh /24s from the world's shared "
+    "ROADMAP item 3: fig6 allocates fresh /24s from the world's shared "
     "service pool and ping jitter is hashed on the address, so a second "
     "run on the same world renders differently"))
 def test_fig6_renders_identically_when_run_twice():
