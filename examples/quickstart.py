@@ -58,11 +58,13 @@ def main() -> None:
     rows = []
     for label, prefix in (("global", global_prefix), ("EU-regional", regional_prefix)):
         addr = cdn.service_address(prefix)
-        rtts = {}
-        for probe in probes.usable_probes():
-            result = engine.ping(probe, addr)
-            if result.rtt_ms is not None:
-                rtts[probe.probe_id] = result.rtt_ms
+        # One batch per target: {probe_id: PingResult}, in probe order.
+        pings = engine.ping_many(probes.usable_probes(), addr)
+        rtts = {
+            pid: result.rtt_ms
+            for pid, result in pings.items()
+            if result.rtt_ms is not None
+        }
         for area in AREAS:
             medians = [
                 m for g in groups if g.area is area

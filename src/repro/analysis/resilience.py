@@ -66,11 +66,7 @@ def site_withdrawal_study(
         )
         if engine.registry.lookup(announcement.prefix.address(1)) is None:
             engine.registry.register(announcement)
-        addr = announcement.prefix.address(1)
-        results = {}
-        for probe in probes:
-            results[probe.probe_id] = engine.ping(probe, addr)
-        return results
+        return engine.ping_many(probes, announcement.prefix.address(1))
 
     baseline = measure(list(site_names))
     site_of_node = {

@@ -82,11 +82,11 @@ def anyopt_site_search(
         if engine.registry.lookup(announcement.prefix.address(1)) is None:
             engine.registry.register(announcement)
         addr = announcement.prefix.address(1)
-        rtts: dict[int, float] = {}
-        for probe in probes:
-            result = engine.ping(probe, addr)
-            if result.rtt_ms is not None:
-                rtts[probe.probe_id] = result.rtt_ms
+        rtts = {
+            pid: result.rtt_ms
+            for pid, result in engine.ping_many(probes, addr).items()
+            if result.rtt_ms is not None
+        }
         return metric(rtts), rtts, addr
 
     current = tuple(sorted(site_names))

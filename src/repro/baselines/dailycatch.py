@@ -102,11 +102,11 @@ def run_dailycatch(
             engine.registry.register(announcement)
         addr = announcement.prefix.address(1)
         addrs[label] = addr
-        rtts[label] = {}
-        for probe in probes:
-            result = engine.ping(probe, addr)
-            if result.rtt_ms is not None:
-                rtts[label][probe.probe_id] = result.rtt_ms
+        rtts[label] = {
+            pid: result.rtt_ms
+            for pid, result in engine.ping_many(probes, addr).items()
+            if result.rtt_ms is not None
+        }
     metrics = {label: metric(values) for label, values in rtts.items()}
     chosen = min(metrics, key=lambda label: (metrics[label], label))
     return DailyCatchResult(

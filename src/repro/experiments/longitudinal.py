@@ -80,10 +80,7 @@ def run(world: World, campaigns: int = DEFAULT_CAMPAIGNS) -> LongitudinalResult:
             )
             for region in deployment.region_names:
                 addr = deployment.address_of_region(region)
-                traces = {
-                    p.probe_id: engine.traceroute(p, addr)
-                    for p in world.usable_probes
-                }
+                traces = engine.traceroute_many(world.usable_probes, addr)
                 mapping = mapper.map_traces(traces, world.probe_by_id)
                 result.observations[name][region].append(
                     tuple(sorted(c.iata for c in mapping.sites))

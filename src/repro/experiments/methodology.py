@@ -81,12 +81,11 @@ def run(world: World) -> MethodologyResult:
     result.rtt["group-median (paper)"] = EmpiricalCDF.of(group_medians)
 
     # Estimator C: per-probe including the probes §3.1 filters out.
-    engine = world.engine
-    all_rtts = []
-    for probe in world.probes.all_probes():
-        r = engine.ping(probe, addr)
-        if r.rtt_ms is not None:
-            all_rtts.append(r.rtt_ms)
+    all_rtts = [
+        r.rtt_ms
+        for r in world.engine.ping_many(world.probes.all_probes(), addr).values()
+        if r.rtt_ms is not None
+    ]
     result.rtt["per-probe (unfiltered)"] = EmpiricalCDF.of(all_rtts)
 
     # Geocode-error magnitude among filtered probes.

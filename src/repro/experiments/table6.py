@@ -8,6 +8,7 @@ close, showing the representative hostnames generalise.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.analysis.cdf import percentile
@@ -17,6 +18,8 @@ from repro.dnssim.resolver import DnsMode
 from repro.dnssim.service import GeoMappingService
 from repro.experiments.world import World
 from repro.geo.areas import AREAS, Area
+from repro.measurement.probes import Probe
+from repro.netaddr.ipv4 import IPv4Address
 
 PERCENTILES = (50, 90, 95)
 NUM_EXTRA_HOSTNAMES = 12
@@ -53,11 +56,15 @@ def _area_rtts(
     salt: object,
 ) -> dict[Area, list[float]]:
     answers = world.resolve_all(service, DnsMode.LDNS)
-    per_probe: dict[int, float] = {}
+    # Each probe pings only its own DNS answer: one batch per answer.
+    members: dict[IPv4Address, list[Probe]] = defaultdict(list)
     for probe in world.usable_probes:
-        ping = world.engine.ping(probe, answers[probe.probe_id], salt=salt)
-        if ping.rtt_ms is not None:
-            per_probe[probe.probe_id] = ping.rtt_ms
+        members[answers[probe.probe_id]].append(probe)
+    per_probe: dict[int, float] = {}
+    for addr, probes in members.items():
+        for probe_id, ping in world.engine.ping_many(probes, addr, salt).items():
+            if ping.rtt_ms is not None:
+                per_probe[probe_id] = ping.rtt_ms
     by_area: dict[Area, list[float]] = {a: [] for a in AREAS}
     for group in world.groups:
         median = group.median(per_probe)

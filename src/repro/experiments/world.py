@@ -150,10 +150,8 @@ class World:
         cached = self._ping_cache.get(key)
         if cached is None:
             with obs.span("world.ping_all", addr=str(addr)):
-                cached = {
-                    p.probe_id: self.engine.ping(p, addr, salt=salt)
-                    for p in self.usable_probes
-                }
+                cached = self.engine.ping_many(self.usable_probes, addr,
+                                               salt=salt)
                 obs.counter.inc("measurement.pings", len(cached))
             self._ping_cache[key] = cached
         return cached
@@ -163,10 +161,7 @@ class World:
         cached = self._trace_cache.get(addr)
         if cached is None:
             with obs.span("world.trace_all", addr=str(addr)):
-                cached = {
-                    p.probe_id: self.engine.traceroute(p, addr)
-                    for p in self.usable_probes
-                }
+                cached = self.engine.traceroute_many(self.usable_probes, addr)
                 obs.counter.inc("measurement.traceroutes", len(cached))
             self._trace_cache[addr] = cached
         return cached
@@ -212,7 +207,7 @@ class World:
         answers = self.resolve_all(service, mode)
         result: dict[tuple[str, int], IPv4Address] = {}
         for group in self.groups:
-            winner = group.majority({pid: a for pid, a in answers.items()})
+            winner = group.majority(answers)
             if winner is not None:
                 result[group.key] = winner
         return result

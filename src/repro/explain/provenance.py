@@ -29,7 +29,7 @@ and they can import it without cycles.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 #: Serialisation schema for explain sections; bump on layout changes.

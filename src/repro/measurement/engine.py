@@ -4,16 +4,26 @@ The engine binds together the routing layer and the probe population:
 
 - a :class:`ServiceRegistry` records which announcement owns each service
   address, the way the real Internet's routing tables do;
-- :meth:`MeasurementEngine.ping` finds the routing table behind the
-  target, walks the probe's traffic geographically to its landing site
-  (no hops kept), and reports the path's RTT with deterministic
-  per-(probe, target, salt) jitter — re-measuring the same target from
-  the same probe gives the same value, while two prefixes served from
-  the same site via the same path differ slightly (the §5.3 "same path,
-  different RTT" noise);
-- :meth:`MeasurementEngine.traceroute` additionally reports hops, with a
-  deterministic fraction of silent routers (the paper's invalid-p-hop
-  traces, filtered in §5.3).
+- :meth:`MeasurementEngine.ping_many` pings one target from a set of
+  probes: it finds the routing table behind the target, walks each
+  probe's traffic geographically to its landing site (no hops kept),
+  and reports the path's RTT with deterministic per-(probe, target,
+  salt) jitter — re-measuring the same target from the same probe gives
+  the same value, while two prefixes served from the same site via the
+  same path differ slightly (the §5.3 "same path, different RTT" noise);
+- :meth:`MeasurementEngine.traceroute_many` additionally reports hops,
+  with a deterministic fraction of silent routers (the paper's
+  invalid-p-hop traces, filtered in §5.3).
+
+**Measure per target.**  The paper's estimators measure a whole probe
+set against one target at a time, and so does every caller here.  A
+batch does the per-target work once — it resolves the target's routing
+table and walk memo, reads the provenance slot, builds the jitter's
+hash input around the probe id and opens one ``measurement.ping_many``
+or ``measurement.traceroute_many`` span — and then loops over the
+probes.  Results come back keyed by probe id, in probe order.
+:meth:`MeasurementEngine.ping` and :meth:`MeasurementEngine.traceroute`
+are batches of one probe.
 
 **Measure once.**  Where a probe's traffic lands depends only on the
 target's routing table and on what the walk reads from the probe (its
@@ -33,10 +43,10 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
+from repro import obs
 from repro.explain import provenance
-from repro.geo.coords import GeoPoint
 from repro.measurement.probes import Probe
 from repro.netaddr.ipv4 import IPv4Address
 from repro.routing.engine import RoutingEngine, RoutingTable
@@ -44,13 +54,18 @@ from repro.routing.forwarding import ForwardingPath, Hop, trace_forwarding_path,
 from repro.routing.route import Announcement
 from repro.topology.graph import Topology
 
-#: What a forwarding walk reads from a probe: AS, location, last mile.
-WalkKey = tuple[int, GeoPoint, float]
+#: What a forwarding walk reads from a probe: AS, location (latitude,
+#: longitude), last mile.  Plain numbers, not the ``GeoPoint``: a float
+#: tuple hashes in C, a dataclass's hash is a Python call per lookup.
+WalkKey = tuple[int, float, float, float]
 #: A memoized walk: ``(origin, rtt_ms)`` from a ping, the full path from
 #: a traceroute, or None when the probe's AS holds no route.
 WalkOutcome = Union[tuple[int, float], ForwardingPath, None]
 #: One routing table's walk memo.
 WalkMemo = dict[WalkKey, WalkOutcome]
+
+#: Divides the first 8 bytes of a SHA-256 digest into [0, 1).
+_TWO_64 = float(1 << 64)
 
 
 @dataclass(frozen=True)
@@ -274,127 +289,153 @@ class MeasurementEngine:
         target = self._target(addr)
         return None if target is None else target[0]
 
-    def _recall(self, probe: Probe, addr: IPv4Address) -> tuple[
-        RoutingTable, WalkMemo, WalkKey, WalkOutcome, bool
-    ] | None:
-        """The memo entry for a probe's walk toward an address.
-
-        None for an unregistered address, else ``(table, walks, key,
-        outcome, must_walk)``, where ``must_walk`` is set when ``walks``
-        holds nothing under ``key`` or a provenance capture needs the
-        walk's trail.
-        """
-        target = self._target(addr)
-        if target is None:
-            return None
-        table, walks = target
-        key = (probe.as_node, probe.location, probe.last_mile_ms)
-        outcome = walks.get(key)
-        must_walk = ((outcome is None and key not in walks)
-                     or provenance.active() is not None)
-        return table, walks, key, outcome, must_walk
-
-    def forwarding_path(self, probe: Probe, addr: IPv4Address) -> ForwardingPath | None:
-        """The geographic path a probe's traffic takes toward an address."""
-        recalled = self._recall(probe, addr)
-        if recalled is None:
-            return None
-        table, walks, key, outcome, must_walk = recalled
-        # A ping's landing lacks the hops, so only a path or a stored
-        # "unreachable" answers a traceroute.
-        if not must_walk and not isinstance(outcome, tuple):
-            return outcome
-        path = trace_forwarding_path(
-            self._topology,
-            table,
-            probe.as_node,
-            probe.location,
-            last_mile_ms=probe.last_mile_ms,
-        )
-        walks[key] = path
-        return path
-
-    def _landing(self, probe: Probe, addr: IPv4Address) -> tuple[int, float] | None:
-        """Where a probe's traffic lands: ``(origin, rtt_ms)``, unjittered."""
-        recalled = self._recall(probe, addr)
-        if recalled is None:
-            return None
-        table, walks, key, outcome, must_walk = recalled
-        if must_walk:
-            found = walk(
-                self._topology,
-                table,
-                probe.as_node,
-                probe.location,
-                last_mile_ms=probe.last_mile_ms,
-            )
-            # Keep a traceroute's path: it carries the same landing.
-            outcome = walks.setdefault(
-                key, None if found is None else found[:2]
-            )
-        if isinstance(outcome, ForwardingPath):
-            # The same walk() return a ping's own walk would have given.
-            return outcome.origin, outcome.rtt_ms
-        return outcome
-
-    def ping(self, probe: Probe, addr: IPv4Address, salt: object = None) -> PingResult:
-        """One ping from a probe to a service address.
+    def ping_many(
+        self, probes: Sequence[Probe], addr: IPv4Address, salt: object = None
+    ) -> dict[int, PingResult]:
+        """Ping a service address from each probe, keyed by probe id in
+        probe order.
 
         ``salt`` differentiates otherwise identical measurement campaigns
         (e.g. two hostnames resolving to the same addresses, Appendix C):
         the same (probe, address, salt) always measures the same RTT.
+        A probe walks only when the memo holds nothing under its walk
+        key, or a provenance capture needs the trail; the walk's landing
+        ``(origin, rtt_ms)`` is kept, and a traceroute's path serves as
+        one.
         """
-        landing = self._landing(probe, addr)
-        if landing is None:
-            return PingResult(probe_id=probe.probe_id, target=addr,
-                              rtt_ms=None, catchment=None)
-        origin, rtt_ms = landing
-        rtt = rtt_ms * (1.0 + self._jitter(probe.probe_id, addr, salt))
-        return PingResult(
-            probe_id=probe.probe_id,
-            target=addr,
-            rtt_ms=rtt,
-            catchment=origin,
-        )
+        attrs = {} if salt is None else {"salt": salt}
+        with obs.span("measurement.ping_many", addr=str(addr),
+                      probes=len(probes), **attrs):
+            target = self._target(addr)
+            if target is None:
+                return {
+                    p.probe_id: PingResult(probe_id=p.probe_id, target=addr,
+                                           rtt_ms=None, catchment=None)
+                    for p in probes
+                }
+            table, walks = target
+            topology = self._topology
+            prov = provenance.active()
+            head, tail = self._jitter_affixes(addr, salt)
+            fraction = self._jitter_fraction
+            results: dict[int, PingResult] = {}
+            for probe in probes:
+                location = probe.location
+                key = (probe.as_node, location.lat, location.lon,
+                       probe.last_mile_ms)
+                outcome = walks.get(key)
+                if (outcome is None and key not in walks) or prov is not None:
+                    found = walk(topology, table, probe.as_node, location,
+                                 last_mile_ms=probe.last_mile_ms)
+                    # Keep a traceroute's path: it carries the same landing.
+                    outcome = walks.setdefault(
+                        key, None if found is None else found[:2]
+                    )
+                probe_id = probe.probe_id
+                if outcome is None:
+                    results[probe_id] = PingResult(
+                        probe_id=probe_id, target=addr, rtt_ms=None,
+                        catchment=None,
+                    )
+                    continue
+                if isinstance(outcome, ForwardingPath):
+                    # The same walk() return a ping's own walk would give.
+                    origin, rtt_ms = outcome.origin, outcome.rtt_ms
+                else:
+                    origin, rtt_ms = outcome
+                results[probe_id] = PingResult(
+                    probe_id=probe_id,
+                    target=addr,
+                    rtt_ms=rtt_ms * _rtt_scale(f"{head}{probe_id}{tail}",
+                                               fraction),
+                    catchment=origin,
+                )
+            return results
+
+    def traceroute_many(
+        self, probes: Sequence[Probe], addr: IPv4Address
+    ) -> dict[int, TracerouteResult]:
+        """Traceroute to a service address from each probe, keyed by
+        probe id in probe order.
+
+        A probe walks unless the memo holds its path or a stored
+        "unreachable" (a ping's landing lacks the hops), or whenever a
+        provenance capture needs the trail; the walk's path is kept.
+        """
+        with obs.span("measurement.traceroute_many", addr=str(addr),
+                      probes=len(probes)):
+            target = self._target(addr)
+            if target is None:
+                return {
+                    p.probe_id: TracerouteResult(
+                        probe_id=p.probe_id, target=addr, hops=(),
+                        reached=False, path=None,
+                    )
+                    for p in probes
+                }
+            table, walks = target
+            topology = self._topology
+            prov = provenance.active()
+            head, tail = self._jitter_affixes(addr, None)
+            fraction = self._jitter_fraction
+            hop_silent = self._hop_silent
+            results: dict[int, TracerouteResult] = {}
+            for probe in probes:
+                location = probe.location
+                key = (probe.as_node, location.lat, location.lon,
+                       probe.last_mile_ms)
+                path = walks.get(key)
+                if (isinstance(path, tuple) or prov is not None
+                        or (path is None and key not in walks)):
+                    path = walks[key] = trace_forwarding_path(
+                        topology, table, probe.as_node, location,
+                        last_mile_ms=probe.last_mile_ms,
+                    )
+                probe_id = probe.probe_id
+                if path is None:
+                    results[probe_id] = TracerouteResult(
+                        probe_id=probe_id, target=addr, hops=(),
+                        reached=False, path=None,
+                    )
+                    continue
+                scale = _rtt_scale(f"{head}{probe_id}{tail}", fraction)
+                hops = [
+                    TracerouteHop(ttl=ttl, addr=None, rtt_ms=None)
+                    if hop_silent(hop)
+                    else TracerouteHop(ttl=ttl, addr=hop.addr,
+                                       rtt_ms=hop.rtt_ms * scale)
+                    for ttl, hop in enumerate(path.hops, start=1)
+                ]
+                hops.append(TracerouteHop(
+                    ttl=len(path.hops) + 1, addr=addr,
+                    rtt_ms=path.rtt_ms * scale,
+                ))
+                results[probe_id] = TracerouteResult(
+                    probe_id=probe_id,
+                    target=addr,
+                    hops=tuple(hops),
+                    reached=True,
+                    path=path,
+                )
+            return results
+
+    def ping(self, probe: Probe, addr: IPv4Address, salt: object = None) -> PingResult:
+        """One ping from a probe to a service address: a batch of one."""
+        return self.ping_many([probe], addr, salt)[probe.probe_id]
 
     def traceroute(self, probe: Probe, addr: IPv4Address) -> TracerouteResult:
-        """One traceroute from a probe to a service address."""
-        path = self.forwarding_path(probe, addr)
-        if path is None:
-            return TracerouteResult(
-                probe_id=probe.probe_id, target=addr, hops=(), reached=False, path=None
-            )
-        jitter = 1.0 + self._jitter(probe.probe_id, addr)
-        hops: list[TracerouteHop] = []
-        for ttl, hop in enumerate(path.hops, start=1):
-            if self._hop_silent(hop):
-                hops.append(TracerouteHop(ttl=ttl, addr=None, rtt_ms=None))
-            else:
-                hops.append(
-                    TracerouteHop(ttl=ttl, addr=hop.addr, rtt_ms=hop.rtt_ms * jitter)
-                )
-        hops.append(
-            TracerouteHop(ttl=len(path.hops) + 1, addr=addr, rtt_ms=path.rtt_ms * jitter)
-        )
-        return TracerouteResult(
-            probe_id=probe.probe_id,
-            target=addr,
-            hops=tuple(hops),
-            reached=True,
-            path=path,
-        )
+        """One traceroute from a probe to a service address: a batch of
+        one."""
+        return self.traceroute_many([probe], addr)[probe.probe_id]
 
     # ------------------------------------------------------------------
-    def _hash01(self, *parts: object) -> float:
-        digest = hashlib.sha256(
-            "|".join(str(p) for p in (self._seed, *parts)).encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / float(1 << 64)
+    def _jitter_affixes(self, addr: IPv4Address, salt: object) -> tuple[str, str]:
+        """The jitter's hash input before and after the probe id.
 
-    def _jitter(self, probe_id: int, addr: IPv4Address, salt: object = None) -> float:
-        """Symmetric multiplicative jitter in [-f, +f], deterministic."""
-        u = self._hash01("jitter", probe_id, addr, salt)
-        return (2.0 * u - 1.0) * self._jitter_fraction
+        ``f"{head}{probe_id}{tail}"`` is ``"seed|jitter|probe_id|addr|salt"``,
+        each part as ``str`` gives it.
+        """
+        return f"{self._seed!s}|jitter|", f"|{addr!s}|{salt!s}"
 
     def _hop_silent(self, hop: Hop) -> bool:
         """Whether a router interface never answers traceroute (memoized)."""
@@ -403,6 +444,14 @@ class MeasurementEngine:
             digest = hashlib.sha256(
                 f"silent|{self._hop_silence_seed}|{hop.addr}".encode()
             ).digest()
-            u = int.from_bytes(digest[:8], "big") / float(1 << 64)
+            u = int.from_bytes(digest[:8], "big") / _TWO_64
             silent = self._memo.silent[hop.addr] = u < self._hop_silent_fraction
         return silent
+
+
+def _rtt_scale(text: str, fraction: float) -> float:
+    """``1 + j`` for the symmetric jitter ``j`` in [-fraction, +fraction]
+    that SHA-256 of ``text`` draws, deterministically."""
+    digest = hashlib.sha256(text.encode()).digest()
+    u = int.from_bytes(digest[:8], "big") / _TWO_64
+    return 1.0 + (2.0 * u - 1.0) * fraction

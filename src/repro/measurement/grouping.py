@@ -11,6 +11,7 @@ group medians.
 from __future__ import annotations
 
 import statistics
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.geo.areas import Area
@@ -56,7 +57,7 @@ class ProbeGroup:
             return None
         return statistics.median(values)
 
-    def majority(self, values_by_probe: dict[int, object]) -> object | None:
+    def majority(self, values_by_probe: Mapping[int, object]) -> object | None:
         """The most common categorical value across the group's probes.
 
         Ties break toward the smallest repr for determinism.  Used for

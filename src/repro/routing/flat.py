@@ -17,8 +17,11 @@ in five ``array`` columns:
 - ``path_nodes`` — all AS paths, flattened (``array('i')``).
 
 Lookups go through a sorted-id bisect index.  The forwarding walk reads
-next hops straight off the columns (:meth:`FlatRoutingTable
-.next_hops_at`); ``Route``/``RouteChoice`` objects are built fresh, and
+next hops off the columns (:meth:`FlatRoutingTable.next_hops_at`), and
+the table memoizes each node's next-hop tuple the first time a walk
+asks for it, so the bisect runs once per (table, node).  The memo is
+filled lazily: a table nothing walks (every ``routing-large`` table)
+keeps it empty.  ``Route``/``RouteChoice`` objects are built fresh, and
 never kept, only on inspection paths — explain, lint invariants,
 catchment summaries.  The ``best`` mapping
 the rest of the codebase iterates is a read-only view whose iteration
@@ -117,6 +120,9 @@ class FlatRoutingTable(RoutingTable):
         order = sorted(range(len(node_ids)), key=node_ids.__getitem__)
         self._sorted_ids = array("i", [node_ids[row] for row in order])
         self._sorted_rows = array("i", order)
+        #: node id -> next-hop tuple (None when unrouted); filled by
+        #: :meth:`next_hops_at` as walks reach each node.
+        self._next_hops: dict[int, tuple[int, ...] | None] = {}
         self.best = _BestView(self)  # type: ignore[assignment]
 
     @classmethod
@@ -187,20 +193,28 @@ class FlatRoutingTable(RoutingTable):
         return self._choice_for_row(row) if row is not None else None
 
     def next_hops_at(self, node_id: int) -> tuple[int, ...] | None:
+        try:
+            return self._next_hops[node_id]
+        except KeyError:
+            pass
         row = self._row_of(node_id)
+        next_hops: tuple[int, ...] | None
         if row is None:
-            return None
-        if self._tiers[row] == _ORIGIN:
-            return ()
-        # Paths start at the holder, so a route's next hop is its
-        # path's second node.
-        path_start = self._path_start
-        path_nodes = self._path_nodes
-        lo = self._choice_start[row]
-        hi = self._choice_start[row + 1]
-        if hi - lo == 1:
-            return (path_nodes[path_start[lo] + 1],)
-        return tuple(path_nodes[path_start[j] + 1] for j in range(lo, hi))
+            next_hops = None
+        elif self._tiers[row] == _ORIGIN:
+            next_hops = ()
+        else:
+            # Paths start at the holder, so a route's next hop is its
+            # path's second node.
+            path_start = self._path_start
+            path_nodes = self._path_nodes
+            next_hops = tuple(
+                path_nodes[path_start[j] + 1]
+                for j in range(self._choice_start[row],
+                               self._choice_start[row + 1])
+            )
+        self._next_hops[node_id] = next_hops
+        return next_hops
 
     def route_at(self, node_id: int) -> Route | None:
         choice = self.choice_at(node_id)
@@ -226,8 +240,9 @@ class FlatRoutingTable(RoutingTable):
     def census_state(self) -> tuple[Any, ...]:
         """What the memory census should walk for this table.
 
-        The packed columns plus the bisect index and the shared
-        announcement; the ``best`` view holds nothing of its own.
+        The packed columns plus the bisect index, the next-hop memo and
+        the shared announcement; the ``best`` view holds nothing of its
+        own.
         """
         return (
             self.announcement,
@@ -238,6 +253,7 @@ class FlatRoutingTable(RoutingTable):
             self._path_nodes,
             self._sorted_ids,
             self._sorted_rows,
+            self._next_hops,
         )
 
     def __reduce__(self) -> tuple[Any, ...]:

@@ -30,7 +30,7 @@ from repro.geo.atlas import City
 from repro.geo.coords import FIBER_KM_PER_MS_RTT, GeoPoint
 from repro.netaddr.ipv4 import IPv4Address
 from repro.routing.engine import RoutingTable
-from repro.topology.flat import flat_adjacency
+from repro.topology.flat import _pair_km, flat_adjacency
 from repro.topology.graph import Topology
 
 
@@ -89,12 +89,16 @@ def walk(
     """Walk a client's traffic to its catchment: ``(origin, rtt_ms, km)``.
 
     Returns None when the client's AS holds no route to the prefix.
-    Each hop reads the node's equal-best next hops off the table and
-    takes the one whose exit (memoized on the topology's
+    Each hop reads the node's equal-best next hops off the table
+    (memoized per table and node) and takes the one whose exit
+    (memoized on the topology's
     :class:`~repro.topology.flat.FlatAdjacency`) lies nearest the
-    packet's current point, ties to the lower node id.  Kilometres and
-    per-interconnect latencies are summed in walk order, so the floats
-    do not depend on whether an exit was a memo hit.
+    packet's current point, ties to the lower node id.  A node with one
+    next hop has nothing to compare, so outside a provenance capture the
+    walk takes its exit directly.  Kilometres and per-interconnect
+    latencies are summed in walk order, and the last leg comes from the
+    city-pair distance memo, so the floats do not depend on whether an
+    exit or a distance was a memo hit.
 
     ``last_mile_ms`` and ``primary_only`` are as for
     :func:`trace_forwarding_path`.  ``hops``, when given, receives the
@@ -119,26 +123,33 @@ def walk(
     hop_count = 0
     hot_potato_exit = adjacency.hot_potato_exit
     while next_hops:
-        exits = [hot_potato_exit(node, next_hop, point) for next_hop in next_hops]
         pick = 0
-        if not primary_only:
-            for i in range(1, len(exits)):
-                if (exits[i].km, next_hops[i]) < (exits[pick].km, next_hops[pick]):
-                    pick = i
-        if prov is not None:
-            steps.append(ForwardingStep(
-                node_id=node,
-                options=tuple(
-                    ExitOption(
-                        next_hop=next_hop,
-                        ic_city=option.interconnect.city.iata,
-                        km=option.km,
-                        chosen=i == pick,
-                    )
-                    for i, (next_hop, option) in enumerate(zip(next_hops, exits))
-                ),
-            ))
-        exit_ = exits[pick]
+        if len(next_hops) == 1 and prov is None:
+            # Nothing to compare and no trail to record.
+            exit_ = hot_potato_exit(node, next_hops[0], point)
+        else:
+            exits = [hot_potato_exit(node, next_hop, point)
+                     for next_hop in next_hops]
+            if not primary_only:
+                for i in range(1, len(exits)):
+                    if ((exits[i].km, next_hops[i])
+                            < (exits[pick].km, next_hops[pick])):
+                        pick = i
+            if prov is not None:
+                steps.append(ForwardingStep(
+                    node_id=node,
+                    options=tuple(
+                        ExitOption(
+                            next_hop=next_hop,
+                            ic_city=option.interconnect.city.iata,
+                            km=option.km,
+                            chosen=i == pick,
+                        )
+                        for i, (next_hop, option)
+                        in enumerate(zip(next_hops, exits))
+                    ),
+                ))
+            exit_ = exits[pick]
         ic = exit_.interconnect
         total_km += exit_.walk_km
         point = ic.city.location
@@ -156,7 +167,7 @@ def walk(
         next_hops = next_hops_at(node)
         if next_hops is None:  # pragma: no cover - engine guarantees continuity
             return None
-    total_km += point.distance_km(site_city(topology, node).location)
+    total_km += _pair_km(point, site_city(topology, node).location)
     obs.counter.inc("forwarding.hops", hop_count)
     if prov is not None:
         prov.record_forwarding(ForwardingTrail(

@@ -30,6 +30,7 @@ from repro.dnssim.service import RegionMap
 from repro.geo.coords import GeoPoint
 from repro.measurement.engine import MeasurementEngine
 from repro.measurement.probes import Probe
+from repro.netaddr.ipv4 import IPv4Address
 from repro.tangled.testbed import TangledTestbed
 
 
@@ -135,10 +136,10 @@ class ReOpt:
             latencies: dict[int, dict[str, float]] = defaultdict(dict)
             for site_name in self._testbed.site_names:
                 addr = self._testbed.unicast_address(site_name)
-                for probe in self._probes:
-                    result = self._engine.ping(probe, addr)
+                pings = self._engine.ping_many(self._probes, addr)
+                for probe_id, result in pings.items():
                     if result.rtt_ms is not None:
-                        latencies[probe.probe_id][site_name] = result.rtt_ms
+                        latencies[probe_id][site_name] = result.rtt_ms
             self._unicast_cache = dict(latencies)
         return self._unicast_cache
 
@@ -221,14 +222,22 @@ class ReOpt:
         for announcement in deployment.announcements():
             if registry.lookup(announcement.prefix.address(1)) is None:
                 registry.register(announcement)
+        members: dict[IPv4Address, list[Probe]] = defaultdict(list)
+        for probe in self._probes:
+            region = plan.region_of_country.get(probe.country, plan.default_region)
+            members[deployment.address_of_region(region)].append(probe)
+        rtt_of = {
+            probe_id: result.rtt_ms
+            for addr, probes in members.items()
+            for probe_id, result in self._engine.ping_many(probes, addr).items()
+        }
+        # Summed in probe order: the mean is a float sum.
         total = 0.0
         count = 0
         for probe in self._probes:
-            region = plan.region_of_country.get(probe.country, plan.default_region)
-            addr = deployment.address_of_region(region)
-            result = self._engine.ping(probe, addr)
-            if result.rtt_ms is not None:
-                total += result.rtt_ms
+            rtt = rtt_of[probe.probe_id]
+            if rtt is not None:
+                total += rtt
                 count += 1
         measured = total / count if count else float("inf")
         plan.mean_measured_latency_ms = measured

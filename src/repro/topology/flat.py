@@ -43,14 +43,15 @@ if TYPE_CHECKING:
     from repro.netaddr.ipv4 import IPv4Address
     from repro.topology.graph import Topology
 
-#: Great-circle km between two city locations, memoized per GeoPoint
-#: pair.  GeoPoints are frozen/hashable and version-independent, so the
-#: memo is shared across topologies and never invalidated.
-_PAIR_KM: dict[tuple["GeoPoint", "GeoPoint"], float] = {}
+#: Great-circle km between two city locations, memoized per pair of
+#: coordinates (a float tuple hashes in C; a GeoPoint's dataclass hash
+#: is a Python call).  Locations are immutable and version-independent,
+#: so the memo is shared across topologies and never invalidated.
+_PAIR_KM: dict[tuple[float, float, float, float], float] = {}
 
 
 def _pair_km(a: "GeoPoint", b: "GeoPoint") -> float:
-    key = (a, b)
+    key = (a.lat, a.lon, b.lat, b.lon)
     km = _PAIR_KM.get(key)
     if km is None:
         km = a.distance_km(b)
@@ -139,9 +140,11 @@ class FlatAdjacency:
         #: ``(node << 32) | neighbor`` -> exit km; filled lazily (or all
         #: at once by :meth:`precompute_km`).
         self._km: dict[int, float] = {}
-        #: point -> ``(node << 32) | next_hop`` -> hot-potato exit;
-        #: filled by forwarding walks.
-        self._exits: dict["GeoPoint", dict[int, HotPotatoExit]] = {}
+        #: point ``(lat, lon)`` -> ``(node << 32) | next_hop`` ->
+        #: hot-potato exit; filled by forwarding walks.  Keyed on the
+        #: coordinates: a float pair hashes in C, a ``GeoPoint``'s
+        #: dataclass hash is a Python call on every hop.
+        self._exits: dict[tuple[float, float], dict[int, HotPotatoExit]] = {}
 
     # ------------------------------------------------------------------
     def providers(self, node_id: int) -> array:
@@ -201,9 +204,10 @@ class FlatAdjacency:
         own direction: the walk compares ``km`` and adds ``walk_km``, so
         replaying the memo reproduces every RTT float bit for bit.
         """
-        memo = self._exits.get(point)
+        where = (point.lat, point.lon)
+        memo = self._exits.get(where)
         if memo is None:
-            memo = self._exits[point] = {}
+            memo = self._exits[where] = {}
         key = (node_id << 32) | next_hop
         exit_ = memo.get(key)
         if exit_ is None:

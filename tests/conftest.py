@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.config import SMALL, ExperimentConfig
+from repro.experiments.config import SMALL
 from repro.experiments.world import World
 from repro.topology.builder import InternetBuilder, TopologyParams
 from repro.topology.graph import Topology

@@ -10,7 +10,6 @@ from repro.analysis.cases import (
     classify_divergence,
 )
 from repro.analysis.compare import (
-    ComparisonFilter,
     GroupComparison,
     ProbeObservation,
     RegionalGlobalComparison,

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.claims import (
     ALL_CLAIMS,
     Claim,
-    ClaimResult,
     render_scorecard,
     verify_claims,
 )

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.anycast.network import AnycastNetwork
 from repro.geo.atlas import load_default_atlas
 from repro.geoloc.database import GeoDatabase, GeoDbParams, default_databases
 from repro.geoloc.oracle import AddressKind, GeoOracle

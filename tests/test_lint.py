@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import textwrap
 
-import pytest
-
 from repro.geo.atlas import load_default_atlas
 from repro.lint import (
     analyze_world,

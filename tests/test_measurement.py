@@ -6,7 +6,7 @@ from repro.anycast.network import AnycastNetwork
 from repro.geo.areas import Area
 from repro.measurement.engine import MeasurementEngine, ServiceRegistry
 from repro.measurement.grouping import ProbeGroup, group_probes
-from repro.measurement.probes import Probe, ProbeParams, ProbePopulation
+from repro.measurement.probes import ProbeParams, ProbePopulation
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,6 @@ from repro.obs.speedup import (
     gate_speedups,
     groups_from_history,
     recommend,
-    render_pair,
     render_speedup,
 )
 from repro.obs.trend import TrendRecord, append_record

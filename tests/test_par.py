@@ -39,7 +39,7 @@ from repro.par.pool import (
     reset_worker_capture,
     worker_count,
 )
-from repro.routing.engine import RoutingEngine, RoutingTable
+from repro.routing.engine import RoutingEngine
 from repro.routing.route import Announcement, OriginSpec
 from repro.topology.asys import Tier
 

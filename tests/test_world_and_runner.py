@@ -1,7 +1,10 @@
 """Tests for the World helpers, the runner, and topology stats."""
 
 import io
+import itertools
+import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +15,7 @@ from repro.experiments import world as world_module
 from repro.experiments.base import TextResult, experiment_name
 from repro.experiments.claims import experiments_needed
 from repro.experiments.config import SMALL
+from repro.obs import recorder as obs_recorder
 from repro.topology.stats import summarize
 
 ALL_NAMES = [experiment_name(m) for m, _ in runner.ALL_EXPERIMENTS]
@@ -158,7 +162,16 @@ class TestEachExperimentRunsOnce:
         assert ran == Counter(ALL_NAMES)
 
 
-def test_untraced_run_times_each_experiment(shared_small, capsys):
+def test_untraced_run_times_each_experiment(shared_small, capsys,
+                                           monkeypatch):
+    # Spans read a clock that advances one second per read, so a measured
+    # experiment prints at least 1.00s however fast it runs on a warm
+    # world; a 0.00s line can only be a timing that was never measured.
+    ticks = itertools.count()
+    monkeypatch.setattr(obs_recorder, "time", SimpleNamespace(
+        perf_counter=lambda: float(next(ticks)),
+        process_time=time.process_time,
+    ))
     assert cli.main(["run", "table5", "methodology", "--small"]) == 0
     timings = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("[") and line.endswith("s]")]
