@@ -84,9 +84,7 @@ def bench_obs(request) -> dict:
 
     Keys: ``benchmarks`` (test name -> wall ms, filled automatically),
     ``experiments`` (experiment name -> wall/cpu ms, filled by the
-    experiment-suite bench), ``counters``, ``memory`` (structure-size
-    census, filled by the memory bench; ingested as ``mem.*`` series),
-    ``total_wall_ms``.  The
+    experiment-suite bench), ``counters``, ``total_wall_ms``.  The
     collector is stashed on the pytest config so
     :func:`pytest_sessionfinish` can write it after teardown.
     """
@@ -94,7 +92,6 @@ def bench_obs(request) -> dict:
         "benchmarks": {},
         "experiments": {},
         "counters": {},
-        "memory": {},
         "total_wall_ms": 0.0,
     }
     request.config._bench_obs = collector
@@ -133,7 +130,7 @@ def merge_bench_artifacts(existing: dict, fresh: dict) -> dict:
     if existing.get("schema") != fresh.get("schema"):
         return fresh
     merged = dict(fresh)
-    for section in ("benchmarks", "experiments", "counters", "memory"):
+    for section in ("benchmarks", "experiments", "counters"):
         base = existing.get(section)
         update = fresh.get(section)
         if isinstance(base, dict) and isinstance(update, dict):
@@ -176,7 +173,6 @@ def pytest_sessionfinish(session, exitstatus):
         "experiments": collector["experiments"],
         "benchmarks": collector["benchmarks"],
         "counters": collector["counters"],
-        "memory": collector["memory"],
     }
     out = bench_artifact_path()
     if out.exists():

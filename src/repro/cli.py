@@ -11,8 +11,7 @@ Commands:
 - ``verify --deep`` adds the Layer-2 routing-invariant analyzer;
 - ``obs``    — observability: ``summary`` / ``compare`` over the run
   manifests that ``run --trace DIR`` / ``world --trace DIR`` write,
-  ``profile`` for span-aware function profiles, ``memory`` for the
-  allocation profile + structure census of a ``--memory`` run,
+  ``profile`` for span-aware function profiles,
   ``ingest`` / ``trend`` for the append-only benchmark history,
   ``timeline`` for per-worker Gantt lanes + parallel overhead
   attribution, ``speedup`` for the serial-vs-parallel crossover
@@ -36,7 +35,6 @@ import sys
 import time
 from typing import Sequence
 
-from repro import obs
 from repro.experiments import config
 from repro.experiments.base import experiment_name, run_instrumented
 from repro.experiments.runner import ALL_EXPERIMENTS, run_all
@@ -68,47 +66,17 @@ def _apply_cache_dir(args: argparse.Namespace) -> None:
         set_default_cache(RoutingTableCache(cache_dir))
 
 
-def _attach_memory_census(world, recorder) -> list:
-    """Census the built world's state for the manifest's memory payload."""
-    from repro.obs.memory import world_census
-
-    with obs.span("obs.memory_census"):
-        rows = world_census(world)
-    return [row.to_dict() for row in rows]
-
-
-def _print_memory_report(memory, recorder) -> None:
-    """Render the allocation profile + census after a --memory run."""
-    from repro.obs.memory import memory_payload, render_memory_section
-
-    memory.stop()  # idempotent; tracing() already stopped it
-    payload = memory_payload(memory.snapshot())
-    if recorder.memory_census is not None:
-        payload["census"] = recorder.memory_census
-    print(render_memory_section(payload))
-    print()
-
-
 def _cmd_world(args: argparse.Namespace) -> int:
     from repro.obs.manifest import tracing
     from repro.topology.stats import summarize
 
     cfg = _config_from_args(args)
     _apply_cache_dir(args)
-    memory = None
-    if getattr(args, "memory", False):
-        from repro.obs.memory import MemoryProfiler
-
-        memory = MemoryProfiler("repro-world")
     with tracing(args.trace, label="repro-world", config=cfg,
-                 argv=sys.argv[1:], memory=memory) as recorder:
+                 argv=sys.argv[1:]) as recorder:
         start = time.perf_counter()
         world = World(cfg)
         elapsed = time.perf_counter() - start
-        if memory is not None and recorder is not None:
-            recorder.memory_census = _attach_memory_census(world, recorder)
-    if memory is not None and recorder is not None:
-        _print_memory_report(memory, recorder)
     print(f"world '{cfg.name}' built in {elapsed:.2f}s")
     print(summarize(world.topology).as_text())
     print(
@@ -161,24 +129,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs.prof import SpanProfiler
 
         profiler = SpanProfiler("repro-run")
-    memory = None
-    if getattr(args, "memory", False):
-        from repro.obs.memory import MemoryProfiler
-
-        memory = MemoryProfiler("repro-run")
     with tracing(args.trace, label="repro-run", config=cfg,
-                 argv=sys.argv[1:], profiler=profiler,
-                 memory=memory) as recorder:
+                 argv=sys.argv[1:], profiler=profiler) as recorder:
         world = get_world(cfg)
         results, _ = run_all(world, selected=selected, plots=args.plots)
         if recorder is not None:
             from repro.obs.health import record_health
 
             record_health(world, _by_name(selected, results))
-        if memory is not None and recorder is not None:
-            recorder.memory_census = _attach_memory_census(world, recorder)
-    if memory is not None and recorder is not None:
-        _print_memory_report(memory, recorder)
     if profiler is not None and recorder is not None:
         from repro.obs.prof import render_profile
         from repro.obs.report import render_span_tree
@@ -424,24 +382,6 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
                          top_functions=args.top))
     if recorder.manifest_path is not None:
         print(f"\n[obs] manifest written to {recorder.manifest_path}")
-    return 0
-
-
-def _cmd_obs_memory(args: argparse.Namespace) -> int:
-    """Render the memory payload (allocation profile + census) of a run."""
-    from repro.obs.manifest import load_manifest
-    from repro.obs.memory import render_memory_section
-
-    try:
-        manifest = load_manifest(args.run)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read manifest {args.run}: {exc}", file=sys.stderr)
-        return 2
-    if manifest.memory is None:
-        print(f"manifest {args.run} has no memory payload "
-              "(re-run with --memory)", file=sys.stderr)
-        return 2
-    print(render_memory_section(manifest.memory, top=args.top))
     return 0
 
 
@@ -749,9 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_world.add_argument("--cache-dir", metavar="DIR",
                          help="persist routing tables under DIR "
                               "(see also REPRO_CACHE_DIR)")
-    p_world.add_argument("--memory", action="store_true",
-                         help="attribute allocations to span paths and "
-                              "census routing-state sizes after the build")
     p_world.set_defaults(func=_cmd_world)
 
     p_list = sub.add_parser("list", help="list available experiments")
@@ -773,9 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--profile", action="store_true",
                        help="attribute wall time to functions per span path "
                             "and print the tables after the run")
-    p_run.add_argument("--memory", action="store_true",
-                       help="attribute allocations to span paths and census "
-                            "routing-state sizes (forces serial compute)")
     p_run.add_argument("--cache-dir", metavar="DIR",
                        help="persist routing tables under DIR "
                             "(see also REPRO_CACHE_DIR)")
@@ -831,8 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser(
         "obs",
-        help="observability: summary / compare / profile / memory / "
-             "ingest / trend / timeline / speedup / dashboard")
+        help="observability: summary / compare / profile / ingest / "
+             "trend / timeline / speedup / dashboard")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
     p_obs_summary = obs_sub.add_parser(
         "summary", help="where one traced run spent its time")
@@ -870,14 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="also write the manifest (profile "
                                     "embedded) into DIR")
     p_obs_profile.set_defaults(func=_cmd_obs_profile)
-    p_obs_memory = obs_sub.add_parser(
-        "memory",
-        help="allocation profile + structure census of a --memory run")
-    p_obs_memory.add_argument("run", help="a run-<id>.json manifest")
-    p_obs_memory.add_argument("--top", type=int, default=12, metavar="N",
-                              help="span paths / allocation sites / census "
-                                   "rows per table (default 12)")
-    p_obs_memory.set_defaults(func=_cmd_obs_memory)
     p_obs_ingest = obs_sub.add_parser(
         "ingest",
         help="append run manifests / BENCH_obs.json to the trend history")

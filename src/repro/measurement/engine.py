@@ -203,12 +203,6 @@ class ForwardingMemo:
         """Memoized walks over every table: landings plus paths."""
         return sum(len(memo) for memo in self.walks.values())
 
-    def census_state(self) -> tuple[object, ...]:
-        """What the memory census should walk: the walk memos and the
-        silence map, not the routing tables ``targets`` points at (the
-        census counts those in rows of their own)."""
-        return (*self.walks.values(), self.silent)
-
 
 class MeasurementEngine:
     """Executes measurements from probes."""

@@ -26,7 +26,6 @@ from typing import Iterator
 
 from repro.obs import recorder as _recorder
 from repro.obs.events import JsonlEventSink
-from repro.obs.memory import MemoryProfiler, memory_payload
 from repro.obs.prof import ProfileData, SpanProfiler
 from repro.obs.recorder import Recorder, SpanRecord
 
@@ -103,10 +102,6 @@ class RunManifest:
     #: the run captured any.  Kept as plain data so loading a manifest
     #: never imports the explain subsystem.
     explain: dict[str, object] | None = None
-    #: Memory payload (repro.obs.memory: allocation profile + structure
-    #: census), when the run was captured with ``--memory``.  Plain data
-    #: with ``{"schema", "profile", "census"}`` keys.
-    memory: dict[str, object] | None = None
 
     def counters(self) -> dict[str, float]:
         """Counter totals over the whole span tree."""
@@ -134,8 +129,6 @@ class RunManifest:
             data["profile"] = self.profile.to_dict()
         if self.explain is not None:
             data["explain"] = self.explain
-        if self.memory is not None:
-            data["memory"] = self.memory
         return data
 
     @classmethod
@@ -152,8 +145,6 @@ class RunManifest:
         )
         raw_explain = data.get("explain")
         explain = raw_explain if isinstance(raw_explain, dict) else None
-        raw_memory = data.get("memory")
-        memory = raw_memory if isinstance(raw_memory, dict) else None
         return cls(
             run_id=str(data.get("run_id", "")),
             label=str(data.get("label", "run")),
@@ -167,7 +158,6 @@ class RunManifest:
             root=SpanRecord.from_dict(spans),
             profile=profile,
             explain=explain,
-            memory=memory,
         )
 
 
@@ -184,16 +174,6 @@ def from_recorder(
     if recorder.profiler is not None:
         recorder.profiler.stop()
         profile = recorder.profiler.snapshot()
-    memory: dict[str, object] | None = None
-    if recorder.memory is not None or recorder.memory_census is not None:
-        if recorder.memory is not None:
-            recorder.memory.stop()
-        memory = memory_payload(
-            recorder.memory.snapshot() if recorder.memory is not None
-            else None
-        )
-        if recorder.memory_census is not None:
-            memory["census"] = recorder.memory_census
     return RunManifest(
         run_id=run_id or new_run_id(),
         label=recorder.root.name,
@@ -204,7 +184,6 @@ def from_recorder(
         root=recorder.root,
         profile=profile,
         explain=recorder.explain_data,
-        memory=memory,
     )
 
 
@@ -237,7 +216,6 @@ def tracing(
     config: object = None,
     argv: list[str] | None = None,
     profiler: SpanProfiler | None = None,
-    memory: MemoryProfiler | None = None,
 ) -> Iterator[Recorder | None]:
     """Record the block and export ``run-<id>.json`` + event JSONL.
 
@@ -254,18 +232,15 @@ def tracing(
         if rec is not None:
             print(rec.manifest_path)
 
-    A ``profiler`` (see :mod:`repro.obs.prof`) or ``memory`` profiler
-    (see :mod:`repro.obs.memory`) is started on entry, stopped on exit,
-    and its snapshot is embedded in the manifest.  With
+    A ``profiler`` (see :mod:`repro.obs.prof`) is started on entry,
+    stopped on exit, and its snapshot is embedded in the manifest.  With
     ``trace_dir=None`` but a profiler given, the block is still recorded
     (so the profiler can group by span path) — only the file export is
-    skipped; ``manifest_path`` stays None.  An active ``memory``
-    profiler forces parallel entry points serial for the duration (see
-    :func:`repro.par.pool.capture_blocks_parallel`).
+    skipped; ``manifest_path`` stays None.
 
     Whatever recorder was installed before is restored afterwards.
     """
-    if trace_dir is None and profiler is None and memory is None:
+    if trace_dir is None and profiler is None:
         yield None
         return
     run_id = new_run_id()
@@ -274,20 +249,15 @@ def tracing(
     if trace_dir is not None:
         out_dir = Path(trace_dir)
         sink = JsonlEventSink(out_dir / f"events-{run_id}.jsonl")
-    recorder = Recorder(label, event_sink=sink, profiler=profiler,
-                        memory=memory)
+    recorder = Recorder(label, event_sink=sink, profiler=profiler)
     previous = _recorder.active()
     _recorder.install(recorder)
     if profiler is not None:
         profiler.start()
-    if memory is not None:
-        memory.start()
     try:
         yield recorder
     finally:
         _recorder.install(previous)
-        if memory is not None:
-            memory.stop()
         if profiler is not None:
             profiler.stop()
         manifest = from_recorder(recorder, config=config, run_id=run_id, argv=argv)

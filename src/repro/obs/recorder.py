@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checking only
     from repro.obs.events import EventSink
-    from repro.obs.memory import MemoryProfiler
     from repro.obs.prof import SpanProfiler
 
 try:  # pragma: no cover - exercised on POSIX only
@@ -215,7 +214,6 @@ class Recorder:
         label: str = "run",
         event_sink: "EventSink | None" = None,
         profiler: "SpanProfiler | None" = None,
-        memory: "MemoryProfiler | None" = None,
     ):
         self.root = SpanRecord(name=label)
         self._stack: list[SpanRecord] = [self.root]
@@ -224,11 +222,6 @@ class Recorder:
         #: notified on every span push/pop so function time groups by
         #: span path.  None costs one attribute check per span.
         self.profiler = profiler
-        #: Optional span-attributed allocation profiler (see
-        #: repro.obs.memory); driven by the same push/pop notifications.
-        #: Forces serial execution while active (tracemalloc is
-        #: process-local; see repro.par.pool.capture_blocks_parallel).
-        self.memory = memory
         self._wall_origin = time.perf_counter()
         self._cpu_origin = time.process_time()
         self._rss_origin = _peak_rss_kib()
@@ -239,10 +232,6 @@ class Recorder:
         #: in the run manifest, set by producers before tracing() exits.
         #: Plain dicts only — the obs core never imports repro.explain.
         self.explain_data: dict[str, object] | None = None
-        #: Structure-census rows (plain dicts, repro.obs.memory shape)
-        #: to embed in the manifest's "memory" payload, set by producers
-        #: before tracing() exits.
-        self.memory_census: list[dict[str, object]] | None = None
 
     @property
     def current(self) -> SpanRecord:
@@ -287,8 +276,6 @@ class Recorder:
         self._stack.append(record)
         if self.profiler is not None:
             self.profiler.span_push(record.name)
-        if self.memory is not None:
-            self.memory.span_push(record.name)
         if self._events is not None:
             self._events.emit({
                 "ev": "start",
@@ -306,8 +293,6 @@ class Recorder:
                 break
         if self.profiler is not None:
             self.profiler.span_pop()
-        if self.memory is not None:
-            self.memory.span_pop()
         if self._events is not None:
             self._events.emit({
                 "ev": "end",
@@ -358,29 +343,23 @@ def recording(
     label: str = "run",
     event_sink: "EventSink | None" = None,
     profiler: "SpanProfiler | None" = None,
-    memory: "MemoryProfiler | None" = None,
 ) -> Iterator[Recorder]:
     """Install a fresh recorder for the duration of the block.
 
     Restores whatever recorder (or None) was installed before, so
     recordings nest safely; the yielded recorder is finished on exit.
-    A ``profiler`` or ``memory`` profiler is started on entry and
-    stopped on exit, bracketing exactly the recorded region.
+    A ``profiler`` is started on entry and stopped on exit, bracketing
+    exactly the recorded region.
     """
     global _CURRENT
     previous = _CURRENT
-    recorder = Recorder(label, event_sink=event_sink, profiler=profiler,
-                        memory=memory)
+    recorder = Recorder(label, event_sink=event_sink, profiler=profiler)
     _CURRENT = recorder
     if profiler is not None:
         profiler.start()
-    if memory is not None:
-        memory.start()
     try:
         yield recorder
     finally:
-        if memory is not None:
-            memory.stop()
         if profiler is not None:
             profiler.stop()
         recorder.finish()

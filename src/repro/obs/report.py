@@ -411,18 +411,6 @@ def dashboard_sections(
             ("profiler", "not profiled (re-run with --profile to attribute "
                          "span time to functions)"),
         )
-    if manifest.memory is not None:
-        from repro.obs.memory import render_memory_section
-
-        sections.append(
-            ("memory: allocation by span path & structure census",
-             render_memory_section(manifest.memory, top=top)),
-        )
-    else:
-        sections.append(
-            ("memory", "not measured (re-run with --memory to attribute "
-                       "allocations to spans and census routing state)"),
-        )
     sections.append(("health gauges", render_health(health_gauges(manifest))))
     if manifest.explain is not None:
         sections.append(

@@ -48,9 +48,9 @@ def metric_unit(metric: str) -> str:
     """Display unit of one series metric.
 
     Wall-time series are milliseconds; ``mem.*`` series carry KiB
-    except the per-unit headline numbers, which are plain bytes.  The
-    median+MAD detector is unit-agnostic (for memory, bigger is worse
-    exactly as for time), so only rendering needs to know.
+    except old histories' structure-census ``bytes_per_*`` series, in
+    bytes.  The median+MAD detector is unit-agnostic (for memory, bigger
+    is worse exactly as for time), so only rendering needs to know.
     """
     if metric.startswith("mem."):
         return "B" if ".bytes_per_" in metric or metric.startswith("mem.bytes_per_") else "KiB"
@@ -126,19 +126,9 @@ def record_from_manifest(manifest: RunManifest) -> TrendRecord:
     for _, record in manifest.root.walk():
         if record.name.startswith(_SERIES_PREFIXES):
             series[record.name] = series.get(record.name, 0.0) + record.wall_ms
-        for name, value in record.gauges.items():
-            # Memory gauges (e.g. mem.staged_topology_kib) are series of
-            # their own; last write along the walk wins, matching
-            # RunManifest.gauges().
-            if name.startswith("mem."):
-                series[name] = value
-    # Every manifest carries the root's peak-RSS growth — the coarse
-    # memory series that exists even for runs without --memory.
+    # Every manifest carries the root's peak-RSS growth: the run's one
+    # memory series.
     series["mem.rss_peak_kib"] = float(manifest.root.rss_peak_delta_kib)
-    if manifest.memory is not None:
-        from repro.obs.memory import memory_trend_series
-
-        series.update(memory_trend_series(manifest.memory))
     return TrendRecord(
         run_id=manifest.run_id,
         label=manifest.label,
@@ -162,13 +152,6 @@ def record_from_bench(data: dict[str, object]) -> TrendRecord:
     if isinstance(benchmarks, dict):
         for name, wall_ms in benchmarks.items():
             series[f"bench.{name}"] = float(wall_ms)  # type: ignore[arg-type]
-    memory = data.get("memory", {})
-    if isinstance(memory, dict):
-        for name, value in memory.items():
-            key = str(name)
-            series[key if key.startswith("mem.") else f"mem.{key}"] = (
-                float(value)  # type: ignore[arg-type]
-            )
     config = data.get("config")
     git_sha = data.get("git_sha")
     env = {

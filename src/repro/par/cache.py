@@ -447,9 +447,7 @@ class RoutingTableCache:
         """Per-entry size distribution of the on-disk store.
 
         One encoded routing table per entry, so these are the on-disk
-        bytes-per-table numbers ``repro cache stats`` reports next to
-        the in-memory census (:mod:`repro.obs.memory`) — the codec's
-        side of the ROADMAP item 1 baseline.
+        bytes-per-table numbers ``repro cache stats`` reports.
         """
         sizes: list[int] = []
         for entry in self.entries():

@@ -17,8 +17,7 @@ The protocol is:
    ``SpanRecord.to_dict``, plus root-level counters/gauges and a
    ``meta`` dict carrying the worker pid, chunk index, raw
    ``perf_counter`` start/end times, and the worker's memory accounting
-   — absolute peak RSS, capture-window RSS growth, and the traced size
-   when a worker-local tracemalloc session is live) that crosses the
+   — absolute peak RSS and capture-window RSS growth) that crosses the
    process boundary as ordinary pickled data.
 3. The parent calls :func:`merge_payload` on each returned payload **in
    task-submission order**.  Each payload is grafted under the
@@ -40,7 +39,6 @@ around, so un-traced parallel runs pay nothing.
 from __future__ import annotations
 
 import os
-import tracemalloc
 from typing import Any
 
 from repro import obs
@@ -91,18 +89,13 @@ def finish_capture(recorder: obs.Recorder | None) -> WorkerPayload | None:
         # reading the clock again.
         "t1_s": t0 + root.wall_ms / 1000.0,
         "cpu_ms": root.cpu_ms,
-        # Memory accounting: the worker's absolute peak RSS (KiB), the
-        # peak growth during this capture window (stamped on the root by
-        # uninstall), and — when a worker-local tracemalloc session is
-        # live — the traced size.  A worker that records zero spans
-        # still reports these: peak RSS is process truth, not span
-        # truth.
+        # Memory accounting: the worker's absolute peak RSS (KiB) and
+        # the peak growth during this capture window (stamped on the
+        # root by uninstall).  A worker that records zero spans still
+        # reports these: peak RSS is process truth, not span truth.
         "peak_rss_kib": _peak_rss_kib(),
         "rss_peak_delta_kib": root.rss_peak_delta_kib,
     }
-    if tracemalloc.is_tracing():
-        traced, _peak = tracemalloc.get_traced_memory()
-        meta["traced_bytes"] = traced
     if "chunk_index" in root.attrs:
         meta["chunk_index"] = root.attrs["chunk_index"]
     return {
@@ -145,10 +138,6 @@ def merge_payload(payload: WorkerPayload | None) -> None:
         wall_ms = max(0.0, t1_ms - t0_ms)
     if "peak_rss_kib" in meta:
         attrs["worker_rss_peak_kib"] = int(meta["peak_rss_kib"])
-    if "traced_bytes" in meta:
-        attrs["worker_traced_kib"] = round(
-            float(meta["traced_bytes"]) / 1024.0, 3
-        )
     chunk = obs.SpanRecord(
         name=CHUNK_SPAN,
         attrs=attrs,

@@ -61,24 +61,19 @@ def worker_count(explicit: int | None = None) -> int:
 def capture_blocks_parallel() -> bool:
     """True when a process-local capture forces the serial path.
 
-    Three captures cannot survive a process boundary: decision
-    provenance (selection trails land in a process-local recorder), the
-    span profiler (function samples are taken in-process, so merged
-    worker spans would carry durations with no matching samples and
-    break the path-sums-match-span-self-times invariant), and the
-    allocation profiler (tracemalloc counts are process-local, so a
-    parent-side capture would miss every byte the workers allocate and
-    its per-path totals would no longer reconcile).  Every parallel
-    entry point checks this and falls back to serial execution, which
-    is always correct — just slower.
+    Two captures cannot survive a process boundary: decision provenance
+    (selection trails land in a process-local recorder) and the span
+    profiler (function samples are taken in-process, so merged worker
+    spans would carry durations with no matching samples and break the
+    path-sums-match-span-self-times invariant).  Every parallel entry
+    point checks this and falls back to serial execution, which is
+    always correct — just slower.
     """
     from repro import obs
     from repro.explain import provenance
 
     recorder = obs.active()
-    if recorder is not None and (
-        recorder.profiler is not None or recorder.memory is not None
-    ):
+    if recorder is not None and recorder.profiler is not None:
         return True
     return provenance.active() is not None
 
@@ -87,25 +82,15 @@ def reset_worker_capture() -> None:
     """Disable captures a worker inherited across a ``fork``.
 
     Recorders and provenance buffers inherited from the parent belong
-    to the parent — worker writes to them would be silently lost — and
-    an inherited tracemalloc session would charge the parent's capture
-    for worker-side allocations it never sees the frees of.  Every pool
-    initializer calls this before any task runs; tracing re-enters per
-    task through :func:`repro.par.obsbuf.start_capture`.
-
-    The tracemalloc stop is defense in depth: the allocation profiler
-    already forces serial execution (:func:`capture_blocks_parallel`),
-    but a user-started tracemalloc session is inherited all the same.
+    to the parent — worker writes to them would be silently lost.  Every
+    pool initializer calls this before any task runs; tracing re-enters
+    per task through :func:`repro.par.obsbuf.start_capture`.
     """
-    import tracemalloc
-
     from repro import obs
     from repro.explain import provenance
 
     obs.install(None)
     provenance.install(None)
-    if tracemalloc.is_tracing():
-        tracemalloc.stop()
 
 
 def pool_context() -> multiprocessing.context.BaseContext:

@@ -47,8 +47,8 @@ def _init_routing_worker(topology: Topology | None) -> None:
     ``topology`` is None in forked workers — the staged parent global is
     used instead (page-shared, never serialised).
 
-    Captures inherited across a ``fork`` (recorder, provenance,
-    tracemalloc) belong to the parent, so
+    Captures inherited across a ``fork`` (recorder, provenance) belong
+    to the parent, so
     :func:`repro.par.pool.reset_worker_capture` disables them before
     work arrives; tracing re-enters per task through
     :func:`repro.par.obsbuf.start_capture`.
@@ -117,20 +117,6 @@ def compute_fanout(
 
         adjacency = flat_adjacency(topology)
         adjacency.precompute_km()
-        if record:
-            # Deep size of the staged state, memoized per topology
-            # version (repro.obs.memory) — a dict probe on every
-            # fan-out after the first, so traced runs stay cheap.
-            from repro.obs.memory import staged_footprint_bytes
-
-            obs.gauge.set(
-                "mem.staged_topology_kib",
-                staged_footprint_bytes(topology, topology.version) / 1024.0,
-            )
-            obs.gauge.set(
-                "mem.staged_flat_kib",
-                staged_footprint_bytes(adjacency, adjacency.version) / 1024.0,
-            )
         tasks = [
             (announcement, record, index)
             for index, announcement in enumerate(announcements)

@@ -150,11 +150,7 @@ class RoutingTable:
         return route.origin if route is not None else None
 
     def num_routes(self) -> int:
-        """Total stored routes over every node's equal-best set.
-
-        The denominator of the memory census's bytes-per-route headline
-        (:func:`repro.obs.memory.census_routing_table`).
-        """
+        """Total stored routes over every node's equal-best set."""
         return sum(len(choice.routes) for choice in self.best.values())
 
     def reachable_fraction(self) -> float:

@@ -237,25 +237,6 @@ class FlatRoutingTable(RoutingTable):
         return len(self._node_ids) / self._num_nodes
 
     # ------------------------------------------------------------------
-    def census_state(self) -> tuple[Any, ...]:
-        """What the memory census should walk for this table.
-
-        The packed columns plus the bisect index, the next-hop memo and
-        the shared announcement; the ``best`` view holds nothing of its
-        own.
-        """
-        return (
-            self.announcement,
-            self._node_ids,
-            self._choice_start,
-            self._tiers,
-            self._path_start,
-            self._path_nodes,
-            self._sorted_ids,
-            self._sorted_rows,
-            self._next_hops,
-        )
-
     def __reduce__(self) -> tuple[Any, ...]:
         return (
             _rebuild_flat,

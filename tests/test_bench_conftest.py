@@ -40,7 +40,6 @@ def _artifact(**overrides) -> dict:
         "experiments": {"fig4": {"wall_ms": 20.0, "cpu_ms": 18.0}},
         "benchmarks": {"test_a": 10.0, "test_b": 20.0},
         "counters": {"routing.routes_pushed": 5},
-        "memory": {"routing_state_kib": 10_000.0},
     }
     base.update(overrides)
     return base
@@ -105,7 +104,7 @@ class TestMergeBenchArtifacts:
         partial = _artifact(
             run_id="r-new", config="large",
             benchmarks={"test_large_pair": 5000.0},
-            experiments={}, counters={}, memory={},
+            experiments={}, counters={},
         )
         merged = mod.merge_bench_artifacts(existing, partial)
         assert merged["config"] == "SMALL"
@@ -119,20 +118,6 @@ class TestMergeBenchArtifacts:
         )
         merged = mod.merge_bench_artifacts(existing, fuller)
         assert merged["config"] == "large"
-
-    def test_memory_section_merges_by_key(self):
-        mod = _load_bench_conftest()
-        existing = _artifact()
-        fresh = _artifact(
-            run_id="r-new",
-            benchmarks={"test_a": 12.0},
-            memory={"bytes_per_route": 400.0},
-        )
-        merged = mod.merge_bench_artifacts(existing, fresh)
-        assert merged["memory"] == {
-            "routing_state_kib": 10_000.0,
-            "bytes_per_route": 400.0,
-        }
 
     def test_full_rerun_overwrites_every_key(self):
         mod = _load_bench_conftest()

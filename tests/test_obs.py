@@ -508,7 +508,7 @@ class TestObsCli:
 
     @pytest.mark.parametrize("body", MALFORMED_MANIFESTS)
     @pytest.mark.parametrize(
-        "command", ["summary", "compare", "memory", "timeline", "dashboard"])
+        "command", ["summary", "compare", "timeline", "dashboard"])
     def test_malformed_manifest_fails_with_message(
         self, tmp_path, capsys, command, body
     ):
@@ -537,6 +537,36 @@ class TestObsCli:
         (stream,) = tmp_path.glob("events-*.jsonl")
         assert cli.main(["obs", command, str(stream)]) == 2
         assert "cannot read manifest" in capsys.readouterr().err
+
+    def test_manifest_with_retired_memory_payload_still_reads(
+        self, tmp_path, capsys
+    ):
+        """Manifests written while ``--memory`` existed carry a ``"memory"``
+        key (allocation profile + structure census); they stay readable."""
+        data = _manifest_with({"world.build": 40.0}, "legacy-1").to_dict()
+        data["memory"] = {
+            "schema": 1,
+            "profile": {"root_label": "repro-world", "total_net_bytes": 4096,
+                        "total_peak_bytes": 8192,
+                        "paths": {"repro-world/world.build": {
+                            "net_bytes": 4096, "peak_bytes": 8192,
+                            "slices": 2}},
+                        "top_sites": []},
+            "census": [{"name": "routing", "kind": "aggregate",
+                        "bytes": 1024, "objects": 12,
+                        "units": {"bytes_per_route": 37.0}}],
+        }
+        path = tmp_path / "run-legacy-1.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        loaded = load_manifest(path)
+        assert loaded.root.find("world.build") is not None
+        assert "memory" not in loaded.to_dict()
+        assert cli.main(["obs", "summary", str(path)]) == 0
+        assert cli.main(["obs", "dashboard", str(path)]) == 0
+        assert "--memory" not in capsys.readouterr().out
+        history = tmp_path / "history"
+        assert cli.main(
+            ["obs", "ingest", str(path), "--history", str(history)]) == 0
 
     def test_compare_rejects_unreadable_files(self, tmp_path):
         assert cli.main(

@@ -180,6 +180,7 @@ class TestRecordedTimeline:
         assert len(timeline.regions) == 1
         region = timeline.regions[0]
         assert region.workers == 2
+        assert region.phase_ms[PHASE_STAGE] > 0.0
         assert region.phase_ms[PHASE_DISPATCH] > 0.0
         chunks = [c for lane in region.lanes for c in lane.chunks]
         assert sorted(c.chunk_index for c in chunks) == [0, 1, 2, 3]

@@ -84,31 +84,6 @@ class TestIngestion:
         }
         assert record.run_id  # synthesised when the artifact has none
 
-    def test_record_from_bench_memory_section(self):
-        record = record_from_bench({
-            "label": "bench",
-            "benchmarks": {"test_bench_fig4": 10.5},
-            "memory": {
-                "routing_state_kib": 10_272.3,
-                "mem.bytes_per_route": 404.4,
-            },
-        })
-        assert record.series["mem.routing_state_kib"] == 10_272.3
-        # an already-prefixed key is not double-prefixed
-        assert record.series["mem.bytes_per_route"] == 404.4
-
-    def test_record_from_memory_manifest(self):
-        from repro.obs.memory import MemoryProfiler
-
-        obs.uninstall()
-        profiler = MemoryProfiler("runner")
-        with obs.recording("runner", memory=profiler) as rec:
-            with obs.span("world.build"):
-                keep = bytearray(256 * 1024)  # noqa: F841
-        record = record_from_manifest(from_recorder(rec))
-        assert record.series["mem.traced_net_kib"] > 0
-        assert record.series["mem.traced_peak_kib"] > 0
-
     def test_metric_unit(self):
         from repro.obs.trend import metric_unit
 

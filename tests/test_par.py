@@ -56,13 +56,6 @@ def _explode(x):
     return x * x
 
 
-def _worker_is_tracing(_x):
-    """Module-level probe: is tracemalloc live in the worker?"""
-    import tracemalloc
-
-    return tracemalloc.is_tracing()
-
-
 def _stub_announcements(topology, count=3):
     """One single-origin announcement per stub, distinct prefixes."""
     stubs = [n.node_id for n in topology.nodes() if n.tier is Tier.STUB]
@@ -141,58 +134,19 @@ class TestCaptureBlocksParallel:
         finally:
             provenance.install(None)
 
-    def test_memory_profiler_blocks(self):
-        from repro.obs.memory import MemoryProfiler
-
-        recorder = obs.Recorder("mem", memory=MemoryProfiler("mem"))
-        obs.install(recorder)
-        try:
-            assert capture_blocks_parallel() is True
-        finally:
-            obs.uninstall()
-
-
 class TestWorkerCaptureReset:
-    def test_workers_never_inherit_tracemalloc(self):
-        """A parent-side tracemalloc session must not leak into workers.
-
-        Forked workers inherit the tracing state; the pool initializer
-        (:func:`reset_worker_capture`) stops it so worker allocations
-        are never charged to a capture whose frees the parent cannot
-        see.  The parent's own session survives the fan-out.
-        """
-        import tracemalloc
-
-        assert not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            traced_in_workers = map_deterministic(
-                _worker_is_tracing, range(8), workers=2,
-                initializer=reset_worker_capture,
-            )
-            assert traced_in_workers == [False] * 8
-            assert tracemalloc.is_tracing()  # parent capture untouched
-        finally:
-            tracemalloc.stop()
-
     def test_reset_clears_recorder_provenance_and_trace(self):
-        import tracemalloc
-
         from repro.explain import provenance
 
         obs.install(obs.Recorder("parent"))
         provenance.install(provenance.ProvenanceRecorder())
-        tracemalloc.start()
         try:
             reset_worker_capture()
             assert obs.active() is None
             assert provenance.active() is None
-            assert not tracemalloc.is_tracing()
         finally:
             obs.install(None)
             provenance.install(None)
-            if tracemalloc.is_tracing():
-                tracemalloc.stop()
 
 
 class TestObsBuffers:
@@ -280,41 +234,6 @@ class TestObsBuffers:
         chunk = parent.root.children[0].children[0]
         assert chunk.attrs["worker_rss_peak_kib"] == meta["peak_rss_kib"]
         assert chunk.rss_peak_delta_kib == meta["rss_peak_delta_kib"]
-
-    def test_worker_traced_bytes_cross_the_boundary(self):
-        """A worker-local tracemalloc session shows up in the payload."""
-        import tracemalloc
-
-        worker = start_capture(True, chunk_index=0)
-        tracemalloc.start()
-        try:
-            keep = [bytearray(128 * 1024)]  # noqa: F841
-            payload = finish_capture(worker)
-        finally:
-            tracemalloc.stop()
-        assert payload["meta"]["traced_bytes"] >= 128 * 1024
-        parent = obs.Recorder("parent")
-        obs.install(parent)
-        try:
-            with obs.span("world.routing"):
-                merge_payload(payload)
-        finally:
-            obs.uninstall()
-        chunk = parent.root.children[0].children[0]
-        assert chunk.attrs["worker_traced_kib"] >= 128.0
-
-    def test_untraced_worker_omits_traced_bytes(self):
-        payload = finish_capture(start_capture(True, chunk_index=0))
-        assert "traced_bytes" not in payload["meta"]
-        parent = obs.Recorder("parent")
-        obs.install(parent)
-        try:
-            with obs.span("world.routing"):
-                merge_payload(payload)
-        finally:
-            obs.uninstall()
-        chunk = parent.root.children[0].children[0]
-        assert "worker_traced_kib" not in chunk.attrs
 
     def test_worker_crash_mid_chunk_merges_deterministically(self):
         """A capture that dies mid-span still pairs cleanly.
@@ -610,32 +529,6 @@ class TestParallelEquality:
         serial = RoutingEngine(tiny_topology).compute_many(anns, workers=1)
         parallel = RoutingEngine(tiny_topology).compute_many(anns, workers=2)
         assert tables_digest(parallel) == tables_digest(serial)
-
-    def test_traced_fanout_records_staged_footprint(self, tiny_topology):
-        """A traced parallel fan-out gauges the staged topology's size."""
-        from repro.par.routing import compute_fanout
-
-        anns = _stub_announcements(tiny_topology, 4)
-        recorder = obs.Recorder("t")
-        obs.install(recorder)
-        try:
-            with obs.span("world.routing"):
-                compute_fanout(tiny_topology, anns, workers=2)
-        finally:
-            obs.uninstall()
-
-        def find(record, name):
-            if record.name == name:
-                return record
-            for child in record.children:
-                found = find(child, name)
-                if found is not None:
-                    return found
-            return None
-
-        stage = find(recorder.root, "par.stage")
-        assert stage is not None
-        assert stage.gauges["mem.staged_topology_kib"] > 0
 
     def test_small_world_digest_matches_serial(self, small_world):
         """The CI cross-leg check, in-process: SMALL world announcements
