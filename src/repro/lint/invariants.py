@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Protocol
 
-from repro.routing.engine import RouteChoice, RoutingTable
 from repro.routing.forwarding import trace_forwarding_path
-from repro.routing.route import Announcement, PrefTier, Route
+from repro.routing.route import Announcement, PrefTier, Route, RouteChoice
+from repro.routing.table import RoutingTable
 from repro.topology.asys import LinkKind
 from repro.topology.graph import Topology, TopologyError
 

@@ -42,16 +42,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.routing.flat import FlatRoutingTable
 from repro.routing.route import Announcement
+from repro.routing.table import RoutingTable
 from repro.topology.graph import Topology
 from repro.topology.io import dump_topology
 
 #: On-disk entry layout version; bump when the binary format changes.
 #: v2 is the packed-column format: LEB128 varints for node ids, route
 #: counts, and path hops (stub ids near 10001 cost 2 bytes instead of
-#: 4), decoded straight into :class:`repro.routing.flat
-#: .FlatRoutingTable` columns without materializing Route objects.
+#: 4), decoded straight into :class:`repro.routing.table
+#: .RoutingTable` columns without materializing Route objects.
 FORMAT_VERSION = 2
 
 MAGIC = b"RPRT"
@@ -105,8 +105,8 @@ FINGERPRINT_MODULES: tuple[str, ...] = (
     "repro.geoloc.database",
     "repro.netaddr.ipv4",
     "repro.routing.engine",
-    "repro.routing.flat",
     "repro.routing.route",
+    "repro.routing.table",
     "repro.topology.asys",
     "repro.topology.flat",
     "repro.topology.graph",
@@ -176,7 +176,7 @@ def _read_uvarint(body: bytes, offset: int) -> tuple[int, int]:
             raise CacheCorruption("oversized varint")
 
 
-def encode_table(table: FlatRoutingTable) -> bytes:
+def encode_table(table: RoutingTable) -> bytes:
     """Serialise a routing table to a versioned, checksummed blob.
 
     Entries are written straight off the packed columns (no Route
@@ -211,7 +211,7 @@ def encode_table(table: FlatRoutingTable) -> bytes:
 
 def decode_table(
     blob: bytes, announcement: Announcement, topology_version: int
-) -> FlatRoutingTable:
+) -> RoutingTable:
     """Rebuild a routing table from :func:`encode_table` output.
 
     Raises :class:`CacheCorruption` on any structural defect: bad magic,
@@ -228,7 +228,7 @@ def decode_table(
 
 def _decode_table(
     blob: bytes, announcement: Announcement, topology_version: int
-) -> FlatRoutingTable:
+) -> RoutingTable:
     header_len = _HEADER.size + _CHECKSUM_LEN
     if len(blob) < header_len:
         raise CacheCorruption("entry shorter than its header")
@@ -289,7 +289,7 @@ def _decode_table(
         choice_start.append(len(path_start) - 1)
     if offset != len(body):
         raise CacheCorruption("trailing bytes after the last entry")
-    return FlatRoutingTable(
+    return RoutingTable(
         announcement,
         topology_version,
         num_nodes,
@@ -301,7 +301,7 @@ def _decode_table(
     )
 
 
-def tables_digest(tables: Iterable[FlatRoutingTable]) -> str:
+def tables_digest(tables: Iterable[RoutingTable]) -> str:
     """One hex digest over a sequence of tables, order-sensitive.
 
     Two runs (serial vs parallel, or two machines warming the same
@@ -372,7 +372,7 @@ class RoutingTableCache:
     # ------------------------------------------------------------------
     def load(
         self, topology: Topology, announcement: Announcement
-    ) -> FlatRoutingTable | None:
+    ) -> RoutingTable | None:
         """The cached table for an announcement, or None.
 
         Corrupt entries are deleted and counted; they never propagate.
@@ -400,7 +400,7 @@ class RoutingTableCache:
         self,
         topology: Topology,
         announcement: Announcement,
-        table: FlatRoutingTable,
+        table: RoutingTable,
     ) -> Path | None:
         """Persist a table atomically; returns the entry path, or None.
 

@@ -28,8 +28,8 @@ from repro.par.obsbuf import (
     start_capture,
 )
 from repro.routing.engine import RoutingEngine
-from repro.routing.flat import FlatRoutingTable
 from repro.routing.route import Announcement
+from repro.routing.table import RoutingTable
 from repro.topology.graph import Topology
 
 _WORKER_ENGINE: RoutingEngine | None = None
@@ -66,7 +66,7 @@ def _init_routing_worker(topology: Topology | None) -> None:
 
 def _compute_task(
     task: tuple[Announcement, bool, int],
-) -> tuple[FlatRoutingTable, WorkerPayload | None]:
+) -> tuple[RoutingTable, WorkerPayload | None]:
     """Worker-side: compute one announcement's table, capturing obs."""
     announcement, record, chunk_index = task
     engine = _WORKER_ENGINE
@@ -84,7 +84,7 @@ def compute_fanout(
     topology: Topology,
     announcements: Iterable[Announcement],
     workers: int | None = None,
-) -> list[FlatRoutingTable]:
+) -> list[RoutingTable]:
     """Compute tables for many announcements across worker processes.
 
     Results come back in announcement order and each table is
@@ -136,7 +136,7 @@ def compute_fanout(
         )
     finally:
         _FORK_TOPOLOGY = None
-    tables: list[FlatRoutingTable] = []
+    tables: list[RoutingTable] = []
     with obs.span("par.merge", payloads=len(outcomes)):
         for table, payload in outcomes:
             merge_payload(payload)

@@ -20,15 +20,19 @@ selected route.
 
 Modules:
 
-- :mod:`repro.routing.route` — routes, preference tiers, announcements.
+- :mod:`repro.routing.route` — routes, equal-best route sets, preference
+  tiers, announcements.
+- :mod:`repro.routing.table` — the routing table every compute returns:
+  one announcement's equal-best route sets in packed columns.
 - :mod:`repro.routing.engine` — the three-stage route computation.
 - :mod:`repro.routing.forwarding` — AS path → geographic forwarding path,
   hop addresses, and latency.
 """
 
-from repro.routing.engine import RoutingEngine, RoutingTable
+from repro.routing.engine import RoutingEngine
 from repro.routing.forwarding import ForwardingPath, Hop, trace_forwarding_path
 from repro.routing.route import Announcement, OriginSpec, PrefTier, Route
+from repro.routing.table import RoutingTable
 
 __all__ = [
     "Announcement",

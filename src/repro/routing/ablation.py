@@ -10,14 +10,14 @@ isolates how much of the inefficiency BGP's preferences cause — the
 
 from __future__ import annotations
 
-from repro.routing.flat import FlatRoutingTable
 from repro.routing.route import Announcement, PrefTier
+from repro.routing.table import RoutingTable
 from repro.topology.graph import Topology
 
 
 def compute_shortest_path_table(
     topology: Topology, announcement: Announcement, max_equal_best: int = 16
-) -> FlatRoutingTable:
+) -> RoutingTable:
     """Hop-count BFS routing table (no preferences, no export rules)."""
     origin_spec = {spec.site_node: spec for spec in announcement.origins}
     best: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
@@ -49,7 +49,7 @@ def compute_shortest_path_table(
                 int(PrefTier.CUSTOMER), list(unique.values())[:max_equal_best]
             )
             frontier.append(v)
-    return FlatRoutingTable.from_rows(
+    return RoutingTable.from_rows(
         announcement,
         topology.version,
         topology.num_nodes,

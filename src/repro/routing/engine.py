@@ -33,19 +33,17 @@ single-best-announcement behaviour.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
 from repro.explain import provenance
 from repro.explain.provenance import RouteCandidate, SelectionTrail
-from repro.netaddr.ipv4 import IPv4Prefix
-from repro.routing.route import Announcement, OriginSpec, PrefTier, Route
+from repro.routing.route import Announcement, OriginSpec, PrefTier
+from repro.routing.table import RoutingTable
 from repro.topology.graph import Topology
 
 if TYPE_CHECKING:
     from repro.par.cache import RoutingTableCache
-    from repro.routing.flat import FlatRoutingTable
     from repro.topology.flat import FlatAdjacency
 
 #: Tie-break description recorded on selection trails: how the engine
@@ -67,99 +65,6 @@ def _candidate(
     )
 
 
-@dataclass(frozen=True)
-class RouteChoice:
-    """The equal-best routes of one node for one prefix.
-
-    All member routes share the same preference tier and AS-path length;
-    ``routes[0]`` is the primary (advertised) route.
-    """
-
-    routes: tuple[Route, ...]
-
-    def __post_init__(self) -> None:
-        if not self.routes:
-            raise ValueError("a route choice cannot be empty")
-        tiers = {r.tier for r in self.routes}
-        hops = {r.hops for r in self.routes}
-        if len(tiers) != 1 or len(hops) != 1:
-            raise ValueError("equal-best routes must share tier and length")
-
-    @property
-    def primary(self) -> Route:
-        return self.routes[0]
-
-    @property
-    def tier(self) -> PrefTier:
-        return self.routes[0].tier
-
-    @property
-    def hops(self) -> int:
-        return self.routes[0].hops
-
-    def next_hops(self) -> tuple[int, ...]:
-        return tuple(r.next_hop for r in self.routes)
-
-
-@dataclass
-class RoutingTable:
-    """Best route set per node for one announcement."""
-
-    announcement: Announcement
-    best: dict[int, RouteChoice]
-    topology_version: int
-    #: Node count of the topology the table was computed over — the
-    #: denominator of :meth:`reachable_fraction`.  Populated by the
-    #: engine and by the persistent-cache loader.
-    _num_nodes: int = field(default=0, repr=False)
-
-    @property
-    def prefix(self) -> IPv4Prefix:
-        return self.announcement.prefix
-
-    def choice_at(self, node_id: int) -> RouteChoice | None:
-        """The equal-best route set at a node, or None if unreachable."""
-        return self.best.get(node_id)
-
-    def next_hops_at(self, node_id: int) -> tuple[int, ...] | None:
-        """Next hops of the node's equal-best routes, in route order.
-
-        Empty at an origin site; None when the node holds no route.
-        The forwarding walk reads only this, never a ``Route``.
-        """
-        choice = self.best.get(node_id)
-        if choice is None:
-            return None
-        if choice.tier is PrefTier.ORIGIN:
-            return ()
-        return choice.next_hops()
-
-    def route_at(self, node_id: int) -> Route | None:
-        """The primary (advertised) route at a node, or None."""
-        choice = self.best.get(node_id)
-        return choice.primary if choice is not None else None
-
-    def catchment_of(self, node_id: int) -> int | None:
-        """Origin site of the node's primary route.
-
-        Note that the *realised* catchment of a client inside the node may
-        differ when hot-potato forwarding picks an alternate equal-best
-        exit; use the measurement layer for client-level catchments.
-        """
-        route = self.route_at(node_id)
-        return route.origin if route is not None else None
-
-    def num_routes(self) -> int:
-        """Total stored routes over every node's equal-best set."""
-        return sum(len(choice.routes) for choice in self.best.values())
-
-    def reachable_fraction(self) -> float:
-        """Fraction of nodes holding a route (global reachability, §4.5)."""
-        if self._num_nodes <= 0:
-            return 0.0
-        return len(self.best) / self._num_nodes
-
-
 class RoutingEngine:
     """Computes and caches routing tables over one topology."""
 
@@ -173,7 +78,7 @@ class RoutingEngine:
 
     def __init__(self, topology: Topology):
         self._topology = topology
-        self._cache: dict[tuple[Announcement, int], FlatRoutingTable] = {}
+        self._cache: dict[tuple[Announcement, int], RoutingTable] = {}
         self._adj: "FlatAdjacency | None" = None
         self._cache_hits = 0
         self._cache_misses = 0
@@ -187,29 +92,12 @@ class RoutingEngine:
     def topology(self) -> Topology:
         return self._topology
 
-    def compute(self, announcement: Announcement) -> FlatRoutingTable:
-        """Routing table for an announcement (cached per topology version).
+    def compute(self, announcement: Announcement) -> RoutingTable:
+        """Routing table for an announcement: a batch of one
+        :meth:`compute_many`, so it never fans out to workers."""
+        return self.compute_many((announcement,))[0]
 
-        Lookup order: the in-memory cache, then the persistent on-disk
-        cache when one is attached, then a real compute (whose result
-        feeds both caches).  Only the real compute opens a
-        ``routing.compute`` span — a warm run shows none.
-        """
-        key = (announcement, self._topology.version)
-        table = self._cache.get(key)
-        if table is not None:
-            self._cache_hits += 1
-            obs.counter.inc("routing.cache_hits")
-            return table
-        table = self._load_persistent(announcement)
-        if table is None:
-            self._cache_misses += 1
-            table = self.compute_uncached(announcement)
-            self._store_persistent(announcement, table)
-        self._cache[key] = table
-        return table
-
-    def compute_uncached(self, announcement: Announcement) -> FlatRoutingTable:
+    def compute_uncached(self, announcement: Announcement) -> RoutingTable:
         """One real three-stage compute, bypassing every cache.
 
         This is the unit of work :func:`repro.par.routing.compute_fanout`
@@ -224,20 +112,24 @@ class RoutingEngine:
         self,
         announcements: Iterable[Announcement],
         workers: int | None = None,
-    ) -> list[FlatRoutingTable]:
-        """Tables for many announcements, optionally computed in parallel.
+    ) -> list[RoutingTable]:
+        """Tables for many announcements (cached per topology version),
+        optionally computed in parallel.
 
-        Cache hits (in-memory, then persistent) resolve inline; only the
-        genuinely uncomputed announcements fan out to worker processes —
-        and only when the resolved worker count exceeds 1 and no
-        provenance capture is active (selection trails are recorded into
-        a process-local recorder, so parallel workers would lose them).
-        Results are returned in input order and are byte-identical to
-        serial computes.
+        Lookup order: the in-memory cache, then the persistent on-disk
+        cache when one is attached, then a real compute (whose result
+        feeds both caches).  Only the real compute opens a
+        ``routing.compute`` span — a warm run shows none.  Two or more
+        uncomputed announcements fan out to worker processes when the
+        resolved worker count exceeds 1 and no provenance capture is
+        active (selection trails are recorded into a process-local
+        recorder, so parallel workers would lose them).  Results are
+        returned in input order and are byte-identical to serial
+        computes.
         """
         announcements = list(announcements)
         version = self._topology.version
-        resolved: dict[int, FlatRoutingTable] = {}
+        resolved: dict[int, RoutingTable] = {}
         pending: list[int] = []
         for index, announcement in enumerate(announcements):
             table = self._cache.get((announcement, version))
@@ -257,8 +149,8 @@ class RoutingEngine:
             from repro.par.pool import capture_blocks_parallel, worker_count
 
             parallel = (
-                worker_count(workers) > 1
-                and len(pending) > 1
+                len(pending) > 1
+                and worker_count(workers) > 1
                 and not capture_blocks_parallel()
             )
             if parallel:
@@ -284,7 +176,7 @@ class RoutingEngine:
     # ------------------------------------------------------------------
     def _load_persistent(
         self, announcement: Announcement
-    ) -> FlatRoutingTable | None:
+    ) -> RoutingTable | None:
         cache = self.persistent_cache
         if cache is None:
             return None
@@ -295,7 +187,7 @@ class RoutingEngine:
         return table
 
     def _store_persistent(
-        self, announcement: Announcement, table: FlatRoutingTable
+        self, announcement: Announcement, table: RoutingTable
     ) -> None:
         cache = self.persistent_cache
         if cache is not None:
@@ -326,7 +218,7 @@ class RoutingEngine:
         return adj
 
     # ------------------------------------------------------------------
-    def _compute(self, announcement: Announcement) -> FlatRoutingTable:
+    def _compute(self, announcement: Announcement) -> RoutingTable:
         """The three-stage sweep over flat arrays and plain path tuples.
 
         A route is just its AS-path tuple (``path[0]`` the holder,
@@ -340,8 +232,6 @@ class RoutingEngine:
         refuse or settle a route, behind a ``prov is not None`` check,
         so an uncaptured compute does no trail work.
         """
-        from repro.routing.flat import FlatRoutingTable
-
         topo = self._topology
         adj = self._adjacency()
         origin_spec: dict[int, OriginSpec] = {
@@ -601,7 +491,7 @@ class RoutingEngine:
             if splits:
                 obs.counter.inc("routing.equal_best_splits", splits)
 
-        table = FlatRoutingTable.from_rows(
+        table = RoutingTable.from_rows(
             announcement,
             topo.version,
             topo.num_nodes,

@@ -1,4 +1,4 @@
-"""Route, preference-tier, and announcement value types."""
+"""Route, equal-best route set, preference-tier, and announcement value types."""
 
 from __future__ import annotations
 
@@ -61,6 +61,40 @@ class Route:
     def next_hop(self) -> int:
         """The neighbor the holder forwards to (the holder itself at origin)."""
         return self.path[1] if len(self.path) > 1 else self.path[0]
+
+
+@dataclass(frozen=True)
+class RouteChoice:
+    """The equal-best routes of one node for one prefix.
+
+    All member routes share the same preference tier and AS-path length;
+    ``routes[0]`` is the primary (advertised) route.
+    """
+
+    routes: tuple[Route, ...]
+
+    def __post_init__(self) -> None:
+        if not self.routes:
+            raise ValueError("a route choice cannot be empty")
+        tiers = {r.tier for r in self.routes}
+        hops = {r.hops for r in self.routes}
+        if len(tiers) != 1 or len(hops) != 1:
+            raise ValueError("equal-best routes must share tier and length")
+
+    @property
+    def primary(self) -> Route:
+        return self.routes[0]
+
+    @property
+    def tier(self) -> PrefTier:
+        return self.routes[0].tier
+
+    @property
+    def hops(self) -> int:
+        return self.routes[0].hops
+
+    def next_hops(self) -> tuple[int, ...]:
+        return tuple(r.next_hop for r in self.routes)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Cache format v2 (packed columns + varints): versioning and size.
 
-The v2 codec decodes straight into :class:`FlatRoutingTable` columns.
-Old-format (v1) and corrupt entries must be detected and deleted cleanly
-by :meth:`RoutingTableCache.load`, and the varint entry section must
+The v2 codec decodes straight into the packed columns of
+:class:`repro.routing.table.RoutingTable`.  Old-format (v1) and corrupt
+entries must be detected and deleted cleanly by
+:meth:`RoutingTableCache.load`, and the varint entry section must
 actually be smaller than the fixed-width layout it replaced — the shrink
 ``repro cache stats`` reports.
 """

@@ -29,8 +29,8 @@ from repro.lint import (
 from repro.lint.findings import RULES
 from repro.measurement.engine import ServiceRegistry
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
-from repro.routing.engine import RouteChoice, RoutingEngine, RoutingTable
-from repro.routing.route import Announcement, OriginSpec, PrefTier, Route
+from repro.routing.engine import RoutingEngine, RoutingTable
+from repro.routing.route import Announcement, OriginSpec, PrefTier, Route, RouteChoice
 from repro.topology.asys import (
     AutonomousSystem,
     Interconnect,
@@ -634,11 +634,10 @@ def table(topo, best, origins=(1,)):
     ann = Announcement(
         prefix=PREFIX, origins=tuple(OriginSpec(site_node=o) for o in origins)
     )
-    return RoutingTable(
-        announcement=ann,
-        best={n: RouteChoice(routes=tuple(rs)) for n, rs in best.items()},
-        topology_version=topo.version,
-    )
+    choices = {n: RouteChoice(routes=tuple(rs)) for n, rs in best.items()}
+    return RoutingTable.from_rows(ann, topo.version, topo.num_nodes, (
+        (n, int(c.tier), [r.path for r in c.routes]) for n, c in choices.items()
+    ))
 
 
 def forged_choice(routes):
@@ -722,14 +721,10 @@ class TestInvariantViolations:
             prefix=PREFIX,
             origins=(OriginSpec(site_node=1, neighbors=frozenset()),),
         )
-        t = RoutingTable(
-            announcement=ann,
-            best={
-                1: RouteChoice(routes=(route((1,), PrefTier.ORIGIN),)),
-                2: RouteChoice(routes=(route((2, 1), PrefTier.CUSTOMER),)),
-            },
-            topology_version=net.topo.version,
-        )
+        t = RoutingTable.from_rows(ann, net.topo.version, net.topo.num_nodes, [
+            (1, PrefTier.ORIGIN, [(1,)]),
+            (2, PrefTier.CUSTOMER, [(2, 1)]),
+        ])
         findings = check_table(net.topo, t)
         assert any(
             f.check == "export-rules" and "restriction" in f.message
@@ -751,7 +746,9 @@ class TestInvariantViolations:
             1: [route((1,), PrefTier.ORIGIN)],
             3: [route((3, 1), PrefTier.CUSTOMER)],
         })
-        t.best[2] = mixed
+        # The packed view is read-only and holds one tier per node, so
+        # the forged set rides in a plain mapping over the table's rows.
+        t.best = {**t.best, 2: mixed}
         findings = check_table(net.topo, t)
         assert any(
             f.check == "equal-best" and "mixes" in f.message for f in findings

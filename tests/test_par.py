@@ -496,22 +496,28 @@ class TestEnginePersistentCache:
         cold_tables = cold.compute_many(anns, workers=1)
         assert cold.persistent_cache.stats.stores == len(anns)
 
-        warm = RoutingEngine(tiny_topology)
-        warm.persistent_cache = RoutingTableCache(tmp_path)
-        recorder = obs.Recorder("warm-run")
-        obs.install(recorder)
-        try:
-            warm_tables = warm.compute_many(anns, workers=1)
-        finally:
-            obs.uninstall()
-        compute_spans = [
-            path for path, _ in recorder.root.walk()
-            if path.endswith("routing.compute")
-        ]
-        assert compute_spans == []
-        assert recorder.root.counters["routing.pcache_hits"] == len(anns)
-        assert tables_digest(warm_tables) == tables_digest(cold_tables)
-        assert warm.cache_stats() == (len(anns), 0)
+        # A warm engine loads the batch; a second one loads the same
+        # announcements one at a time through ``compute``.
+        for load in (
+            lambda engine: engine.compute_many(anns, workers=1),
+            lambda engine: [engine.compute(a) for a in anns],
+        ):
+            warm = RoutingEngine(tiny_topology)
+            warm.persistent_cache = RoutingTableCache(tmp_path)
+            recorder = obs.Recorder("warm-run")
+            obs.install(recorder)
+            try:
+                warm_tables = load(warm)
+            finally:
+                obs.uninstall()
+            compute_spans = [
+                path for path, _ in recorder.root.walk()
+                if path.endswith("routing.compute")
+            ]
+            assert compute_spans == []
+            assert recorder.root.counters["routing.pcache_hits"] == len(anns)
+            assert tables_digest(warm_tables) == tables_digest(cold_tables)
+            assert warm.cache_stats() == (len(anns), 0)
 
     def test_compute_prefers_memory_cache(self, tiny_topology, tmp_path):
         engine = RoutingEngine(tiny_topology)

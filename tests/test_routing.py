@@ -9,9 +9,9 @@ import pytest
 from repro.geo.atlas import load_default_atlas
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
 from repro.par.cache import encode_table
-from repro.routing.engine import RouteChoice, RoutingEngine, RoutingTable
+from repro.routing.engine import RoutingEngine, RoutingTable
 from repro.routing.forwarding import trace_forwarding_path
-from repro.routing.route import Announcement, OriginSpec, PrefTier, Route
+from repro.routing.route import Announcement, OriginSpec, PrefTier, Route, RouteChoice
 from repro.topology.asys import (
     AutonomousSystem,
     Interconnect,
@@ -643,7 +643,7 @@ class TestExitKmCache:
 class TestRoutingTableNumNodes:
     def test_defaults_to_unknown(self):
         ann = Announcement(prefix=PREFIX, origins=(OriginSpec(site_node=1),))
-        table = RoutingTable(announcement=ann, best={}, topology_version=0)
+        table = RoutingTable.from_rows(ann, 0, 0, [])
         assert table.reachable_fraction() == pytest.approx(0.0)
 
     def test_engine_populates_denominator(self):
@@ -657,7 +657,5 @@ class TestRoutingTableNumNodes:
 
     def test_hidden_from_repr(self):
         ann = Announcement(prefix=PREFIX, origins=(OriginSpec(site_node=1),))
-        table = RoutingTable(
-            announcement=ann, best={}, topology_version=0, _num_nodes=5
-        )
+        table = RoutingTable.from_rows(ann, 0, 5, [])
         assert "_num_nodes" not in repr(table)

@@ -1,7 +1,7 @@
 """The packed routing store against pinned digests and the fixpoint oracle.
 
-The engine's one sweep writes a
-:class:`repro.routing.flat.FlatRoutingTable`.  Its output is pinned two
+The engine's one sweep writes a packed-column
+:class:`repro.routing.table.RoutingTable`.  Its output is pinned two
 ways: table and selection-trail digests per preset, and a row-for-row
 comparison with the naive fixpoint solver of
 ``tests/test_routing_properties.py``.
@@ -22,8 +22,8 @@ from repro.measurement.engine import ServiceRegistry
 from repro.netaddr.ipv4 import IPv4Prefix
 from repro.par.cache import decode_table, encode_table, tables_digest
 from repro.routing.engine import RoutingEngine
-from repro.routing.flat import FlatRoutingTable
 from repro.routing.route import Announcement, OriginSpec
+from repro.routing.table import RoutingTable
 from repro.tangled.testbed import build_tangled
 from repro.topology.asys import Tier
 from repro.topology.builder import InternetBuilder
@@ -144,7 +144,7 @@ class TestExplainTrailParity:
         baseline = engine.compute_uncached(announcement)
         with provenance.capturing() as recorder:
             captured = engine.compute_uncached(announcement)
-        assert isinstance(captured, FlatRoutingTable)
+        assert isinstance(captured, RoutingTable)
         assert encode_table(captured) == encode_table(baseline)
         trailed = [
             node_id for node_id in captured.best
@@ -210,7 +210,7 @@ class TestFlatEdgeCases:
         assert table.reachable_fraction() == pytest.approx(2.0 / 3.0)
         blob = encode_table(table)
         decoded = decode_table(blob, announcement, table.topology_version)
-        assert isinstance(decoded, FlatRoutingTable)
+        assert isinstance(decoded, RoutingTable)
         assert_matches_oracle(net.topo, announcement, decoded)
         assert decoded.reachable_fraction() == table.reachable_fraction()
         assert encode_table(decoded) == blob
