@@ -1,4 +1,4 @@
-"""Shared benchmark fixtures and the merged ``BENCH_obs.json`` writer.
+"""Shared benchmark fixtures and the ``BENCH_obs.json`` writer.
 
 Benchmarks run against the SMALL world so a full ``pytest benchmarks/
 --benchmark-only`` pass stays under a few minutes.  The world (and its
@@ -7,19 +7,23 @@ each experiment pays the measurement cost, subsequent iterations measure
 the analysis pipeline over cached measurements — which is also how the
 experiments share work in production use.
 
-Every benchmark test contributes to one merged artifact: an autouse
-fixture times each test into the session collector, the experiment-suite
-bench adds its per-experiment span timings through the ``bench_obs``
-fixture, and :func:`pytest_sessionfinish` writes the whole thing as
-``BENCH_obs.json`` (path override: ``REPRO_BENCH_OBS``).  The artifact
-feeds ``repro obs ingest`` / ``repro obs trend``, so the benchmark
-trajectory accumulates across CI runs.
+Every benchmark test contributes to one artifact per session: an autouse
+fixture records each test's per-round median from pytest-benchmark's
+``benchmark.stats`` (a test without the ``benchmark`` fixture records
+its wall), the experiment-suite bench adds its per-experiment span
+timings through the ``bench_obs`` fixture, and
+:func:`pytest_sessionfinish` writes the whole thing as
+``BENCH_obs.json`` (path override: ``REPRO_BENCH_OBS``), replacing any
+earlier file: a session records only what it measured.  The artifact's
+label names the host's CPU count and model, so ``repro obs ingest`` /
+``repro obs trend`` keep one history per kind of hardware.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -35,8 +39,8 @@ BENCH_SCHEMA = 1
 
 #: Worker count the parallel benchmarks request; stamped into the
 #: artifact (and recorded next to the machine's real core count) so the
-#: crossover analyzer (``repro obs speedup``) can key history by
-#: hardware and worker count.
+#: crossover report (``repro obs speedup``) can key history by hardware
+#: and worker count.
 BENCH_WORKERS = 4
 
 
@@ -80,9 +84,10 @@ def large_routing():
 
 @pytest.fixture(scope="session")
 def bench_obs(request) -> dict:
-    """The session collector behind the merged ``BENCH_obs.json``.
+    """The session collector behind ``BENCH_obs.json``.
 
-    Keys: ``benchmarks`` (test name -> wall ms, filled automatically),
+    Keys: ``benchmarks`` (test name -> per-round median ms, filled
+    automatically; see :func:`per_round_ms`),
     ``experiments`` (experiment name -> wall/cpu ms, filled by the
     experiment-suite bench), ``counters``, ``total_wall_ms``.  The
     collector is stashed on the pytest config so
@@ -98,13 +103,44 @@ def bench_obs(request) -> dict:
     return collector
 
 
+def per_round_ms(benchmark, wall_ms: float) -> float:
+    """A test's per-round median in ms, or ``wall_ms`` without one.
+
+    The median leaves out calibration and warm-up rounds and whatever
+    the test does around the timed call, such as a digest check.
+    ``benchmark`` is the test's pytest-benchmark fixture (None when the
+    test has none); its ``stats`` stay empty when benchmarking is off.
+    """
+    stats = getattr(benchmark, "stats", None)
+    if not stats:
+        return wall_ms
+    return stats.stats.median * 1000.0
+
+
+def host_label() -> str:
+    """``bench <cpus>x <model>``: the trend history keys runs by host."""
+    model = platform.machine() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return f"bench {os.cpu_count()}x {model}"
+
+
 @pytest.fixture(autouse=True)
-def _collect_bench_wall(request, bench_obs):
-    """Time every benchmark test into the session collector."""
+def _collect_bench_timing(request, bench_obs):
+    """Record every benchmark test into the session collector."""
     start = time.perf_counter()
     yield
     wall_ms = (time.perf_counter() - start) * 1000.0
-    bench_obs["benchmarks"][request.node.name] = round(wall_ms, 3)
+    benchmark = request.node.funcargs.get("benchmark")
+    bench_obs["benchmarks"][request.node.name] = round(
+        per_round_ms(benchmark, wall_ms), 3
+    )
     bench_obs["total_wall_ms"] += wall_ms
 
 
@@ -112,45 +148,8 @@ def bench_artifact_path() -> Path:
     return Path(os.environ.get("REPRO_BENCH_OBS", "BENCH_obs.json"))
 
 
-def merge_bench_artifacts(existing: dict, fresh: dict) -> dict:
-    """Merge a partial bench run into an existing artifact, by key.
-
-    A single-module run (``pytest benchmarks/test_bench_par.py``) must
-    never *shrink* an already-merged ``BENCH_obs.json``: the fresh run's
-    per-key entries win, keys it did not touch survive, and
-    ``total_wall_ms`` is recomputed from the merged benchmarks.  When
-    the existing artifact is from another schema it cannot be read and
-    the fresh artifact replaces it wholesale.  Artifacts stamped with
-    different *configs* still merge by key — the crossover analyzer
-    (:mod:`repro.obs.speedup`) derives each series' tier from the test
-    name, not the artifact stamp, so no series is dropped; the
-    artifact-level ``config`` stamp follows whichever run covers more
-    benchmark keys.
-    """
-    if existing.get("schema") != fresh.get("schema"):
-        return fresh
-    merged = dict(fresh)
-    for section in ("benchmarks", "experiments", "counters"):
-        base = existing.get(section)
-        update = fresh.get(section)
-        if isinstance(base, dict) and isinstance(update, dict):
-            merged[section] = {**base, **update}
-    if existing.get("config") != fresh.get("config"):
-        old_keys = existing.get("benchmarks")
-        new_keys = fresh.get("benchmarks")
-        if (isinstance(old_keys, dict) and isinstance(new_keys, dict)
-                and len(new_keys) < len(old_keys)):
-            merged["config"] = existing.get("config")
-    benchmarks = merged.get("benchmarks")
-    if isinstance(benchmarks, dict):
-        merged["total_wall_ms"] = round(
-            sum(float(v) for v in benchmarks.values()), 3
-        )
-    return merged
-
-
 def pytest_sessionfinish(session, exitstatus):
-    """Write (or merge into) the artifact once, after the bench session."""
+    """Write the artifact once, after the bench session."""
     collector = getattr(session.config, "_bench_obs", None)
     if not collector or not collector["benchmarks"]:
         return
@@ -160,10 +159,10 @@ def pytest_sessionfinish(session, exitstatus):
         # Stamped into the file so re-ingesting the same artifact (a CI
         # retry) dedupes by run id instead of double-counting.
         "run_id": new_run_id(),
-        "label": "bench",
+        "label": host_label(),
         "config": SMALL.name,
         "git_sha": current_git_sha(),
-        # Execution environment, so the crossover analyzer can group
+        # Execution environment, so the crossover report can group
         # comparable runs (see repro.obs.speedup).
         "cpu_count": os.cpu_count(),
         "workers": workers,
@@ -174,12 +173,6 @@ def pytest_sessionfinish(session, exitstatus):
         "benchmarks": collector["benchmarks"],
         "counters": collector["counters"],
     }
-    out = bench_artifact_path()
-    if out.exists():
-        try:
-            existing = json.loads(out.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            existing = None
-        if isinstance(existing, dict):
-            artifact = merge_bench_artifacts(existing, artifact)
-    out.write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
+    bench_artifact_path().write_text(
+        json.dumps(artifact, indent=2) + "\n", encoding="utf-8"
+    )

@@ -2,10 +2,12 @@
 
 Runs the full experiment suite on the shared small world under an obs
 recorder and contributes one wall/CPU entry per experiment (plus the
-run's counter totals) to the session's merged ``BENCH_obs.json`` — see
-``benchmarks/conftest.py`` for the artifact writer.  CI ingests the file
-into the trend history, so per-PR timing deltas are a sparkline away —
-and ``repro obs compare`` can gate on the full manifests when needed.
+run's counter totals) to the session's ``BENCH_obs.json`` — see
+``benchmarks/conftest.py`` for the artifact writer.  This test has no
+``benchmark`` fixture, so the writer records its wall.  CI ingests the
+file into the trend history, whose gate (``repro obs trend --gate``)
+judges each ``experiment.<name>`` series; ``repro obs compare`` lines
+two full manifests up span by span when a series moves.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ loops of the simulator, guarded by a single ``None`` check.  Two layers
 protect them:
 
 - ``test_bench_routing_provenance_disabled`` feeds the disabled-path
-  compute time into the merged ``BENCH_obs.json``; the CI trend gate
+  compute time (its per-round median) into ``BENCH_obs.json``; the CI
+  trend gate
   (``repro obs trend --gate``) compares it against the accumulated
   history, which is what catches a slow regression against the
   uninstrumented baseline across commits;

@@ -15,7 +15,7 @@ Commands:
   ``ingest`` / ``trend`` for the append-only benchmark history,
   ``timeline`` for per-worker Gantt lanes + parallel overhead
   attribution, ``speedup`` for the serial-vs-parallel crossover
-  analyzer, and ``dashboard`` for the combined per-run report
+  report, and ``dashboard`` for the combined per-run report
   (terminal or ``--html``);
 - ``explain`` — decision provenance: ``client`` (why one probe landed
   where it did, end to end), ``diff`` (attribute every flipped client
@@ -330,7 +330,7 @@ def _cmd_obs_summary(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_compare(args: argparse.Namespace) -> int:
-    """Per-span wall-time deltas between two manifests; gate on --fail-over."""
+    """Per-span wall-time deltas between two manifests (a report only)."""
     from repro.obs.manifest import load_manifest
     from repro.obs.report import compare_manifests, render_compare
 
@@ -341,14 +341,8 @@ def _cmd_obs_compare(args: argparse.Namespace) -> int:
         print(f"cannot read manifests: {exc}", file=sys.stderr)
         return 2
     deltas = compare_manifests(base, other)
-    text, regressions = render_compare(
-        base, other, deltas,
-        fail_over_pct=args.fail_over,
-        min_wall_ms=args.min_wall,
-        top=args.top,
-    )
-    print(text)
-    return 1 if regressions else 0
+    print(render_compare(base, other, deltas, top=args.top))
+    return 0
 
 
 def _cmd_obs_profile(args: argparse.Namespace) -> int:
@@ -410,12 +404,7 @@ def _cmd_obs_trend(args: argparse.Namespace) -> int:
     from repro.obs.trend import check_history
 
     text, regressions = check_history(
-        args.history,
-        window=args.window,
-        top=args.top,
-        mad_k=args.mad_k,
-        min_rel_pct=args.min_rel,
-        min_wall_ms=args.min_wall,
+        args.history, window=args.window, top=args.top
     )
     print(text)
     return 1 if args.gate and regressions else 0
@@ -453,33 +442,11 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_speedup(args: argparse.Namespace) -> int:
-    """Serial-vs-parallel crossover analysis; --gate fails on regression."""
-    from repro.obs.speedup import groups_from_history, render_pair, render_speedup
+    """Serial-vs-parallel crossover report over the bench history."""
+    from repro.obs.speedup import groups_from_history, render_speedup
 
-    if args.pair:
-        from repro.obs.manifest import load_manifest
-
-        try:
-            serial = load_manifest(args.pair[0])
-            parallel = load_manifest(args.pair[1])
-        except (OSError, ValueError) as exc:
-            print(f"cannot read manifest pair: {exc}", file=sys.stderr)
-            return 2
-        print(render_pair(serial, parallel))
-        return 0
-    groups = groups_from_history(args.history)
-    config_filter = getattr(args, "config_filter", None)
-    if config_filter:
-        groups = [g for g in groups if (g.config or "-") == config_filter]
-        if not groups:
-            print(f"no serial/parallel pairs for config "
-                  f"{config_filter!r} in {args.history}", file=sys.stderr)
-            return 2
-    text, regressions = render_speedup(
-        groups, gate=args.gate, tol_pct=args.tol
-    )
-    print(text)
-    return 1 if args.gate and regressions else 0
+    print(render_speedup(groups_from_history(args.history)))
+    return 0
 
 
 def _cmd_obs_dashboard(args: argparse.Namespace) -> int:
@@ -778,14 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="per-span wall-time deltas between two runs")
     p_obs_compare.add_argument("base", help="baseline run-<id>.json")
     p_obs_compare.add_argument("other", help="candidate run-<id>.json")
-    p_obs_compare.add_argument("--fail-over", type=float, default=None,
-                               metavar="PCT",
-                               help="exit non-zero when any span path is "
-                                    "slower than +PCT%%")
-    p_obs_compare.add_argument("--min-wall", type=float, default=25.0,
-                               metavar="MS",
-                               help="ignore span paths under MS wall ms on "
-                                    "both sides (default 25)")
     p_obs_compare.add_argument("--top", type=int, default=20, metavar="N",
                                help="span paths to show (default 20)")
     p_obs_compare.set_defaults(func=_cmd_obs_compare)
@@ -814,7 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="history directory (default obs/history)")
     p_obs_ingest.set_defaults(func=_cmd_obs_ingest)
     p_obs_trend = obs_sub.add_parser(
-        "trend", help="sparkline wall-time trends over the ingested history")
+        "trend", help="sparkline trends over the ingested history and the "
+                      "one regression gate")
     p_obs_trend.add_argument("--history", default="obs/history",
                              metavar="DIR",
                              help="history directory (default obs/history)")
@@ -825,18 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="history window per metric (default 20)")
     p_obs_trend.add_argument("--top", type=int, default=12, metavar="N",
                              help="metrics shown per label (default 12)")
-    p_obs_trend.add_argument("--mad-k", type=float, default=4.0,
-                             metavar="K",
-                             help="MAD multiplier in the threshold "
-                                  "(default 4.0)")
-    p_obs_trend.add_argument("--min-rel", type=float, default=25.0,
-                             metavar="PCT",
-                             help="relative floor of the threshold "
-                                  "(default 25%%)")
-    p_obs_trend.add_argument("--min-wall", type=float, default=25.0,
-                             metavar="MS",
-                             help="ignore metrics under MS on both sides "
-                                  "(default 25)")
     p_obs_trend.set_defaults(func=_cmd_obs_trend)
     p_obs_timeline = obs_sub.add_parser(
         "timeline",
@@ -850,26 +798,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_timeline.set_defaults(func=_cmd_obs_timeline)
     p_obs_speedup = obs_sub.add_parser(
         "speedup",
-        help="serial-vs-parallel crossover analysis over the bench history")
+        help="serial-vs-parallel crossover report over the bench history")
     p_obs_speedup.add_argument("--history", default="obs/history",
                                metavar="DIR",
                                help="trend history directory "
                                     "(default obs/history)")
-    p_obs_speedup.add_argument("--config", dest="config_filter",
-                               metavar="NAME", default=None,
-                               help="only analyse groups for this world "
-                                    "preset (e.g. large)")
-    p_obs_speedup.add_argument("--gate", action="store_true",
-                               help="exit non-zero when a group's latest "
-                                    "speedup falls below its history")
-    p_obs_speedup.add_argument("--tol", type=float, default=20.0,
-                               metavar="PCT",
-                               help="gate tolerance below the median "
-                                    "(default 20%%)")
-    p_obs_speedup.add_argument("--pair", nargs=2, default=None,
-                               metavar=("SERIAL", "PARALLEL"),
-                               help="compare two run manifests of the same "
-                                    "workload instead of the history")
     p_obs_speedup.set_defaults(func=_cmd_obs_speedup)
     p_obs_dash = obs_sub.add_parser(
         "dashboard",

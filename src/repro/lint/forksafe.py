@@ -62,7 +62,6 @@ __all__ = [
 #: New worker entrypoints must be added here (docs/static-analysis.md
 #: describes the workflow).
 WORKER_ENTRYPOINTS: tuple[str, ...] = (
-    "repro.par.pool._apply_chunk",
     "repro.par.routing._init_routing_worker",
     "repro.par.routing._compute_task",
 )

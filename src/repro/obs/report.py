@@ -3,9 +3,9 @@
 ``repro obs summary`` answers "where did this run spend its time" (top-N
 span paths by *self* time — wall time not attributed to a child span —
 plus counter and gauge tables).  ``repro obs compare`` lines two runs up
-span-path by span-path and reports the wall-time deltas; with a
-``fail_over_pct`` threshold it flags regressions, which is what turns a
-pair of manifests into a CI gate.  ``repro obs dashboard`` composes the
+span-path by span-path and reports the wall-time deltas and the
+counters that moved; it judges nothing (the one regression gate is
+:mod:`repro.obs.trend`).  ``repro obs dashboard`` composes the
 full picture for one run — span hotspots, profiler top functions, health
 gauges, and trend sparklines — as a terminal report or a static HTML
 page.
@@ -160,18 +160,6 @@ class SpanDelta:
             return None
         return 100.0 * (self.other_ms - self.base_ms) / self.base_ms
 
-    def regressed(self, fail_over_pct: float, min_wall_ms: float) -> bool:
-        """True when the other run is slower beyond the threshold.
-
-        Tiny spans (both sides under ``min_wall_ms``) are noise and never
-        count; span paths absent from the base run are reported but do
-        not fail the comparison.
-        """
-        if max(self.base_ms, self.other_ms) < min_wall_ms:
-            return False
-        pct = self.delta_pct
-        return pct is not None and pct > fail_over_pct
-
 
 def compare_manifests(
     base: RunManifest, other: RunManifest
@@ -210,11 +198,9 @@ def render_compare(
     other: RunManifest,
     deltas: list[SpanDelta],
     *,
-    fail_over_pct: float | None = None,
-    min_wall_ms: float = 25.0,
     top: int = 20,
-) -> tuple[str, list[SpanDelta]]:
-    """The comparison report plus the regressions past the threshold."""
+) -> str:
+    """The comparison report: span deltas, then counters that moved."""
     lines = [
         f"base   {base.run_id}  ({base.config_name or '-'}, "
         f"{base.root.wall_ms / 1000.0:.2f}s)",
@@ -244,29 +230,7 @@ def render_compare(
         cwidth = max(len(name) for name in moved)
         for name, (a_val, b_val) in moved.items():
             lines.append(f"  {name:{cwidth}}  {a_val:g} -> {b_val:g}")
-    regressions: list[SpanDelta] = []
-    if fail_over_pct is not None:
-        regressions = [
-            d for d in deltas if d.regressed(fail_over_pct, min_wall_ms)
-        ]
-        lines.append("")
-        if regressions:
-            lines.append(
-                f"REGRESSION: {len(regressions)} span path(s) slower than "
-                f"+{fail_over_pct:g}% (min {min_wall_ms:g} ms):"
-            )
-            for delta in regressions:
-                pct = delta.delta_pct
-                lines.append(
-                    f"  {delta.path}: {delta.base_ms:.1f} ms -> "
-                    f"{delta.other_ms:.1f} ms ({pct:+.1f}%)"
-                )
-        else:
-            lines.append(
-                f"ok: no span path regressed beyond +{fail_over_pct:g}% "
-                f"(min {min_wall_ms:g} ms)"
-            )
-    return "\n".join(lines), regressions
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,9 @@
-"""Serial-vs-parallel crossover analysis over the benchmark history.
+"""Serial-vs-parallel crossover report over the benchmark history.
 
-ROADMAP Open item 1 states the uncomfortable fact this module makes
-mechanical: on the SMALL world, ``repro.par`` *loses* to serial.  The
-bench suite records serial/parallel pairs (``bench.<name>_serial`` /
-``bench.<name>_parallel`` series in the :mod:`repro.obs.trend` history,
-keyed by ``cpu_count`` / ``bench_workers`` through the record's ``env``),
-and this analyzer turns those pairs into:
+The bench suite records serial/parallel pairs (``bench.<name>_serial``
+/ ``bench.<name>_parallel`` in the :mod:`repro.obs.trend` history, with
+``cpu_count`` / ``bench_workers`` in each record's ``env``), and this
+report turns those pairs into:
 
 * observed **speedup** (serial wall / parallel wall) per metric, per
   worker count, per host CPU count — median over the history, so one
@@ -14,13 +12,10 @@ and this analyzer turns those pairs into:
   "4 workers for 0.5x" as the 8x waste it is;
 * a ``REPRO_WORKERS`` **recommendation** per config and metric —
   including "use serial" whenever the best observed speedup stays under
-  :data:`CROSSOVER_MARGIN`;
-* an optional **gate** (``repro obs speedup --gate``): once a group has
-  at least :data:`MIN_GATE_HISTORY` prior points, a latest speedup
-  falling more than ``tol_pct`` below the prior median fails the run.
+  :data:`CROSSOVER_MARGIN`.
 
-``--pair serial.json parallel.json`` compares two run manifests of the
-same workload directly, for one-off experiments outside the bench suite.
+It gates nothing: the trend gate (``repro obs trend --gate``) judges
+each pair's ``bench.<name>.parallel_pct`` series instead.
 """
 
 from __future__ import annotations
@@ -31,18 +26,11 @@ from functools import lru_cache
 from pathlib import Path
 from statistics import median
 
-from repro.obs.manifest import RunManifest
-from repro.obs.trend import TrendRecord, load_history, record_from_manifest
+from repro.obs.trend import TrendRecord, load_history, serial_parallel_pairs
 
 #: Parallel must beat serial by this factor before it is recommended;
 #: under it the dispatch overhead is buying nothing but complexity.
 CROSSOVER_MARGIN = 1.05
-
-#: Prior points a group needs before the gate stops being advisory.
-MIN_GATE_HISTORY = 3
-
-_SERIAL_SUFFIX = "_serial"
-_PARALLEL_SUFFIX = "_parallel"
 
 
 @dataclass(frozen=True)
@@ -121,41 +109,9 @@ class Recommendation:
         )
 
 
-@dataclass(frozen=True)
-class EfficiencyRegression:
-    """The latest speedup fell below its own history."""
-
-    group_key: tuple[str, str, int, int]
-    latest: float
-    baseline: float
-    window: int
-
-    def render(self) -> str:
-        config, metric, workers, _cpu = self.group_key
-        return (
-            f"{config}/{metric} @ {workers} workers: latest speedup "
-            f"{self.latest:.2f}x vs median {self.baseline:.2f}x over "
-            f"{self.window} prior run(s)"
-        )
-
-
 # ----------------------------------------------------------------------
 # Extraction
 # ----------------------------------------------------------------------
-def _pairs_in(record: TrendRecord) -> dict[str, tuple[float, float]]:
-    """``metric -> (serial_ms, parallel_ms)`` pairs in one record."""
-    pairs: dict[str, tuple[float, float]] = {}
-    for name, serial_ms in record.series.items():
-        if not name.endswith(_SERIAL_SUFFIX):
-            continue
-        base = name[: -len(_SERIAL_SUFFIX)]
-        parallel_ms = record.series.get(base + _PARALLEL_SUFFIX)
-        if parallel_ms is None or parallel_ms <= 0.0 or serial_ms <= 0.0:
-            continue
-        pairs[base] = (serial_ms, parallel_ms)
-    return pairs
-
-
 @lru_cache(maxsize=1)
 def _known_config_names() -> tuple[str, ...]:
     """Preset names, smallest tier first (import deferred: obs stays
@@ -203,7 +159,8 @@ def extract_groups(records: list[TrendRecord]) -> list[SpeedupGroup]:
         workers = (_env_int(record, "bench_workers")
                    or _env_int(record, "workers"))
         cpu_count = _env_int(record, "cpu_count")
-        for metric, (serial_ms, parallel_ms) in _pairs_in(record).items():
+        pairs = serial_parallel_pairs(record.series)
+        for metric, (serial_ms, parallel_ms) in pairs.items():
             group = SpeedupGroup(
                 config=_metric_config(metric, record.config),
                 metric=metric,
@@ -256,59 +213,15 @@ def recommend(groups: list[SpeedupGroup]) -> list[Recommendation]:
 
 
 # ----------------------------------------------------------------------
-# Gate
-# ----------------------------------------------------------------------
-def gate_speedups(
-    groups: list[SpeedupGroup],
-    *,
-    tol_pct: float = 20.0,
-    min_history: int = MIN_GATE_HISTORY,
-) -> tuple[list[EfficiencyRegression], list[str]]:
-    """``(regressions, advisories)`` for the latest point of each group.
-
-    A group with fewer than ``min_history`` prior points yields an
-    advisory line instead of a verdict, so a young history warns rather
-    than fails — the behaviour CI runs this with.
-    """
-    regressions: list[EfficiencyRegression] = []
-    advisories: list[str] = []
-    for group in groups:
-        prior = group.points[:-1]
-        if len(prior) < min_history:
-            advisories.append(
-                f"{group.config or '-'}/{group.metric} @ "
-                f"{group.workers} workers: {len(prior)} prior point(s), "
-                f"need {min_history} before the gate arms"
-            )
-            continue
-        baseline = median(p.speedup for p in prior)
-        latest = group.latest.speedup
-        if latest < baseline * (1.0 - tol_pct / 100.0):
-            regressions.append(EfficiencyRegression(
-                group_key=group.key(),
-                latest=latest,
-                baseline=baseline,
-                window=len(prior),
-            ))
-    return regressions, advisories
-
-
-# ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
-def render_speedup(
-    groups: list[SpeedupGroup],
-    *,
-    gate: bool = False,
-    tol_pct: float = 20.0,
-) -> tuple[str, list[EfficiencyRegression]]:
-    """The analyzer report, plus gate regressions (empty unless asked)."""
+def render_speedup(groups: list[SpeedupGroup]) -> str:
+    """The crossover report: per-group speedups, then recommendations."""
     if not groups:
         return (
             "no serial/parallel pairs in the history: run the bench "
             "suite (pytest benchmarks/) and `repro obs ingest` the "
-            "BENCH artifact first",
-            [],
+            "BENCH artifact first"
         )
     lines = ["parallel speedup (serial wall / parallel wall):"]
     for group in groups:
@@ -327,67 +240,4 @@ def render_speedup(
     lines.append("")
     lines.append("recommendations:")
     lines.extend(f"  {rec.render()}" for rec in recommend(groups))
-    regressions: list[EfficiencyRegression] = []
-    if gate:
-        regressions, advisories = gate_speedups(groups, tol_pct=tol_pct)
-        lines.append("")
-        if regressions:
-            lines.append(
-                f"EFFICIENCY REGRESSION: {len(regressions)} group(s) fell "
-                f"more than {tol_pct:g}% below their history:"
-            )
-            lines.extend(f"  {reg.render()}" for reg in regressions)
-        elif advisories:
-            lines.append("gate advisory (history still too short):")
-            lines.extend(f"  {line}" for line in advisories)
-        else:
-            lines.append(
-                f"ok: no group fell more than {tol_pct:g}% below its "
-                "historical median speedup"
-            )
-    return "\n".join(lines), regressions
-
-
-def render_pair(serial: RunManifest, parallel: RunManifest) -> str:
-    """Compare one serial and one parallel manifest of the same workload."""
-    lines = [
-        f"serial    {serial.run_id}  "
-        f"({serial.config_name or '-'}, {serial.root.wall_ms / 1000.0:.2f}s)",
-        f"parallel  {parallel.run_id}  "
-        f"({parallel.config_name or '-'}, "
-        f"{parallel.root.wall_ms / 1000.0:.2f}s)",
-    ]
-    if parallel.root.wall_ms > 0.0:
-        total = serial.root.wall_ms / parallel.root.wall_ms
-        verdict = ("parallel wins" if total >= CROSSOVER_MARGIN
-                   else "serial wins")
-        lines.append(f"total     {total:.2f}x speedup — {verdict}")
-    serial_series = record_from_manifest(serial).series
-    parallel_series = record_from_manifest(parallel).series
-    shared = sorted(
-        name for name in serial_series
-        if name in parallel_series and not name.startswith("par.")
-    )
-    if shared:
-        width = max(len(name) for name in shared)
-        lines += [
-            "",
-            f"  {'span':{width}}  {'serial ms':>10}  {'parallel ms':>12}  "
-            f"{'speedup':>8}",
-        ]
-        for name in shared:
-            s_ms = serial_series[name]
-            p_ms = parallel_series[name]
-            ratio = f"{s_ms / p_ms:7.2f}x" if p_ms > 0.0 else "       -"
-            lines.append(
-                f"  {name:{width}}  {s_ms:10.1f}  {p_ms:12.1f}  {ratio}"
-            )
-    par_overhead = sum(
-        ms for name, ms in parallel_series.items() if name.startswith("par.")
-    )
-    if par_overhead > 0.0:
-        lines.append(
-            f"\n  parallel phase overhead (par.* spans): "
-            f"{par_overhead:.1f} ms — see `repro obs timeline`"
-        )
     return "\n".join(lines)

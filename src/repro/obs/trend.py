@@ -1,22 +1,28 @@
-"""Append-only benchmark history and run-to-run trend analysis.
+"""Append-only benchmark history and the one regression gate.
 
 ``repro.obs.manifest`` makes one run explainable; this module makes
 twenty runs comparable.  A history directory (``obs/history/`` by
 convention) holds one JSONL file per run label; every line is one
-:class:`TrendRecord` — the wall-time series of a run, keyed by stable
-span *names* (``experiment.fig4``, ``world.build``) or benchmark test
-names.  Records are ingested from run manifests (``run-<id>.json``) or
-from the merged benchmark artifact (``BENCH_obs.json``), and the store
-is append-only: ``repro obs ingest`` adds a line, nothing rewrites.
+:class:`TrendRecord` — the series of a run, keyed by stable span
+*names* (``experiment.fig4``, ``world.build``) or benchmark test names.
+Records are ingested from run manifests (``run-<id>.json``) or from the
+benchmark artifact (``BENCH_obs.json``), and the store is append-only:
+``repro obs ingest`` adds a line, nothing rewrites.
+
+A benchmark artifact records serial/parallel pairs as
+``bench.<name>_serial`` / ``bench.<name>_parallel``; this is the one
+module that knows those suffixes.  Ingest derives one more series per
+pair, ``bench.<name>.parallel_pct`` (parallel as a percent of serial),
+so a speedup that shrinks shows up as a series that rises.
 
 ``repro obs trend`` renders each series as a sparkline and flags
 regressions with a robust rule: the latest value is compared against the
 median of the previous ``window`` runs, and flagged when it exceeds both
-``median * (1 + min_rel_pct/100)`` and ``median + mad_k * 1.4826 * MAD``
+``median * (1 + MIN_REL_PCT/100)`` and ``median + MAD_K * 1.4826 * MAD``
 (the MAD term vanishes on flat histories, so the relative floor is what
-catches a clean 2x jump).  Under ``--gate`` a flagged regression exits
-non-zero, which is what lets CI accumulate the BENCH trajectory *and*
-act on it.
+catches a clean 2x jump).  The rule judges wall, memory and speedup
+series alike.  Under ``--gate`` a flagged regression exits non-zero,
+which is what lets CI accumulate the BENCH trajectory *and* act on it.
 """
 
 from __future__ import annotations
@@ -43,15 +49,34 @@ _SERIES_PREFIXES = ("experiment.", "world.", "routing.", "experiments.",
 #: 1 / Phi^-1(3/4): scales a MAD to a normal-consistent sigma.
 _MAD_SIGMA = 1.4826
 
+#: The regression rule: flag past both +MIN_REL_PCT% and MAD_K sigmas
+#: over the median, once a series has MIN_HISTORY prior points; series
+#: under MIN_VALUE on both sides (ms, KiB or %) are noise and never flag.
+MAD_K = 4.0
+MIN_REL_PCT = 25.0
+MIN_VALUE = 25.0
+MIN_HISTORY = 3
+
+#: Bench series suffixes of one serial/parallel pair.
+SERIAL_SUFFIX = "_serial"
+PARALLEL_SUFFIX = "_parallel"
+
+#: Suffix of the series derived from a pair: parallel wall as a percent
+#: of serial wall, so lower is better as for every other series.
+RATIO_SUFFIX = ".parallel_pct"
+
 
 def metric_unit(metric: str) -> str:
     """Display unit of one series metric.
 
     Wall-time series are milliseconds; ``mem.*`` series carry KiB
     except old histories' structure-census ``bytes_per_*`` series, in
-    bytes.  The median+MAD detector is unit-agnostic (for memory, bigger
-    is worse exactly as for time), so only rendering needs to know.
+    bytes; serial/parallel ratios are percent.  The median+MAD detector
+    is unit-agnostic (bigger is worse for each), so only rendering needs
+    to know.
     """
+    if metric.endswith(RATIO_SUFFIX):
+        return "%"
     if metric.startswith("mem."):
         return "B" if ".bytes_per_" in metric or metric.startswith("mem.bytes_per_") else "KiB"
     return "ms"
@@ -69,10 +94,11 @@ class TrendRecord:
     config: str | None
     git_sha: str | None
     total_wall_ms: float
-    #: metric name -> wall ms; keys are stable span names or bench ids.
+    #: metric name -> value (unit per :func:`metric_unit`); keys are
+    #: stable span names or bench ids.
     series: dict[str, float] = field(default_factory=dict)
     #: Execution environment of the run (``cpu_count``, ``workers``,
-    #: ``mode``, ``bench_workers``); keys the crossover analyzer
+    #: ``mode``, ``bench_workers``); keys the crossover report
     #: (:mod:`repro.obs.speedup`) uses to group comparable runs.
     env: dict[str, object] = field(default_factory=dict)
 
@@ -140,8 +166,28 @@ def record_from_manifest(manifest: RunManifest) -> TrendRecord:
     )
 
 
+def serial_parallel_pairs(
+    series: dict[str, float],
+) -> dict[str, tuple[float, float]]:
+    """``base -> (serial, parallel)`` for every positive pair in ``series``."""
+    pairs: dict[str, tuple[float, float]] = {}
+    for name, serial in series.items():
+        if not name.endswith(SERIAL_SUFFIX):
+            continue
+        base = name[: -len(SERIAL_SUFFIX)]
+        parallel = series.get(base + PARALLEL_SUFFIX)
+        if parallel is not None and parallel > 0.0 and serial > 0.0:
+            pairs[base] = (serial, parallel)
+    return pairs
+
+
 def record_from_bench(data: dict[str, object]) -> TrendRecord:
-    """Distill a merged ``BENCH_obs.json`` artifact into a trend record."""
+    """Distill a ``BENCH_obs.json`` artifact into a trend record.
+
+    Each serial/parallel pair also yields its ratio series
+    (:data:`RATIO_SUFFIX`), which the regression rule judges like any
+    wall: a speedup down 20% is a ratio up 25%.
+    """
     series: dict[str, float] = {}
     experiments = data.get("experiments", {})
     if isinstance(experiments, dict):
@@ -152,6 +198,8 @@ def record_from_bench(data: dict[str, object]) -> TrendRecord:
     if isinstance(benchmarks, dict):
         for name, wall_ms in benchmarks.items():
             series[f"bench.{name}"] = float(wall_ms)  # type: ignore[arg-type]
+    for base, (serial, parallel) in serial_parallel_pairs(series).items():
+        series[base + RATIO_SUFFIX] = 100.0 * parallel / serial
     config = data.get("config")
     git_sha = data.get("git_sha")
     env = {
@@ -299,21 +347,15 @@ class Regression:
 
 
 def detect_regressions(
-    records: list[TrendRecord],
-    *,
-    window: int = 20,
-    mad_k: float = 4.0,
-    min_rel_pct: float = 25.0,
-    min_wall_ms: float = 25.0,
-    min_history: int = 3,
+    records: list[TrendRecord], *, window: int = 20
 ) -> list[Regression]:
     """Robust median+MAD check of the latest record against its history.
 
-    For each metric in the latest record with at least ``min_history``
-    prior observations inside ``window``: flag when the latest value
-    exceeds *both* ``median * (1 + min_rel_pct/100)`` and
-    ``median + mad_k * 1.4826 * MAD``.  Metrics where both sides sit
-    under ``min_wall_ms`` are timing noise and never flag.
+    For each metric in the latest record with at least
+    :data:`MIN_HISTORY` prior observations inside ``window``: flag when
+    the latest value exceeds *both* ``median * (1 + MIN_REL_PCT/100)``
+    and ``median + MAD_K * 1.4826 * MAD``.  Metrics where both sides sit
+    under :data:`MIN_VALUE` are noise and never flag.
     """
     if len(records) < 2:
         return []
@@ -323,15 +365,15 @@ def detect_regressions(
     for metric in sorted(latest.series):
         value = latest.series[metric]
         history = [r.series[metric] for r in prior if metric in r.series]
-        if len(history) < min_history:
+        if len(history) < MIN_HISTORY:
             continue
         baseline = median(history)
-        if max(value, baseline) < min_wall_ms:
+        if max(value, baseline) < MIN_VALUE:
             continue
         mad = median(abs(v - baseline) for v in history)
         threshold = max(
-            baseline * (1.0 + min_rel_pct / 100.0),
-            baseline + mad_k * _MAD_SIGMA * mad,
+            baseline * (1.0 + MIN_REL_PCT / 100.0),
+            baseline + MAD_K * _MAD_SIGMA * mad,
         )
         if value > threshold:
             regressions.append(
@@ -414,21 +456,12 @@ def render_trend(
 
 
 def check_history(
-    history_dir: Path | str,
-    *,
-    window: int = 20,
-    top: int = 12,
-    mad_k: float = 4.0,
-    min_rel_pct: float = 25.0,
-    min_wall_ms: float = 25.0,
+    history_dir: Path | str, *, window: int = 20, top: int = 12
 ) -> tuple[str, list[Regression]]:
     """Load, analyse, and render a history directory in one call."""
     history = load_history(history_dir)
     regressions = {
-        label: detect_regressions(
-            records, window=window, mad_k=mad_k,
-            min_rel_pct=min_rel_pct, min_wall_ms=min_wall_ms,
-        )
+        label: detect_regressions(records, window=window)
         for label, records in history.items()
     }
     regressions = {k: v for k, v in regressions.items() if v}

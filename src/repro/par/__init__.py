@@ -22,7 +22,6 @@ determinism contract, and cache keying.
 
 from repro.par.cache import (
     CACHE_DIR_ENV,
-    CACHE_FLAG_ENV,
     CacheCorruption,
     RoutingTableCache,
     clear_default_cache,
@@ -48,7 +47,6 @@ from repro.par.routing import compute_fanout
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CACHE_FLAG_ENV",
     "CacheCorruption",
     "RoutingTableCache",
     "WORKERS_ENV",

@@ -62,9 +62,6 @@ SUFFIX = ".rtc"
 #: Environment variable naming the cache directory (enables the cache).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Environment flag enabling the cache at its default location.
-CACHE_FLAG_ENV = "REPRO_CACHE"
-
 _HEADER = struct.Struct("<4sH")
 _CHECKSUM_LEN = hashlib.sha256().digest_size
 
@@ -509,17 +506,13 @@ def clear_default_cache() -> None:
 def resolve_cache() -> RoutingTableCache | None:
     """The cache new worlds should attach, or None (the default).
 
-    Resolution order: an explicit :func:`set_default_cache` override,
-    then ``REPRO_CACHE_DIR=<dir>``, then ``REPRO_CACHE=1`` at the
-    default location.  With none of these, persistent caching is off and
-    seed behaviour is untouched.
+    Resolution order: an explicit :func:`set_default_cache` override
+    (``--cache-dir``), then ``REPRO_CACHE_DIR=<dir>``.  With neither,
+    persistent caching is off and seed behaviour is untouched.
     """
     if _OVERRIDE_SET:
         return _OVERRIDE
     directory = os.environ.get(CACHE_DIR_ENV, "").strip()
     if directory:
         return RoutingTableCache(directory)
-    flag = os.environ.get(CACHE_FLAG_ENV, "").strip().lower()
-    if flag in {"1", "true", "yes", "on"}:
-        return RoutingTableCache(default_cache_dir())
     return None

@@ -1,11 +1,11 @@
 """Deterministic parallel-execution primitives.
 
 Everything in :mod:`repro.par` follows one contract: **parallel execution
-must be invisible in the results**.  Work is split into contiguous,
-order-stable chunks, executed in worker processes, and merged back in
-input order, so a run with ``REPRO_WORKERS=8`` produces byte-identical
-tables, experiment outputs, and claim scorecards to a serial run — only
-the wall clock differs.
+must be invisible in the results**.  Each item is one task, executed in
+a worker process, and results are merged back in input order, so a run
+with ``REPRO_WORKERS=8`` produces byte-identical tables, experiment
+outputs, and claim scorecards to a serial run — only the wall clock
+differs.
 
 The knob is the ``REPRO_WORKERS`` environment variable (or an explicit
 ``workers=`` argument).  Unset, empty, non-numeric, ``0``, and ``1`` all
@@ -23,7 +23,6 @@ Callables submitted through :func:`map_deterministic` must be picklable
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -33,10 +32,6 @@ from repro import obs
 
 #: Environment variable holding the worker count (serial when absent).
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: Target number of chunks handed to each worker; >1 keeps the pool busy
-#: when chunk costs are uneven without paying per-item dispatch overhead.
-CHUNKS_PER_WORKER = 4
 
 
 def worker_count(explicit: int | None = None) -> int:
@@ -105,18 +100,11 @@ def pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-def _apply_chunk(payload: tuple[Callable[[Any], Any], list[Any]]) -> list[Any]:
-    """Worker-side: apply ``fn`` to one chunk, preserving item order."""
-    fn, chunk = payload
-    return [fn(item) for item in chunk]
-
-
 def map_deterministic(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
     *,
     workers: int | None = None,
-    chunk_size: int | None = None,
     initializer: Callable[..., None] | None = None,
     initargs: tuple[Any, ...] = (),
 ) -> list[Any]:
@@ -124,10 +112,10 @@ def map_deterministic(
 
     Serial (a plain list comprehension, zero overhead) when the resolved
     worker count is 1 or there is at most one item.  Parallel execution
-    splits the items into contiguous chunks, maps them on a fresh process
-    pool, and concatenates the chunk results in submission order, so the
-    returned list is element-for-element identical to the serial path
-    whenever ``fn`` is a pure function of its item.
+    submits one task per item to a fresh process pool and collects the
+    results in submission order, so the returned list is
+    element-for-element identical to the serial path whenever ``fn`` is
+    a pure function of its item.
 
     ``fn`` must be picklable (a module-level function).  ``initializer``
     and ``initargs`` ship per-worker state once — use them for anything
@@ -143,24 +131,16 @@ def map_deterministic(
     n = min(worker_count(workers), len(items))
     if n <= 1:
         return [fn(item) for item in items]
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(items) / (n * CHUNKS_PER_WORKER)))
-    chunks = [items[i:i + chunk_size] for i in range(0, len(items), chunk_size)]
-    pool_workers = min(n, len(chunks))
-    results: list[Any] = []
-    with obs.span("par.fork", workers=pool_workers, chunks=len(chunks)):
+    with obs.span("par.fork", workers=n, tasks=len(items)):
         executor = ProcessPoolExecutor(
-            max_workers=pool_workers,
+            max_workers=n,
             mp_context=pool_context(),
             initializer=initializer,
             initargs=initargs,
         )
     try:
-        with obs.span("par.dispatch", tasks=len(chunks), workers=pool_workers):
-            for chunk_result in executor.map(
-                _apply_chunk, [(fn, c) for c in chunks]
-            ):
-                results.extend(chunk_result)
+        with obs.span("par.dispatch", tasks=len(items), workers=n):
+            results = list(executor.map(fn, items))
     finally:
         executor.shutdown()
     return results

@@ -92,10 +92,6 @@ def compute_fanout(
     a serial ``compute`` would produce: per-announcement computation
     shares no state between announcements.  Worker span/counter buffers
     are merged into the live recorder in the same order.
-
-    One task per announcement (``chunk_size=1``): announcement counts
-    are small (tens) and per-compute cost dominates dispatch overhead,
-    so finer chunks just balance better.
     """
     from repro.par.pool import map_deterministic, pool_context, worker_count
 
@@ -130,7 +126,6 @@ def compute_fanout(
             _compute_task,
             tasks,
             workers=workers,
-            chunk_size=1,
             initializer=_init_routing_worker,
             initargs=initargs,
         )

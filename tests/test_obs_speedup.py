@@ -1,28 +1,31 @@
-"""Tests for repro.obs.speedup: crossover analysis over bench history.
+"""Tests for repro.obs.speedup: the crossover report over bench history.
 
-The acceptance-critical case mirrors the ROADMAP finding: on the SMALL
-world parallel *loses* (serial ~4.9s vs parallel ~10.3s at 4 workers),
-and the analyzer must say "use serial" with efficiency well under 1
-from the history alone.
+The acceptance-critical case: on the SMALL world parallel *loses*
+(serial ~4.9s vs parallel ~10.3s at 4 workers), and the report must say
+"use serial" with efficiency well under 1 from the history alone.  The
+report gates nothing: TestGate checks that the trend gate judges the
+same speedups through each pair's ratio series.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro import cli, obs
-from repro.obs.manifest import from_recorder
+from repro import cli
 from repro.obs.speedup import (
     CROSSOVER_MARGIN,
     extract_groups,
-    gate_speedups,
     groups_from_history,
     recommend,
     render_speedup,
 )
-from repro.obs.trend import TrendRecord, append_record
+from repro.obs.trend import (
+    RATIO_SUFFIX,
+    TrendRecord,
+    append_record,
+    detect_regressions,
+    record_from_bench,
+)
 
 
 def _bench_record(
@@ -57,6 +60,25 @@ def _bench_record(
 def _losing_history(n: int = 4) -> list[TrendRecord]:
     """SMALL-world reality: serial 4.9s, parallel 10.3s at 4 workers."""
     return [_bench_record(i, 4900.0, 10300.0) for i in range(n)]
+
+
+def _ingested(i: int, serial_ms: float, parallel_ms: float) -> TrendRecord:
+    """The record `repro obs ingest` makes of one bench artifact's pair."""
+    return record_from_bench({
+        "run_id": f"r{i:03d}",
+        "label": "bench",
+        "config": "SMALL",
+        "benchmarks": {
+            "test_bench_world_build_serial": serial_ms,
+            "test_bench_world_build_parallel": parallel_ms,
+        },
+        "cpu_count": 8,
+        "bench_workers": 4,
+    })
+
+
+#: The gated series of the world-build pair: parallel as % of serial.
+_RATIO = "bench.test_bench_world_build" + RATIO_SUFFIX
 
 
 class TestExtraction:
@@ -155,90 +177,61 @@ class TestRecommendation:
 
 
 class TestGate:
+    """Speedups are gated by the trend rule on each pair's ratio series."""
+
     def test_young_history_is_advisory_only(self):
-        regressions, advisories = gate_speedups(
-            extract_groups(_losing_history(3))  # 2 prior points < 3
-        )
-        assert regressions == []
-        assert len(advisories) == 1
-        assert "need 3" in advisories[0]
+        # 2 prior points < MIN_HISTORY: the collapse is reported only.
+        records = [_ingested(i, 4900.0, 10300.0) for i in range(2)]
+        records.append(_ingested(99, 4900.0, 30000.0))
+        assert detect_regressions(records) == []
+        assert "0.16x" in render_speedup(extract_groups(records))
 
     def test_regression_fires_after_enough_history(self):
-        records = _losing_history(4) + [_bench_record(99, 4900.0, 30000.0)]
-        regressions, advisories = gate_speedups(extract_groups(records))
-        assert advisories == []
-        assert len(regressions) == 1
-        assert regressions[0].latest < regressions[0].baseline
-        assert "latest speedup" in regressions[0].render()
+        records = [_ingested(i, 4900.0, 10300.0) for i in range(4)]
+        records.append(_ingested(99, 4900.0, 30000.0))
+        [ratio] = [r for r in detect_regressions(records)
+                   if r.metric == _RATIO]
+        # The ratio the gate judges is the report's speedup inverted.
+        [group] = extract_groups(records)
+        assert ratio.value_ms == pytest.approx(100.0 / group.latest.speedup)
+        assert ratio.baseline_ms == pytest.approx(
+            100.0 / group.points[0].speedup
+        )
+        assert ratio.value_ms > ratio.baseline_ms
+        assert f"{_RATIO}: 612.2 % vs median 210.2 %" in ratio.render()
 
     def test_flat_history_passes(self):
-        regressions, advisories = gate_speedups(
-            extract_groups(_losing_history(5))
-        )
-        assert regressions == [] and advisories == []
+        records = [_ingested(i, 4900.0, 10300.0) for i in range(5)]
+        assert _RATIO in records[-1].series
+        assert detect_regressions(records) == []
 
 
 class TestRendering:
     def test_report_names_pairs_and_recommendations(self):
-        text, regressions = render_speedup(extract_groups(_losing_history()))
+        text = render_speedup(extract_groups(_losing_history()))
         assert "bench.test_bench_world_build" in text
         assert "use serial" in text
         assert "efficiency" in text
-        assert regressions == []
 
     def test_empty_history_message(self):
-        text, regressions = render_speedup([])
-        assert "no serial/parallel pairs" in text
-        assert regressions == []
-
-    def test_gate_section_reports_regression(self):
-        records = _losing_history(4) + [_bench_record(99, 4900.0, 30000.0)]
-        text, regressions = render_speedup(extract_groups(records), gate=True)
-        assert "EFFICIENCY REGRESSION" in text
-        assert len(regressions) == 1
+        assert "no serial/parallel pairs" in render_speedup([])
 
 
 class TestCli:
-    def test_speedup_from_history_and_gate_exit_codes(self, tmp_path, capsys):
+    def test_speedup_report_from_history_exits_zero(self, tmp_path, capsys):
         for record in _losing_history(4):
             append_record(tmp_path, record)
         assert cli.main([
             "obs", "speedup", "--history", str(tmp_path),
         ]) == 0
-        out = capsys.readouterr().out
-        assert "use serial" in out
+        assert "use serial" in capsys.readouterr().out
 
-        # A regression flips --gate to exit 1 but not the plain report.
+        # A collapsed speedup is reported, never gated, by this command.
         append_record(tmp_path, _bench_record(99, 4900.0, 30000.0))
         assert cli.main([
             "obs", "speedup", "--history", str(tmp_path),
         ]) == 0
-        capsys.readouterr()
-        assert cli.main([
-            "obs", "speedup", "--history", str(tmp_path), "--gate",
-        ]) == 1
-        assert "EFFICIENCY REGRESSION" in capsys.readouterr().out
-
-    def test_pair_mode_compares_two_manifests(self, tmp_path, capsys):
-        obs.uninstall()
-        with obs.recording("serial") as rec_serial:
-            with obs.span("world.routing"):
-                pass
-        with obs.recording("parallel") as rec_parallel:
-            with obs.span("world.routing"):
-                pass
-            with obs.span("par.dispatch"):
-                pass
-        paths = []
-        for name, recorder in (("serial", rec_serial),
-                               ("parallel", rec_parallel)):
-            path = tmp_path / f"{name}.json"
-            path.write_text(
-                json.dumps(from_recorder(recorder).to_dict()),
-                encoding="utf-8",
-            )
-            paths.append(str(path))
-        assert cli.main(["obs", "speedup", "--pair", *paths]) == 0
-        out = capsys.readouterr().out
-        assert "world.routing" in out
-        assert "speedup" in out
+        assert "0.16x" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["obs", "speedup", "--history", str(tmp_path), "--gate"])
+        assert excinfo.value.code == 2

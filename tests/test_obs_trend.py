@@ -1,8 +1,9 @@
 """Tests for repro.obs.trend: history store and regression detection.
 
-The acceptance-critical pair lives in TestCliGate: a fabricated history
+The acceptance-critical cases live in TestCliGate: a fabricated history
 with a 2x wall-time jump makes `repro obs trend --gate` exit non-zero,
-and a flat history exits zero.
+so does a speedup that shrinks while neither wall rises, and a flat
+history exits zero.
 """
 
 from __future__ import annotations
@@ -45,6 +46,31 @@ def _flat_history(n: int = 8, wall: float = 100.0) -> list[TrendRecord]:
     return [_record(i, wall) for i in range(n)]
 
 
+def _bench_artifact(i: int, serial_ms: float, parallel_ms: float) -> dict:
+    """One bench session's artifact holding one serial/parallel pair."""
+    return {
+        "run_id": f"b{i:03d}",
+        "label": "bench 8x Test CPU",
+        "total_wall_ms": serial_ms + parallel_ms,
+        "benchmarks": {
+            "test_bench_pair_serial": serial_ms,
+            "test_bench_pair_parallel": parallel_ms,
+        },
+    }
+
+
+def _bench(i: int, serial_ms: float, parallel_ms: float) -> TrendRecord:
+    return record_from_bench(_bench_artifact(i, serial_ms, parallel_ms))
+
+
+#: Four runs near a 2.00x speedup, then 1.40x: the serial wall falls and
+#: the parallel wall holds, so only the ratio series rises (50% -> 71%).
+_SHRINKING_SPEEDUP = [
+    (10000.0, 5000.0), (10100.0, 5000.0), (9900.0, 5050.0),
+    (10000.0, 4950.0), (7000.0, 5000.0),
+]
+
+
 class TestIngestion:
     def test_record_from_manifest_keys_by_span_name(self):
         obs.uninstall()
@@ -75,12 +101,18 @@ class TestIngestion:
             "git_sha": "abc",
             "total_wall_ms": 130.0,
             "experiments": {"fig4": {"wall_ms": 120.0, "cpu_ms": 110.0}},
-            "benchmarks": {"test_bench_fig4": 10.5},
+            "benchmarks": {"test_bench_fig4": 10.5,
+                           "test_bench_pair_serial": 8000.0,
+                           "test_bench_pair_parallel": 2000.0},
         })
         assert record.kind == "bench"
         assert record.series == {
             "experiment.fig4": 120.0,
             "bench.test_bench_fig4": 10.5,
+            "bench.test_bench_pair_serial": 8000.0,
+            "bench.test_bench_pair_parallel": 2000.0,
+            # Derived from the pair: parallel as a percent of serial.
+            "bench.test_bench_pair.parallel_pct": 25.0,
         }
         assert record.run_id  # synthesised when the artifact has none
 
@@ -92,6 +124,7 @@ class TestIngestion:
         assert metric_unit("mem.census.topology_kib") == "KiB"
         assert metric_unit("mem.bytes_per_route") == "B"
         assert metric_unit("mem.bytes_per_as") == "B"
+        assert metric_unit("bench.test_bench_pair.parallel_pct") == "%"
 
     def test_record_from_file_dispatches_and_rejects(self, tmp_path):
         bench = tmp_path / "BENCH_obs.json"
@@ -253,6 +286,10 @@ class TestIdempotentIngest:
 class TestDetectRegressions:
     def test_flat_history_is_quiet(self):
         assert detect_regressions(_flat_history()) == []
+        # A steady pair where parallel loses (0.48x) is flat too.
+        assert detect_regressions(
+            [_bench(i, 4900.0, 10300.0) for i in range(5)]
+        ) == []
 
     def test_two_x_jump_flags(self):
         records = _flat_history() + [_record(99, 200.0)]
@@ -277,11 +314,22 @@ class TestDetectRegressions:
 
     def test_sub_noise_floor_metrics_never_flag(self):
         records = [_record(i, 5.0) for i in range(8)] + [_record(99, 20.0)]
-        assert detect_regressions(records, min_wall_ms=25.0) == []
+        assert detect_regressions(records) == []
 
     def test_needs_min_history(self):
         records = [_record(0, 100.0), _record(1, 100.0), _record(99, 300.0)]
-        assert detect_regressions(records, min_history=3) == []
+        assert detect_regressions(records) == []
+        # Two prior points of a pair, then its speedup collapses from
+        # 0.48x to 0.16x: still too young to judge.
+        pairs = [_bench(0, 4900.0, 10300.0), _bench(1, 4900.0, 10300.0),
+                 _bench(99, 4900.0, 30000.0)]
+        assert detect_regressions(pairs) == []
+        # One more prior point arms the gate on the wall and the ratio.
+        pairs.insert(2, _bench(2, 4900.0, 10300.0))
+        assert {r.metric for r in detect_regressions(pairs)} == {
+            "bench.test_bench_pair.parallel_pct",
+            "bench.test_bench_pair_parallel",
+        }
 
     def test_window_limits_the_baseline(self):
         # Old slow runs outside the window must not mask a regression
@@ -333,8 +381,33 @@ class TestCliGate:
     def test_gate_exits_zero_on_flat_history(self, tmp_path, capsys):
         for rec in _flat_history():
             append_record(tmp_path, rec)
+        for i in range(5):
+            append_record(tmp_path, _bench(i, 10000.0, 5000.0))
         assert cli.main(["obs", "trend", "--history", str(tmp_path),
                          "--gate"]) == 0
+
+    def test_gate_exits_nonzero_on_shrinking_speedup(self, tmp_path, capsys):
+        """2.00x -> 1.40x fails the gate though neither wall rises."""
+        history = tmp_path / "hist"
+        artifacts = []
+        for i, (serial, parallel) in enumerate(_SHRINKING_SPEEDUP):
+            path = tmp_path / f"BENCH_obs_{i}.json"
+            path.write_text(json.dumps(_bench_artifact(i, serial, parallel)))
+            artifacts.append(str(path))
+        # Two prior points: the gate is not armed yet.
+        assert cli.main(["obs", "ingest", *artifacts[:2], artifacts[-1],
+                         "--history", str(tmp_path / "young")]) == 0
+        assert cli.main(["obs", "trend", "--history", str(tmp_path / "young"),
+                         "--gate"]) == 0
+        assert cli.main(["obs", "ingest", *artifacts,
+                         "--history", str(history)]) == 0
+        capsys.readouterr()
+        assert cli.main(["obs", "trend", "--history", str(history),
+                         "--gate"]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION: 1 metric(s)" in out
+        assert ("bench.test_bench_pair.parallel_pct: 71.4 % vs median "
+                "49.8 %") in out
 
     def test_without_gate_regressions_only_report(self, tmp_path):
         for rec in _flat_history() + [_record(99, 200.0)]:

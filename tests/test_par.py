@@ -15,7 +15,6 @@ from repro import obs
 from repro.netaddr.ipv4 import IPv4Prefix
 from repro.par.cache import (
     CACHE_DIR_ENV,
-    CACHE_FLAG_ENV,
     FORMAT_VERSION,
     MAGIC,
     CacheCorruption,
@@ -98,9 +97,6 @@ class TestMapDeterministic:
         items = list(range(37))
         expected = [x * x for x in items]
         assert map_deterministic(_square, items, workers=2) == expected
-        assert map_deterministic(
-            _square, items, workers=3, chunk_size=5
-        ) == expected
 
     def test_empty_input(self):
         assert map_deterministic(_square, [], workers=4) == []
@@ -450,7 +446,6 @@ class TestRoutingTableCache:
 class TestCacheResolution:
     def test_default_is_off(self, monkeypatch):
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        monkeypatch.delenv(CACHE_FLAG_ENV, raising=False)
         clear_default_cache()
         assert resolve_cache() is None
 
@@ -459,13 +454,6 @@ class TestCacheResolution:
         clear_default_cache()
         cache = resolve_cache()
         assert cache is not None and cache.directory == tmp_path
-
-    def test_flag_uses_default_location(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        monkeypatch.setenv(CACHE_FLAG_ENV, "1")
-        clear_default_cache()
-        cache = resolve_cache()
-        assert cache is not None and cache.directory == default_cache_dir()
 
     def test_override_beats_environment(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))
@@ -579,3 +567,15 @@ class TestCacheCli:
         clear_default_cache()
         assert main(["cache", "stats"]) == 0
         assert "entries: 1" in capsys.readouterr().out
+
+        # Without it, builds cache nothing, but ``repro cache`` still
+        # reads the XDG default location.
+        monkeypatch.delenv(CACHE_DIR_ENV)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert resolve_cache() is None
+        assert default_cache_dir() == tmp_path / "xdg" / "repro"
+        self._warm(tiny_topology, default_cache_dir())
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert str(tmp_path / "xdg" / "repro") in out
+        assert "entries: 1" in out
