@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.config import SMALL
+from repro.experiments.config import LARGE, SMALL
 from repro.experiments.world import World
 from repro.obs.manifest import current_git_sha, new_run_id
 from repro.par.pool import worker_count
@@ -87,14 +87,15 @@ def bench_obs(request) -> dict:
     """The session collector behind ``BENCH_obs.json``.
 
     Keys: ``benchmarks`` (test name -> per-round median ms, filled
-    automatically; see :func:`per_round_ms`),
-    ``experiments`` (experiment name -> wall/cpu ms, filled by the
-    experiment-suite bench), ``counters``, ``total_wall_ms``.  The
-    collector is stashed on the pytest config so
+    automatically; see :func:`per_round_ms`), ``tiers`` (the world
+    tiers those tests ran), ``experiments`` (experiment name -> wall/cpu
+    ms, filled by the experiment-suite bench), ``counters``,
+    ``total_wall_ms``.  The collector is stashed on the pytest config so
     :func:`pytest_sessionfinish` can write it after teardown.
     """
     collector = {
         "benchmarks": {},
+        "tiers": set(),
         "experiments": {},
         "counters": {},
         "total_wall_ms": 0.0,
@@ -141,6 +142,9 @@ def _collect_bench_timing(request, bench_obs):
     bench_obs["benchmarks"][request.node.name] = round(
         per_round_ms(benchmark, wall_ms), 3
     )
+    bench_obs["tiers"].add(
+        LARGE.name if "large_routing" in request.fixturenames else SMALL.name
+    )
     bench_obs["total_wall_ms"] += wall_ms
 
 
@@ -160,7 +164,11 @@ def pytest_sessionfinish(session, exitstatus):
         # retry) dedupes by run id instead of double-counting.
         "run_id": new_run_id(),
         "label": host_label(),
-        "config": SMALL.name,
+        # A LARGE-only session (CI's large-world job) is stamped LARGE.
+        # A session that also ran SMALL keeps SMALL's stamp: its LARGE
+        # tests name their tier, which `repro obs speedup` reads first.
+        "config": (LARGE.name if collector["tiers"] == {LARGE.name}
+                   else SMALL.name),
         "git_sha": current_git_sha(),
         # Execution environment, so the crossover report can group
         # comparable runs (see repro.obs.speedup).

@@ -599,11 +599,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     else:
         cache = resolve_cache() or RoutingTableCache(default_cache_dir())
     if args.cache_command == "stats":
-        entries, total_bytes = cache.disk_stats()
-        print(f"cache directory: {cache.directory}")
-        print(f"entries: {entries}")
-        print(f"bytes: {total_bytes}")
         sizes = cache.entry_size_stats()
+        print(f"cache directory: {cache.directory}")
+        print(f"entries: {sizes.count}")
+        print(f"bytes: {sizes.total_bytes}")
         if sizes.count:
             print(f"entry bytes: min {sizes.min_bytes}  "
                   f"mean {sizes.mean_bytes:.0f}  max {sizes.max_bytes}")

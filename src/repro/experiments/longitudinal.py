@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.report import render_table
 from repro.experiments.world import World
-from repro.sitemap.pipeline import SiteMapper
 
 DEFAULT_CAMPAIGNS = 4
 
@@ -72,12 +71,7 @@ def run(world: World, campaigns: int = DEFAULT_CAMPAIGNS) -> LongitudinalResult:
             world.config.measurement_seed + 1000 + week
         )
         for name, deployment in deployments.items():
-            mapper = SiteMapper(
-                atlas=world.topology.atlas,  # type: ignore[attr-defined]
-                rdns=world.rdns,
-                databases=world.databases,
-                published_sites=deployment.published_cities,
-            )
+            mapper = world.site_mapper(deployment.published_cities)
             for region in deployment.region_names:
                 addr = deployment.address_of_region(region)
                 traces = engine.traceroute_many(world.usable_probes, addr)

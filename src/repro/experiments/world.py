@@ -21,6 +21,8 @@ known path costs only its jitter.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro import obs
 from repro.analysis.compare import ProbeObservation
 from repro.analysis.cases import phop_owner
@@ -138,6 +140,7 @@ class World:
         self._trace_cache: dict[IPv4Address, dict[int, TracerouteResult]] = {}
         self._resolve_cache: dict[tuple[str, DnsMode], dict[int, IPv4Address]] = {}
         self._sitemap_cache: dict[tuple[IPv4Address, tuple[str, ...]], SiteMappingResult] = {}
+        self._site_mappers: dict[tuple[str, ...], SiteMapper] = {}
 
     # ------------------------------------------------------------------
     # Cached measurement primitives
@@ -216,12 +219,16 @@ class World:
     # Site mapping (§4.4)
     # ------------------------------------------------------------------
     def site_mapper(self, published: list[City]) -> SiteMapper:
-        return SiteMapper(
-            atlas=self.topology.atlas,  # type: ignore[attr-defined]
-            rdns=self.rdns,
-            databases=self.databases,
-            published_sites=published,
-        )
+        """The pipeline for one published site set, shared by its addresses."""
+        key = tuple(sorted(c.iata for c in published))
+        if key not in self._site_mappers:
+            self._site_mappers[key] = SiteMapper(
+                atlas=self.topology.atlas,  # type: ignore[attr-defined]
+                rdns=self.rdns,
+                databases=self.databases,
+                published_sites=published,
+            )
+        return self._site_mappers[key]
 
     def map_sites_for_address(
         self, addr: IPv4Address, published: list[City]
@@ -266,39 +273,40 @@ class World:
         """Per-probe (RTT, inferred site, p-hop owner) for the regional IP
         each probe received from DNS."""
         answers = self.resolve_all(service, mode)
-        observations: dict[int, ProbeObservation] = {}
-        for probe in self.usable_probes:
-            addr = answers[probe.probe_id]
-            observations[probe.probe_id] = self._observe(probe, addr,
-                                                         deployment.published_cities)
-        return observations
+        return self._observe(answers.items(), deployment.published_cities)
 
     def observations_global(
         self, deployment: GlobalDeployment
     ) -> dict[int, ProbeObservation]:
-        return {
-            probe.probe_id: self._observe(
-                probe, deployment.address, deployment.published_cities
-            )
-            for probe in self.usable_probes
-        }
+        pairs = ((p.probe_id, deployment.address) for p in self.usable_probes)
+        return self._observe(pairs, deployment.published_cities)
 
     def _observe(
-        self, probe: Probe, addr: IPv4Address, published: list[City]
-    ) -> ProbeObservation:
-        mapping = self.map_sites_for_address(addr, published)
-        trace = self.trace_all(addr)[probe.probe_id]
-        ping = self.ping_all(addr)[probe.probe_id]
-        phop = trace.penultimate_hop
-        owner = None
-        if phop is not None and phop.addr is not None:
-            owner = phop_owner(self.topology, phop.addr)
-        return ProbeObservation(
-            probe_id=probe.probe_id,
-            rtt_ms=ping.rtt_ms,
-            site=mapping.catchment_site.get(probe.probe_id),
-            peer_owner=owner,
-        )
+        self, pairs: Iterable[tuple[int, IPv4Address]], published: list[City]
+    ) -> dict[int, ProbeObservation]:
+        """Observe each (probe id, address) pair, in order; each distinct
+        address's site map, traces and pings are looked up once."""
+        lookups: dict[IPv4Address, tuple] = {}
+        observations: dict[int, ProbeObservation] = {}
+        for pid, addr in pairs:
+            if addr not in lookups:
+                lookups[addr] = (
+                    self.map_sites_for_address(addr, published).catchment_site,
+                    self.trace_all(addr),
+                    self.ping_all(addr),
+                )
+            sites, traces, pings = lookups[addr]
+            phop = traces[pid].penultimate_hop
+            owner = None
+            if phop is not None and phop.addr is not None:
+                owner = phop_owner(self.topology, phop.addr)
+            observations[pid] = ProbeObservation(
+                probe_id=pid,
+                rtt_ms=pings[pid].rtt_ms,
+                site=sites.get(pid),
+                peer_owner=owner,
+            )
+        return observations
 
 
 _WORLDS: dict[str, World] = {}

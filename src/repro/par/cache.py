@@ -18,11 +18,12 @@ module gives routing tables a life across processes.
   every table the old code produced.
 
 **Format.**  Entries are versioned binary blobs: a magic/version header,
-a SHA-256 checksum, then a compact struct encoding of the equal-best
-route sets (node order preserved, so a loaded table is byte-identical to
-the one stored).  Writes go to a temp file in the same directory and
-are published with an atomic :func:`os.replace`; concurrent writers
-(parallel workers warming the same directory) cannot tear an entry.
+a SHA-256 checksum, the announcement key, then a zlib-compressed copy of
+the table's five packed columns, little-endian (row order preserved, so
+a loaded table is byte-identical to the one stored).  Writes go to a
+temp file in the same directory and are published with an atomic
+:func:`os.replace`; concurrent writers (parallel workers warming the
+same directory) cannot tear an entry.
 
 **Degradation.**  A corrupt, truncated, or foreign file is treated as a
 miss, counted, and deleted; a failing store (read-only dir, disk full)
@@ -36,9 +37,14 @@ import importlib
 import json
 import os
 import struct
+import sys
 import weakref
+import zlib
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne, sub
 from pathlib import Path
 from typing import Iterable
 
@@ -48,11 +54,10 @@ from repro.topology.graph import Topology
 from repro.topology.io import dump_topology
 
 #: On-disk entry layout version; bump when the binary format changes.
-#: v2 is the packed-column format: LEB128 varints for node ids, route
-#: counts, and path hops (stub ids near 10001 cost 2 bytes instead of
-#: 4), decoded straight into :class:`repro.routing.table
-#: .RoutingTable` columns without materializing Route objects.
-FORMAT_VERSION = 2
+#: v3 stores the :class:`repro.routing.table.RoutingTable` columns whole
+#: behind a count header, zlib level 1: C-level copies where v2 ran a
+#: varint loop in Python per byte.
+FORMAT_VERSION = 3
 
 MAGIC = b"RPRT"
 
@@ -148,62 +153,37 @@ def announcement_key(announcement: Announcement) -> str:
 # Binary codec
 # ----------------------------------------------------------------------
 
-def _write_uvarint(out: bytearray, value: int) -> None:
-    """Append one unsigned LEB128 varint."""
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
+#: Counts heading the compressed section: num_nodes, rows, routes, hops.
+_COUNTS = struct.Struct("<4I")
+
+#: Columns are stored little-endian, like every header field.
+_SWAP = sys.byteorder != "little"
 
 
-def _read_uvarint(body: bytes, offset: int) -> tuple[int, int]:
-    """One unsigned LEB128 varint at ``offset``; returns (value, next)."""
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(body):
-            raise CacheCorruption("truncated varint")
-        byte = body[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-        if shift > 35:
-            raise CacheCorruption("oversized varint")
+def _swapped(column: array) -> array:
+    """``column`` converted between host and stored byte order."""
+    if _SWAP:
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column
 
 
 def encode_table(table: RoutingTable) -> bytes:
     """Serialise a routing table to a versioned, checksummed blob.
 
-    Entries are written straight off the packed columns (no Route
-    objects), in table row order, so ``encode_table(decode)``
-    round-trips byte-identically — the property the serial-vs-parallel
-    digest checks build on.
+    The five packed columns are copied out whole, in table row order,
+    so ``encode_table(decode)`` round-trips byte-identically — the
+    property the serial-vs-parallel digest checks build on.
     """
-    body = bytearray()
+    columns = (table._node_ids, table._choice_start, table._tiers,
+               table._path_start, table._path_nodes)
+    counts = _COUNTS.pack(table._num_nodes, len(table._node_ids),
+                          len(table._path_start) - 1, len(table._path_nodes))
+    payload = b"".join([counts, *(_swapped(c).tobytes() for c in columns)])
     key = announcement_key(table.announcement).encode()
-    body += struct.pack("<H", len(key)) + key
-    _write_uvarint(body, table._num_nodes)
-    node_ids = table._node_ids
-    choice_start = table._choice_start
-    tiers = table._tiers
-    path_start = table._path_start
-    path_nodes = table._path_nodes
-    _write_uvarint(body, len(node_ids))
-    for row in range(len(node_ids)):
-        _write_uvarint(body, node_ids[row])
-        lo, hi = choice_start[row], choice_start[row + 1]
-        _write_uvarint(body, hi - lo)
-        tier = tiers[row]
-        for j in range(lo, hi):
-            body.append(tier)
-            start, end = path_start[j], path_start[j + 1]
-            _write_uvarint(body, end - start)
-            for k in range(start, end):
-                _write_uvarint(body, path_nodes[k])
-    checksum = hashlib.sha256(bytes(body)).digest()
-    return _HEADER.pack(MAGIC, FORMAT_VERSION) + checksum + bytes(body)
+    body = struct.pack("<H", len(key)) + key + zlib.compress(payload, 1)
+    checksum = hashlib.sha256(body).digest()
+    return _HEADER.pack(MAGIC, FORMAT_VERSION) + checksum + body
 
 
 def decode_table(
@@ -212,14 +192,14 @@ def decode_table(
     """Rebuild a routing table from :func:`encode_table` output.
 
     Raises :class:`CacheCorruption` on any structural defect: bad magic,
-    unknown version, checksum mismatch, announcement-key mismatch, or
-    truncated/over-long payloads.
+    unknown version, checksum mismatch, announcement-key mismatch,
+    truncated/over-long payloads, or columns that do not form a table.
     """
     try:
         return _decode_table(blob, announcement, topology_version)
     except CacheCorruption:
         raise
-    except (struct.error, ValueError, IndexError) as exc:
+    except (struct.error, ValueError, IndexError, zlib.error) as exc:
         raise CacheCorruption(f"undecodable cache entry: {exc}") from exc
 
 
@@ -238,64 +218,85 @@ def _decode_table(
     body = blob[header_len:]
     if hashlib.sha256(body).digest() != checksum:
         raise CacheCorruption("checksum mismatch")
-    offset = 0
-    (key_len,) = struct.unpack_from("<H", body, offset)
-    offset += 2
-    key = body[offset:offset + key_len].decode()
-    offset += key_len
+    (key_len,) = struct.unpack_from("<H", body, 0)
+    key = body[2:2 + key_len].decode()
     if key != announcement_key(announcement):
         raise CacheCorruption(
             f"announcement mismatch: entry holds {key!r}"
         )
-    num_nodes, offset = _read_uvarint(body, offset)
-    num_entries, offset = _read_uvarint(body, offset)
-    node_ids = array("i")
-    tiers = array("b")
-    choice_start = array("i", [0])
-    path_start = array("i", [0])
-    path_nodes = array("i")
-    for _ in range(num_entries):
-        node_id, offset = _read_uvarint(body, offset)
-        num_routes, offset = _read_uvarint(body, offset)
-        if num_routes < 1:
-            raise CacheCorruption("entry holds no routes")
-        entry_tier = -1
-        entry_len = -1
-        for route_index in range(num_routes):
-            if offset >= len(body):
-                raise CacheCorruption("truncated route record")
-            tier = body[offset]
-            offset += 1
-            if not 1 <= tier <= 5:
-                raise CacheCorruption(f"invalid preference tier {tier}")
-            path_len, offset = _read_uvarint(body, offset)
-            if path_len < 1:
-                raise CacheCorruption("route with an empty path")
-            if route_index == 0:
-                entry_tier, entry_len = tier, path_len
-            elif tier != entry_tier or path_len != entry_len:
-                raise CacheCorruption(
-                    "equal-best routes must share tier and length"
-                )
-            for _ in range(path_len):
-                hop, offset = _read_uvarint(body, offset)
-                path_nodes.append(hop)
-            path_start.append(len(path_nodes))
-        node_ids.append(node_id)
-        tiers.append(entry_tier)
-        choice_start.append(len(path_start) - 1)
-    if offset != len(body):
-        raise CacheCorruption("trailing bytes after the last entry")
-    return RoutingTable(
-        announcement,
-        topology_version,
-        num_nodes,
-        node_ids,
-        choice_start,
-        tiers,
-        path_start,
-        path_nodes,
-    )
+    inflater = zlib.decompressobj()
+    payload = memoryview(inflater.decompress(body[2 + key_len:]))
+    if not inflater.eof or inflater.unused_data:
+        raise CacheCorruption("malformed compressed section")
+    num_nodes, rows, routes, hops = _COUNTS.unpack_from(payload, 0)
+    offset = _COUNTS.size
+    columns = []
+    # node ids, choice starts, tiers, path starts, path nodes
+    for typecode, count in zip("iibii", (rows, rows + 1, rows,
+                                         routes + 1, hops)):
+        column = array(typecode)
+        end = offset + count * column.itemsize
+        if end > len(payload):
+            raise CacheCorruption("truncated column")
+        column.frombytes(payload[offset:end])
+        columns.append(_swapped(column))
+        offset = end
+    if offset != len(payload):
+        raise CacheCorruption("trailing bytes after the last column")
+    del payload  # the columns are copies: free the section now
+    _, choice_start, tiers, path_start, _ = columns
+    if tiers.tobytes().translate(None, bytes(range(1, 6))):
+        raise CacheCorruption("invalid preference tier")
+    if (choice_start[0] != 0 or choice_start[-1] != routes
+            or path_start[0] != 0 or path_start[-1] != hops):
+        raise CacheCorruption("offset column does not span its data")
+    if rows and min(map(sub, choice_start[1:], choice_start)) < 1:
+        raise CacheCorruption("entry holds no routes")
+    lengths = list(map(sub, path_start[1:], path_start))
+    if routes and min(lengths) < 1:
+        raise CacheCorruption("route with an empty path")
+    # Within one equal-best set every path has one length, so a length
+    # may change only where a row's first route begins.  The sweep emits
+    # rows grouped by path length: a LARGE table has about 50 changes.
+    for j in compress(range(1, routes), map(ne, lengths[1:], lengths)):
+        if choice_start[bisect_left(choice_start, j)] != j:
+            raise CacheCorruption("equal-best routes must share one length")
+    return RoutingTable(announcement, topology_version, num_nodes, *columns)
+
+
+def _write_uvarint(out: bytearray, value: int) -> None:
+    """Append one unsigned LEB128 varint."""
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _digest_entry(table: RoutingTable) -> bytes:
+    """A table in the v2 entry layout (LEB128 varints, row by row).
+
+    The pinned routing digests were taken over this stream, so
+    :func:`tables_digest` keeps hashing it: v3 entries would move them.
+    """
+    body = bytearray()
+    key = announcement_key(table.announcement).encode()
+    body += struct.pack("<H", len(key)) + key
+    _write_uvarint(body, table._num_nodes)
+    _write_uvarint(body, len(table._node_ids))
+    choice_start, path_start = table._choice_start, table._path_start
+    path_nodes = table._path_nodes
+    for row, (node_id, tier) in enumerate(zip(table._node_ids, table._tiers)):
+        _write_uvarint(body, node_id)
+        lo, hi = choice_start[row], choice_start[row + 1]
+        _write_uvarint(body, hi - lo)
+        for j in range(lo, hi):
+            body.append(tier)
+            start, end = path_start[j], path_start[j + 1]
+            _write_uvarint(body, end - start)
+            for k in range(start, end):
+                _write_uvarint(body, path_nodes[k])
+    checksum = hashlib.sha256(bytes(body)).digest()
+    return _HEADER.pack(MAGIC, 2) + checksum + bytes(body)
 
 
 def tables_digest(tables: Iterable[RoutingTable]) -> str:
@@ -307,7 +308,7 @@ def tables_digest(tables: Iterable[RoutingTable]) -> str:
     """
     hasher = hashlib.sha256()
     for table in tables:
-        hasher.update(encode_table(table))
+        hasher.update(_digest_entry(table))
     return hasher.hexdigest()
 
 
@@ -431,14 +432,8 @@ class RoutingTableCache:
 
     def disk_stats(self) -> tuple[int, int]:
         """``(entry count, total bytes)`` of the on-disk store."""
-        entries = self.entries()
-        total = 0
-        for entry in entries:
-            try:
-                total += entry.stat().st_size
-            except OSError:
-                pass
-        return len(entries), total
+        sizes = self.entry_size_stats()
+        return sizes.count, sizes.total_bytes
 
     def entry_size_stats(self) -> "EntrySizeStats":
         """Per-entry size distribution of the on-disk store.

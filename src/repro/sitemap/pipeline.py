@@ -102,14 +102,18 @@ class SiteMapper:
         self._published_by_country: dict[str, list[City]] = {}
         for city in published_sites:
             self._published_by_country.setdefault(city.country, []).append(city)
+        self._closest: dict[tuple[float, float], City] = {}
 
     # ------------------------------------------------------------------
     def closest_site(self, location: GeoPoint) -> City:
-        """The published site city closest to a location."""
-        return min(
-            self._published,
-            key=lambda c: (c.location.distance_km(location), c.iata),
-        )
+        """The published site city closest to a location (memoized)."""
+        key = (location.lat, location.lon)
+        if key not in self._closest:
+            self._closest[key] = min(
+                self._published,
+                key=lambda c: (c.location.distance_km(location), c.iata),
+            )
+        return self._closest[key]
 
     # ------------------------------------------------------------------
     def _resolve_rdns(self, addr: IPv4Address) -> GeoPoint | None:

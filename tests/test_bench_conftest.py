@@ -5,7 +5,7 @@
 file path.  The properties under test: each test records
 pytest-benchmark's per-round median rather than the wall around the
 whole test, and a session writes only what it measured, under a label
-that names the host.
+that names the host and a ``config`` stamp that names the tier it ran.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ class TestBenchArtifact:
         monkeypatch.setenv("REPRO_BENCH_OBS", str(out))
         collector = {
             "benchmarks": {"test_a": 12.0},
+            "tiers": {"small"},
             "experiments": {},
             "counters": {},
             "total_wall_ms": 40.0,
@@ -81,3 +82,26 @@ class TestBenchArtifact:
         assert artifact["label"] == mod.host_label()
         assert artifact["label"].startswith(f"bench {os.cpu_count()}x ")
         assert len(artifact["label"]) > len(f"bench {os.cpu_count()}x ")
+
+    def test_config_stamps_the_tier_the_session_ran(
+        self, tmp_path, monkeypatch
+    ):
+        mod = _load_bench_conftest()
+        out = tmp_path / "BENCH_obs.json"
+        monkeypatch.setenv("REPRO_BENCH_OBS", str(out))
+        for tiers, expected in (({"large"}, "large"),
+                                ({"small"}, "small"),
+                                ({"small", "large"}, "small")):
+            collector = {
+                "benchmarks": {"test_bench_compute_many_large_serial": 5.0},
+                "tiers": tiers,
+                "experiments": {},
+                "counters": {},
+                "total_wall_ms": 5.0,
+            }
+            session = SimpleNamespace(
+                config=SimpleNamespace(_bench_obs=collector)
+            )
+            mod.pytest_sessionfinish(session, 0)
+            artifact = json.loads(out.read_text(encoding="utf-8"))
+            assert artifact["config"] == expected, tiers

@@ -10,6 +10,7 @@ import os
 import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import obs
 from repro.netaddr.ipv4 import IPv4Prefix
@@ -40,6 +41,7 @@ from repro.par.pool import (
 )
 from repro.routing.engine import RoutingEngine
 from repro.routing.route import Announcement, OriginSpec
+from repro.routing.table import RoutingTable
 from repro.topology.asys import Tier
 
 
@@ -321,6 +323,36 @@ class TestCodec:
         assert decoded.best == table.best
         assert decoded._num_nodes == table._num_nodes
         assert decoded.topology_version == table.topology_version
+        assert encode_table(decoded) == blob
+
+    @given(
+        num_nodes=st.integers(0, 2**31 - 1),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2**31 - 1),
+                st.integers(1, 5),
+                st.integers(1, 6).flatmap(lambda hops: st.lists(
+                    st.lists(st.integers(0, 2**31 - 1),
+                             min_size=hops, max_size=hops),
+                    min_size=1, max_size=3,
+                )),
+            ),
+            max_size=12,
+            unique_by=lambda row: row[0],
+        ),
+    )
+    def test_roundtrip_property(self, num_nodes, rows):
+        ann = Announcement(
+            prefix=IPv4Prefix.parse("198.18.0.0/24"),
+            origins=(OriginSpec(site_node=7),),
+        )
+        table = RoutingTable.from_rows(ann, 3, num_nodes, rows)
+        blob = encode_table(table)
+        decoded = decode_table(blob, ann, 3)
+        assert decoded._num_nodes == num_nodes
+        for column in ("_node_ids", "_choice_start", "_tiers",
+                       "_path_start", "_path_nodes"):
+            assert getattr(decoded, column) == getattr(table, column)
         assert encode_table(decoded) == blob
 
     def test_digest_is_order_sensitive(self, tiny_topology):

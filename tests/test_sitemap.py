@@ -3,6 +3,7 @@
 import pytest
 
 from repro.anycast.network import AnycastNetwork
+from repro.geo.atlas import City
 from repro.geoloc.database import GeoDatabase, GeoDbParams, default_databases
 from repro.geoloc.oracle import GeoOracle
 from repro.geoloc.rdns import RdnsParams, ReverseDNS
@@ -157,3 +158,21 @@ class TestClosestSiteMapping:
         tokyo = topo.atlas.get("NRT").location
         # Tokyo is closest to the SIN site among the published five.
         assert mapper.closest_site(tokyo).iata == "SIN"
+
+    def test_memo_returns_the_fresh_minimum(self, pipeline_world):
+        topo, probes, oracle, traces, byid, published, net, addr = pipeline_world
+        mapper = make_mapper(oracle, published)
+        for probe in probes.usable_probes()[:60]:
+            loc = probe.location
+            ranks = [(c.location.distance_km(loc), c.iata) for c in published]
+            expected = published[ranks.index(min(ranks))]
+            assert mapper.closest_site(loc) is expected
+            assert mapper.closest_site(loc) is expected  # served by the memo
+
+    def test_ties_go_to_the_smaller_iata_code(self, pipeline_world):
+        topo, probes, oracle, traces, byid, published, net, addr = pipeline_world
+        ams = topo.atlas.get("AMS")
+        twin = City("AAA", "Twin of Amsterdam", ams.country, ams.location)
+        mapper = make_mapper(oracle, [ams, twin, *published])
+        assert mapper.closest_site(ams.location) is twin
+        assert mapper.closest_site(ams.location) is twin

@@ -50,6 +50,35 @@ class TestWorldHelpers:
         c = small_world.map_sites_for_address(addr, pub[:10])
         assert c is not a
 
+    def test_site_mapper_shared_per_published_set(self, small_world):
+        pub = small_world.imperva.ns.published_cities
+        mapper = small_world.site_mapper(pub)
+        assert small_world.site_mapper(list(reversed(pub))) is mapper
+        assert small_world.site_mapper(pub[:10]) is not mapper
+
+    def test_regional_observations_match_per_probe_lookups(self, small_world):
+        from repro.analysis.cases import phop_owner
+
+        deployment = small_world.edgio.eg4
+        published = deployment.published_cities
+        observed = small_world.observations_regional(
+            deployment, small_world.eg4_service
+        )
+        answers = small_world.resolve_all(small_world.eg4_service,
+                                          DnsMode.LDNS)
+        assert list(observed) == [p.probe_id for p in small_world.usable_probes]
+        assert len(set(answers.values())) > 1
+        for pid, seen in observed.items():
+            addr = answers[pid]
+            phop = small_world.trace_all(addr)[pid].penultimate_hop
+            owner = None
+            if phop is not None and phop.addr is not None:
+                owner = phop_owner(small_world.topology, phop.addr)
+            mapping = small_world.map_sites_for_address(addr, published)
+            assert seen.rtt_ms == small_world.ping_all(addr)[pid].rtt_ms
+            assert seen.site == mapping.catchment_site.get(pid)
+            assert seen.peer_owner == owner
+
     def test_observations_cover_all_usable_probes(self, small_world):
         obs = small_world.observations_global(small_world.imperva.ns)
         assert set(obs) == {p.probe_id for p in small_world.usable_probes}
