@@ -43,7 +43,3 @@ def render_table(
 def format_pct(fraction: float) -> str:
     """A fraction as a paper-style percentage string."""
     return f"{100.0 * fraction:.1f}%"
-
-
-def format_ms(value: float) -> str:
-    return f"{value:.0f}"

@@ -38,10 +38,6 @@ class SiteWithdrawalImpact:
     #: Where the affected probes land after withdrawal (site name → count).
     failover_catchments: dict[str, int]
 
-    @property
-    def mean_penalty_ms(self) -> float:
-        return self.mean_rtt_after_ms - self.mean_rtt_before_ms
-
 
 def site_withdrawal_study(
     network: AnycastNetwork,

@@ -20,7 +20,6 @@ from repro.baselines.dailycatch import DailyCatchResult, run_dailycatch
 from repro.dnssim.resolver import DnsMode
 from repro.dnssim.route53 import GeoPolicyZone
 from repro.experiments.world import World
-from repro.geo.areas import Area
 from repro.tangled.reopt import ReOpt
 
 
@@ -31,18 +30,6 @@ class BaselinesResult:
     rtts: dict[str, dict[int, float]] = field(default_factory=dict)
     dailycatch: DailyCatchResult = None
     anyopt: AnyOptResult = None
-
-    def area_percentile(self, strategy: str, area: Area, p: int,
-                        world: World) -> float | None:
-        values = []
-        by_probe = self.rtts[strategy]
-        for group in world.groups:
-            if group.area is not area:
-                continue
-            median = group.median(by_probe)
-            if median is not None:
-                values.append(median)
-        return percentile(values, p) if values else None
 
     def overall_percentile(self, strategy: str, p: int) -> float:
         return percentile(list(self.rtts[strategy].values()), p)

@@ -106,9 +106,6 @@ class CatchmentDiff:
             counts[flip.case] += 1
         return counts
 
-    def flips_of(self, case: str) -> tuple[FlipAttribution, ...]:
-        return tuple(f for f in self.flips if f.case == case)
-
     def to_dict(self, topology: "Topology") -> dict[str, object]:
         from repro.explain.journey import node_label
 
@@ -329,7 +326,3 @@ def render_diff_dict(data: dict[str, object], max_examples: int = 3) -> str:
                 f"{label(flip.get('origin_a'))} -> {label(flip.get('origin_b'))}"
             )
     return "\n".join(lines)
-
-
-def render_diff(diff: CatchmentDiff, topology: "Topology") -> str:
-    return render_diff_dict(diff.to_dict(topology))

@@ -57,7 +57,7 @@ class RouteCandidate:
     #: Whether the candidate made the equal-best set.
     accepted: bool
     #: Why it lost (``""`` when accepted): ``lower-tier``,
-    #: ``longer-path``, ``not-exported``, ``loop``, ``duplicate-exit``,
+    #: ``longer-path``, ``not-exported``, ``loop``,
     #: ``equal-best-overflow``, ``held-better-tier``.
     reason: str = ""
 

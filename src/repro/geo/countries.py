@@ -217,8 +217,3 @@ def continent_of(code: str) -> Continent:
 def iter_countries() -> Iterator[str]:
     """Iterate over all known country codes, in stable definition order."""
     return iter(_COUNTRIES)
-
-
-def countries_in(continent: Continent) -> list[str]:
-    """All known country codes on a given continent, in stable order."""
-    return [code for code, (_, cont) in _COUNTRIES.items() if cont is continent]

@@ -155,9 +155,6 @@ class ProjectGraph:
         info = self.functions.get(qualname)
         return info.module if info is not None else ""
 
-    def functions_in(self, module: str) -> list[FunctionInfo]:
-        return [f for f in self.functions.values() if f.module == module]
-
     def transitive_callees(self, roots: list[str]) -> set[str]:
         """Every function reachable from ``roots`` (roots included).
 

@@ -7,9 +7,10 @@ module gives routing tables a life across processes.
 
 **Keying.**  A cached table is valid exactly when three things match:
 
-- the *topology content hash* — SHA-256 over the canonical JSON document
-  of :func:`repro.topology.io.dump_topology` (memoized per topology
-  version, so repeated lookups cost a dict probe);
+- the *topology content hash* — SHA-256 over every field
+  :func:`repro.topology.io.dump_topology` writes, fed as text lines
+  (memoized per topology version, so repeated lookups cost a dict
+  probe);
 - the *announcement key* — prefix plus every origin site and its
   neighbor restriction, in announcement order;
 - the *engine fingerprint* — SHA-256 over the source bytes of every
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import json
 import os
 import struct
 import sys
@@ -48,10 +48,10 @@ from operator import ne, sub
 from pathlib import Path
 from typing import Iterable
 
+from repro.netaddr.ipv4 import IPv4Prefix
 from repro.routing.route import Announcement
 from repro.routing.table import RoutingTable
 from repro.topology.graph import Topology
-from repro.topology.io import dump_topology
 
 #: On-disk entry layout version; bump when the binary format changes.
 #: v3 stores the :class:`repro.routing.table.RoutingTable` columns whole
@@ -84,15 +84,44 @@ _TOPO_HASHES: "weakref.WeakKeyDictionary[Topology, tuple[int, str]]" = (
 )
 
 
+def _prefix_text(prefix: IPv4Prefix | None) -> str:
+    return "-" if prefix is None else f"{prefix.network}/{prefix.length}"
+
+
 def topology_hash(topology: Topology) -> str:
-    """Content hash of a topology, memoized per ``topology.version``."""
+    """Content hash of a topology, memoized per ``topology.version``.
+
+    SHA-256 over every field :func:`repro.topology.io.dump_topology`
+    writes, in its order: a counted section of text lines for the
+    nodes, the IXPs and the links, addresses as integers.  Hashing the
+    JSON document instead takes about twice as long on LARGE.
+    """
     cached = _TOPO_HASHES.get(topology)
     if cached is not None and cached[0] == topology.version:
         return cached[1]
-    document = dump_topology(topology)
-    digest = hashlib.sha256(
-        json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+    nodes = [
+        f"{n.node_id} {n.asn} {n.name!r} {n.tier.value} {n.home_country} "
+        f"{_prefix_text(n.infra_prefix)} {' '.join(p.iata for p in n.pops)}"
+        for n in topology.nodes()
+    ]
+    ixps = [
+        f"{x.ixp_id} {x.name!r} {x.city.iata} {_prefix_text(x.lan_prefix)} "
+        f"{x.publishes_route_server_feed} {sorted(x.members)} "
+        f"{sorted(x.route_server_members)}"
+        for x in topology.ixps()
+    ]
+    links = [
+        f"{link.a} {link.b} {link.kind.value} {link.ixp_id} " + " ".join([
+            f"{ic.city.iata} {ic.addr_a.value} {ic.addr_b.value} {ic.extra_ms!r}"
+            for ic in link.interconnects
+        ])
+        for link in topology.links()
+    ]
+    hasher = hashlib.sha256()
+    for section, lines in (("nodes", nodes), ("ixps", ixps), ("links", links)):
+        hasher.update(f"{section} {len(lines)}\n".encode())
+        hasher.update("".join([line + "\n" for line in lines]).encode())
+    digest = hasher.hexdigest()
     _TOPO_HASHES[topology] = (topology.version, digest)  # repro-lint: disable=fork-global-write -- idempotent content-derived memo
     return digest
 

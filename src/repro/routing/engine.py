@@ -12,7 +12,7 @@ instead of simulating message-level convergence:
    public/private peers above route-server peers *before* comparing path
    lengths — exactly the preference that sends the Belarusian probe of
    Fig. 7 to Singapore.
-3. **Provider routes propagate down.**  A Dijkstra-style sweep along
+3. **Provider routes propagate down.**  A sweep in hop-count order along
    provider→customer edges delivers routes to everyone else; an AS always
    exports its overall best route to its customers.
 
@@ -32,7 +32,6 @@ single-best-announcement behaviour.
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
@@ -222,8 +221,15 @@ class RoutingEngine:
         """The three-stage sweep over flat arrays and plain path tuples.
 
         A route is just its AS-path tuple (``path[0]`` the holder,
-        ``path[1]`` the next hop, ``path[-1]`` the origin); a node's
-        equal-best set is ``(tier, [paths])`` with ``paths[0]`` primary.
+        ``path[1]`` the next hop, ``path[-1]`` the origin); a routed
+        node's table row is ``(node, tier, paths)`` with ``paths[0]``
+        primary.  Neighbours are read straight off the adjacency's CSR
+        rows, and exit km straight off its memo.
+
+        Equal-best sets end up as tuples where the sweep can make them
+        so: a tuple of ints drops out of the cyclic garbage collector's
+        tracking and a list never does, and each full collection the
+        sweep's survivors set off walks the whole topology.
 
         Under a provenance capture the same sweep records one
         :class:`SelectionTrail` per routed node: its accepted paths, any
@@ -241,12 +247,15 @@ class RoutingEngine:
             if not topo.has_node(site):
                 raise ValueError(f"announcement origin {site} not in topology")
 
+        row_of = adj.row
+        km_memo = adj.km
         exit_km = adj.exit_km
         max_equal = self.MAX_EQUAL_BEST
         trail_cap = self.MAX_TRAIL_CANDIDATES
 
-        best: dict[int, tuple[int, list[tuple[int, ...]]]] = {
-            site: (int(PrefTier.ORIGIN), [(site,)]) for site in origin_spec
+        # Each routed node's table row: ``(node, tier, paths)``.
+        best: dict[int, tuple[int, int, Sequence[tuple[int, ...]]]] = {
+            site: (site, int(PrefTier.ORIGIN), ((site,),)) for site in origin_spec
         }
 
         # Decision provenance (repro.explain), fetched once per compute.
@@ -258,11 +267,7 @@ class RoutingEngine:
         refused: dict[int, list[RouteCandidate]] = {}
         if prov is not None:
             for site in origin_spec:
-                trails[site] = ("origin", [_candidate((site,), best[site][0])])
-
-        def may_export(exporter: int, neighbor: int) -> bool:
-            spec = origin_spec.get(exporter)
-            return spec is None or spec.announces_to(neighbor)
+                trails[site] = ("origin", [_candidate((site,), best[site][1])])
 
         def refuse(node: int, path: tuple[int, ...], tier: int, reason: str) -> None:
             """Record an offer ``node`` turned down (captures only): on
@@ -277,21 +282,23 @@ class RoutingEngine:
         splits = 0
 
         def settle(
-            node: int, tier: int, paths: list[tuple[int, ...]], stage: str
+            node: int, tier: int, paths: Sequence[tuple[int, ...]], stage: str,
+            ranked: bool = False,
         ) -> None:
-            """Hot-potato sort + equal-best cap, then route the node."""
+            """Route the node: hot-potato sort and equal-best cap first,
+            unless the sweep met ``paths`` already ranked and capped."""
             nonlocal splits
             overflow: Sequence[tuple[int, ...]] = ()
+            if len(paths) > 1 and not ranked:
+                paths = tuple(sorted(
+                    paths,
+                    key=lambda path: (exit_km(node, path[1]), path[1], path[-1]),
+                ))
+                overflow = paths[max_equal:]
+                paths = paths[:max_equal]
             if len(paths) > 1:
-                paths.sort(
-                    key=lambda path: (exit_km(node, path[1]), path[1], path[-1])
-                )
-                if len(paths) > max_equal:
-                    overflow = paths[max_equal:]
-                    del paths[max_equal:]
-                if len(paths) > 1:
-                    splits += 1
-            best[node] = (tier, paths)
+                splits += 1
+            best[node] = (node, tier, paths)
             if prov is not None:
                 candidates = [_candidate(path, tier) for path in paths]
                 candidates += [
@@ -307,21 +314,23 @@ class RoutingEngine:
             export_checks = 0
             routes_pushed = 0
             customer_tier = int(PrefTier.CUSTOMER)
-            providers = adj.providers
+            prov_ptr, prov_ids = adj.prov_ptr, adj.prov_ids
             frontier = list(origin_spec)
             while frontier:
                 refused.clear()
                 candidates: dict[int, list[tuple[int, ...]]] = {}
                 for u in frontier:
-                    path_u = best[u][1][0]
-                    for p in providers(u):
+                    path_u = best[u][2][0]
+                    spec = origin_spec.get(u)
+                    row = row_of[u]
+                    for p in prov_ids[prov_ptr[row]:prov_ptr[row + 1]]:
                         if p in best:
                             if prov is not None:
                                 refuse(p, (p,) + path_u, customer_tier,
                                        "longer-path")
                             continue
                         export_checks += 1
-                        if not may_export(u, p):
+                        if spec is not None and not spec.announces_to(p):
                             if prov is not None:
                                 refuse(p, (p,) + path_u, customer_tier,
                                        "not-exported")
@@ -337,11 +346,10 @@ class RoutingEngine:
                             candidates[p] = [extended]
                         else:
                             held.append(extended)
-                frontier = []
                 for p, paths in candidates.items():
                     # BFS level fixes the hop count, so all are equal-best.
                     settle(p, customer_tier, paths, "stage1-customer")
-                    frontier.append(p)
+                frontier = list(candidates)
             obs.counter.inc("routing.export_checks", export_checks)
             obs.counter.inc("routing.routes_pushed", routes_pushed)
             if splits:
@@ -353,19 +361,23 @@ class RoutingEngine:
             export_checks = 0
             routes_pushed = 0
             refused.clear()
-            peers = adj.peers
+            peer_ptr, peer_ids = adj.peer_ptr, adj.peer_ids
+            peer_tiers = adj.peer_tiers
             peer_candidates: dict[
                 int, tuple[list[int], list[tuple[int, ...]]]
             ] = {}
-            for u, (_tier_u, paths_u) in best.items():
+            for u, _tier_u, paths_u in best.values():
                 path_u = paths_u[0]
-                for v, tier in peers(u):
+                spec = origin_spec.get(u)
+                row = row_of[u]
+                lo, hi = peer_ptr[row], peer_ptr[row + 1]
+                for v, tier in zip(peer_ids[lo:hi], peer_tiers[lo:hi]):
                     if v in best:
                         if prov is not None:
                             refuse(v, (v,) + path_u, tier, "held-better-tier")
                         continue
                     export_checks += 1
-                    if not may_export(u, v):
+                    if spec is not None and not spec.announces_to(v):
                         if prov is not None:
                             refuse(v, (v,) + path_u, tier, "not-exported")
                         continue
@@ -400,40 +412,38 @@ class RoutingEngine:
                 splits = 0
 
         # --- Stage 3: provider routes down ------------------------------
+        # Offers wait in buckets by hop count, each entry ``(exit km,
+        # via, origin, node, path)``.  A bucket is complete before it is
+        # read (an offer is one hop longer than the route it extends),
+        # so one sort per bucket gives the order a heap keyed on (hops,
+        # km, via, origin, node) would pop.  A topology holds one link
+        # per node pair, so each (node, via) is offered at most once:
+        # keys are unique, paths are never compared, and a node meets
+        # its equal-best offers ranked and from distinct neighbours.
+        # Entries are popped off the end of a reverse-sorted bucket so
+        # each is freed as it is read.
         with obs.span("routing.stage3_provider"):
             export_checks = 0
             routes_pushed = 0
             refused.clear()
-            customers = adj.customers
+            cust_ptr, cust_ids = adj.cust_ptr, adj.cust_ids
             provider_tier = int(PrefTier.PROVIDER)
-            heap: list[tuple[int, float, int, int, int]] = []
-            path_of_entry: dict[
-                tuple[int, float, int, int, int], tuple[int, ...]
+            buckets: dict[
+                int, list[tuple[float, int, int, int, tuple[int, ...]]]
             ] = {}
-
-            def push(path: tuple[int, ...], via: int) -> None:
-                nonlocal routes_pushed
-                routes_pushed += 1
-                entry = (
-                    len(path) - 1,
-                    exit_km(path[0], via),
-                    via,
-                    path[-1],
-                    path[0],
-                )
-                path_of_entry[entry] = path
-                heapq.heappush(heap, entry)
-
-            for u, (_tier_u, paths_u) in best.items():
+            for u, _tier_u, paths_u in best.values():
                 path_u = paths_u[0]
-                for c in customers(u):
+                spec = origin_spec.get(u)
+                row = row_of[u]
+                offers = buckets.setdefault(len(path_u), [])
+                for c in cust_ids[cust_ptr[row]:cust_ptr[row + 1]]:
                     if c in best:
                         if prov is not None:
                             refuse(c, (c,) + path_u, provider_tier,
                                    "held-better-tier")
                         continue
                     export_checks += 1
-                    if not may_export(u, c):
+                    if spec is not None and not spec.announces_to(c):
                         if prov is not None:
                             refuse(c, (c,) + path_u, provider_tier,
                                    "not-exported")
@@ -442,69 +452,68 @@ class RoutingEngine:
                         if prov is not None:
                             refuse(c, (c,) + path_u, provider_tier, "loop")
                         continue
-                    push((c,) + path_u, u)
-            provider_paths: dict[int, list[tuple[int, ...]]] = {}
+                    routes_pushed += 1
+                    # ``or`` only re-asks the memo for a 0.0 km.
+                    km = km_memo.get((c << 32) | u) or exit_km(c, u)
+                    offers.append((km, u, path_u[-1], c, (c,) + path_u))
+            provider_paths: dict[int, tuple[tuple[int, ...], ...]] = {}
             provider_hops: dict[int, int] = {}
-            while heap:
-                entry = heapq.heappop(heap)
-                path = path_of_entry.pop(entry)
-                node = entry[4]
-                if node in best:
-                    continue
-                assigned = provider_hops.get(node)
-                if assigned is None:
-                    # First (best) provider route: assign and export onward.
-                    provider_hops[node] = entry[0]
-                    provider_paths[node] = [path]
-                    for c in customers(node):
-                        if c in best:
-                            if prov is not None:
-                                refuse(c, (c,) + path, provider_tier,
-                                       "held-better-tier")
-                            continue
-                        if c in path:
-                            if prov is not None:
-                                refuse(c, (c,) + path, provider_tier, "loop")
-                            continue
-                        push((c,) + path, node)
-                elif entry[0] == assigned:
-                    # Equal-best alternate via a different neighbor.
-                    existing = provider_paths[node]
-                    via = path[1]
-                    if (
-                        len(existing) < max_equal
-                        and all(p[1] != via for p in existing)
-                    ):
-                        existing.append(path)
+            while buckets:
+                hops = min(buckets)
+                offers = buckets.pop(hops)
+                offers.sort(reverse=True)
+                onward = buckets.setdefault(hops + 1, [])
+                while offers:
+                    _km, _via, origin, node, path = offers.pop()
+                    assigned = provider_hops.get(node)
+                    if assigned is None:
+                        # First (best) provider route: assign, export onward.
+                        provider_hops[node] = hops
+                        provider_paths[node] = (path,)
+                        row = row_of[node]
+                        for c in cust_ids[cust_ptr[row]:cust_ptr[row + 1]]:
+                            if c in best:
+                                if prov is not None:
+                                    refuse(c, (c,) + path, provider_tier,
+                                           "held-better-tier")
+                                continue
+                            if c in path:
+                                if prov is not None:
+                                    refuse(c, (c,) + path, provider_tier,
+                                           "loop")
+                                continue
+                            routes_pushed += 1
+                            km = km_memo.get((c << 32) | node) or exit_km(c, node)
+                            onward.append((km, node, origin, c, (c,) + path))
+                    elif assigned == hops:
+                        # Equal-best alternate (via another neighbour).
+                        existing = provider_paths[node]
+                        if len(existing) < max_equal:
+                            provider_paths[node] = existing + (path,)
+                        elif prov is not None:
+                            refuse(node, path, provider_tier,
+                                   "equal-best-overflow")
                     elif prov is not None:
-                        duplicate = any(p[1] == via for p in existing)
-                        refuse(node, path, provider_tier,
-                               "duplicate-exit" if duplicate
-                               else "equal-best-overflow")
-                elif prov is not None:
-                    # Longer provider routes are refused.
-                    refuse(node, path, provider_tier, "longer-path")
+                        # Longer provider routes are refused.
+                        refuse(node, path, provider_tier, "longer-path")
+                if not onward:
+                    del buckets[hops + 1]
             for node, paths in provider_paths.items():
-                settle(node, provider_tier, paths, "stage3-provider")
+                settle(node, provider_tier, paths, "stage3-provider",
+                       ranked=True)
             obs.counter.inc("routing.export_checks", export_checks)
             obs.counter.inc("routing.routes_pushed", routes_pushed)
             if splits:
                 obs.counter.inc("routing.equal_best_splits", splits)
 
         table = RoutingTable.from_rows(
-            announcement,
-            topo.version,
-            topo.num_nodes,
-            (
-                (node, tier, paths)
-                for node, (tier, paths) in best.items()
-            ),
+            announcement, topo.version, topo.num_nodes, best.values()
         )
         obs.gauge.set("routing.routed_nodes", len(best))
         if prov is not None:
             prefix_str = str(announcement.prefix)
             for node, (stage, trail) in trails.items():
-                tier, paths = best[node]
+                _node, tier, paths = best[node]
                 prov.record_selection(SelectionTrail(
                     prefix=prefix_str,
                     node_id=node,

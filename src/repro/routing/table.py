@@ -34,7 +34,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
-from typing import Any, Iterable, Iterator
+from itertools import accumulate, chain
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.netaddr.ipv4 import IPv4Prefix
 from repro.routing.route import Announcement, PrefTier, Route, RouteChoice
@@ -110,34 +112,28 @@ class RoutingTable:
         announcement: Announcement,
         topology_version: int,
         num_nodes: int,
-        rows: Iterable[tuple[int, int, list[tuple[int, ...]]]],
+        rows: Iterable[tuple[int, int, Sequence[tuple[int, ...]]]],
     ) -> "RoutingTable":
         """Pack ``(node_id, tier, equal-best paths)`` rows into columns.
 
         Row order becomes table order; path order within a row becomes
-        route order (``paths[0]`` is the primary).
+        route order (``paths[0]`` is the primary).  Offsets are running
+        sums of lengths, so every column fills in C.  (Unzipping with
+        ``zip(*rows)`` would open an iterator per row, and that many
+        short-lived allocations set off the cyclic collector.)
         """
-        node_ids = array("i")
-        tiers = array("b")
-        choice_start = array("i", [0])
-        path_start = array("i", [0])
-        path_nodes = array("i")
-        for node_id, tier, paths in rows:
-            node_ids.append(node_id)
-            tiers.append(tier)
-            for path in paths:
-                path_nodes.extend(path)
-                path_start.append(len(path_nodes))
-            choice_start.append(len(path_start) - 1)
+        rows = list(rows)
+        path_sets = list(map(itemgetter(2), rows))
+        paths = list(chain.from_iterable(path_sets))
         return cls(
             announcement,
             topology_version,
             num_nodes,
-            node_ids,
-            choice_start,
-            tiers,
-            path_start,
-            path_nodes,
+            array("i", map(itemgetter(0), rows)),
+            array("i", accumulate(map(len, path_sets), initial=0)),
+            array("b", map(itemgetter(1), rows)),
+            array("i", accumulate(map(len, paths), initial=0)),
+            array("i", chain.from_iterable(paths)),
         )
 
     @property

@@ -47,10 +47,6 @@ class LinkKind(enum.Enum):
     PEER_PUBLIC = "peer-public"  # bilateral session over an IXP fabric
     PEER_ROUTE_SERVER = "peer-rs"  # multilateral session via IXP route server
 
-    @property
-    def is_peering(self) -> bool:
-        return self is not LinkKind.TRANSIT
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.topology.asys import Interconnect, LinkKind
 
@@ -83,15 +83,15 @@ class FlatAdjacency:
         "version",
         "num_nodes",
         "node_ids",
-        "_row",
-        "_prov_ptr",
-        "_prov_ids",
-        "_cust_ptr",
-        "_cust_ids",
-        "_peer_ptr",
-        "_peer_ids",
-        "_peer_tiers",
-        "_km",
+        "row",
+        "prov_ptr",
+        "prov_ids",
+        "cust_ptr",
+        "cust_ids",
+        "peer_ptr",
+        "peer_ids",
+        "peer_tiers",
+        "km",
         "_exits",
         "_topology_ref",
         "__weakref__",
@@ -109,7 +109,10 @@ class FlatAdjacency:
         self._topology_ref: "weakref.ref[Topology]" = weakref.ref(topology)
         ids = [node.node_id for node in topology.nodes()]
         self.node_ids = array("i", ids)
-        self._row = {node_id: row for row, node_id in enumerate(ids)}
+        #: node id -> CSR row: a node's providers are
+        #: ``prov_ids[prov_ptr[row]:prov_ptr[row + 1]]``, and likewise
+        #: its customers and its peers (with ``peer_tiers`` alongside).
+        self.row = {node_id: row for row, node_id in enumerate(ids)}
         rs_tier = int(PrefTier.RS_PEER)
         peer_tier = int(PrefTier.PEER)
         prov_ptr = array("i", [0])
@@ -130,36 +133,22 @@ class FlatAdjacency:
                     rs_tier if kind is LinkKind.PEER_ROUTE_SERVER else peer_tier
                 )
             peer_ptr.append(len(peer_ids))
-        self._prov_ptr = prov_ptr
-        self._prov_ids = prov_ids
-        self._cust_ptr = cust_ptr
-        self._cust_ids = cust_ids
-        self._peer_ptr = peer_ptr
-        self._peer_ids = peer_ids
-        self._peer_tiers = peer_tiers
+        self.prov_ptr = prov_ptr
+        self.prov_ids = prov_ids
+        self.cust_ptr = cust_ptr
+        self.cust_ids = cust_ids
+        self.peer_ptr = peer_ptr
+        self.peer_ids = peer_ids
+        #: ``PrefTier`` int of each ``peer_ids`` entry.
+        self.peer_tiers = peer_tiers
         #: ``(node << 32) | neighbor`` -> exit km; filled lazily (or all
         #: at once by :meth:`precompute_km`).
-        self._km: dict[int, float] = {}
+        self.km: dict[int, float] = {}
         #: point ``(lat, lon)`` -> ``(node << 32) | next_hop`` ->
         #: hot-potato exit; filled by forwarding walks.  Keyed on the
         #: coordinates: a float pair hashes in C, a ``GeoPoint``'s
         #: dataclass hash is a Python call on every hop.
         self._exits: dict[tuple[float, float], dict[int, HotPotatoExit]] = {}
-
-    # ------------------------------------------------------------------
-    def providers(self, node_id: int) -> array:
-        row = self._row[node_id]
-        return self._prov_ids[self._prov_ptr[row]:self._prov_ptr[row + 1]]
-
-    def customers(self, node_id: int) -> array:
-        row = self._row[node_id]
-        return self._cust_ids[self._cust_ptr[row]:self._cust_ptr[row + 1]]
-
-    def peers(self, node_id: int) -> Iterator[tuple[int, int]]:
-        """``(neighbor, PrefTier int)`` pairs, adjacency-list order."""
-        row = self._row[node_id]
-        lo, hi = self._peer_ptr[row], self._peer_ptr[row + 1]
-        return zip(self._peer_ids[lo:hi], self._peer_tiers[lo:hi])
 
     # ------------------------------------------------------------------
     def exit_km(self, node_id: int, neighbor_id: int) -> float:
@@ -171,7 +160,7 @@ class FlatAdjacency:
         recomputes independently.
         """
         key = (node_id << 32) | neighbor_id
-        km = self._km.get(key)
+        km = self.km.get(key)
         if km is None:
             topology = self._topology()
             link = topology.link_between(node_id, neighbor_id)
@@ -182,7 +171,7 @@ class FlatAdjacency:
                 for pop in pops
             )
             km = round(km, 3)
-            self._km[key] = km
+            self.km[key] = km
         return km
 
     def _topology(self) -> "Topology":
@@ -239,11 +228,11 @@ class FlatAdjacency:
         """
         topology = self._topology_ref()
         if topology is None:
-            return len(self._km)
+            return len(self.km)
         for link in topology.links():
             self.exit_km(link.a, link.b)
             self.exit_km(link.b, link.a)
-        return len(self._km)
+        return len(self.km)
 
 
 _ADJACENCIES: "weakref.WeakKeyDictionary[Topology, FlatAdjacency]" = (

@@ -48,9 +48,6 @@ class IXP:
         if route_server:
             self.route_server_members.add(node_id)
 
-    def is_member(self, node_id: int) -> bool:
-        return node_id in self.members
-
     def allocate_lan_address(self) -> IPv4Address:
         """Hand out the next interface address on the peering LAN."""
         if self._next_host >= self.lan_prefix.num_addresses - 1:

@@ -45,7 +45,7 @@ from repro.explain.provenance import (
 #: Every reason the routing engine may attach to a rejected candidate.
 REJECT_REASONS = {
     "lower-tier", "longer-path", "not-exported", "loop",
-    "duplicate-exit", "equal-best-overflow", "held-better-tier",
+    "equal-best-overflow", "held-better-tier",
 }
 
 STAGES = {"origin", "stage1-customer", "stage2-peer", "stage3-provider"}

@@ -42,7 +42,8 @@ from repro.par.pool import (
 from repro.routing.engine import RoutingEngine
 from repro.routing.route import Announcement, OriginSpec
 from repro.routing.table import RoutingTable
-from repro.topology.asys import Tier
+from repro.topology.asys import LinkKind, Tier
+from tests.test_routing import Net
 
 
 def _square(x):
@@ -460,6 +461,25 @@ class TestRoutingTableCache:
         assert topology_hash(tiny_topology) == first  # memoized
         assert len(first) == 64
         assert len(engine_fingerprint()) == 64
+
+    def test_topology_hash_sees_cities_and_link_kinds(self):
+        """Moving one PoP city, one interconnect city or changing one
+        link's kind changes the hash; an identical build does not."""
+        def build(pop="JFK", ic_city="FRA", kind=LinkKind.PEER_PRIVATE):
+            net = Net()
+            net.node(1, "FRA")
+            net.node(2, pop)
+            net.node(3, "AMS")
+            net.transit(2, 1, iata=ic_city)
+            net.peer(2, 3, iata="AMS", kind=kind)
+            return topology_hash(net.topo)
+
+        base = build()
+        assert build() == base
+        # IAD and JFK share a country: only the PoP city differs.
+        variants = {build(pop="IAD"), build(ic_city="AMS"),
+                    build(kind=LinkKind.TRANSIT)}
+        assert len(variants) == 3 and base not in variants
 
     def test_announcement_key_encodes_restrictions(self, tiny_topology):
         stub = _stub_announcements(tiny_topology, 1)[0].origins[0].site_node

@@ -634,7 +634,7 @@ class TestExitKmCache:
         ann = self._pair(net)
         assert RoutingEngine(net.topo).compute(ann).choice_at(2).next_hops() == (3, 4)
         adjacency = flat_adjacency(net.topo)
-        adjacency._km[(2 << 32) | 4] = 0.0  # the SIN exit, now "nearest"
+        adjacency.km[(2 << 32) | 4] = 0.0  # the SIN exit, now "nearest"
         table = RoutingEngine(net.topo).compute(ann)
         assert flat_adjacency(net.topo) is adjacency
         assert table.choice_at(2).next_hops() == (4, 3)

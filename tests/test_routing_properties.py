@@ -38,8 +38,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.explain import provenance
 from repro.geo.atlas import load_default_atlas
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
+from repro.par.cache import encode_table
 from repro.routing.engine import RoutingEngine
 from repro.routing.route import Announcement, OriginSpec, PrefTier
 from repro.topology.asys import (
@@ -489,11 +491,19 @@ def random_world(seed: int) -> tuple[Topology, Announcement]:
 
 @pytest.mark.parametrize("block", range(6))
 def test_engine_matches_fixpoint_oracle_on_random_worlds(block):
-    """50 seeded random worlds per block, 300 in all."""
+    """50 seeded random worlds per block, 300 in all.  Each announcement
+    is computed again under a provenance capture, which must encode the
+    same table and record one selection trail per routed node."""
     for seed in range(block * 50, (block + 1) * 50):
         topo, announcement = random_world(seed)
         table = RoutingEngine(topo).compute(announcement)
         assert_matches_oracle(topo, announcement, table)
+        with provenance.capturing() as recorder:
+            captured = RoutingEngine(topo).compute(announcement)
+        assert encode_table(captured) == encode_table(table)
+        assert sorted(recorder.selection) == sorted(
+            (str(PREFIX), node) for node in table.best
+        )
 
 
 def test_random_worlds_exercise_every_mechanism():
