@@ -32,15 +32,11 @@ import pytest
 from repro.experiments.config import LARGE, SMALL
 from repro.experiments.world import World
 from repro.obs.manifest import current_git_sha, new_run_id
-from repro.par.pool import worker_count
 
 #: Artifact layout version (see docs/observability.md).
 BENCH_SCHEMA = 1
 
-#: Worker count the parallel benchmarks request; stamped into the
-#: artifact (and recorded next to the machine's real core count) so the
-#: crossover report (``repro obs speedup``) can key history by hardware
-#: and worker count.
+#: Worker count the ``_parallel`` benchmarks request.
 BENCH_WORKERS = 4
 
 
@@ -157,7 +153,6 @@ def pytest_sessionfinish(session, exitstatus):
     collector = getattr(session.config, "_bench_obs", None)
     if not collector or not collector["benchmarks"]:
         return
-    workers = worker_count()
     artifact = {
         "schema": BENCH_SCHEMA,
         # Stamped into the file so re-ingesting the same artifact (a CI
@@ -166,16 +161,10 @@ def pytest_sessionfinish(session, exitstatus):
         "label": host_label(),
         # A LARGE-only session (CI's large-world job) is stamped LARGE.
         # A session that also ran SMALL keeps SMALL's stamp: its LARGE
-        # tests name their tier, which `repro obs speedup` reads first.
+        # tests name their tier.
         "config": (LARGE.name if collector["tiers"] == {LARGE.name}
                    else SMALL.name),
         "git_sha": current_git_sha(),
-        # Execution environment, so the crossover report can group
-        # comparable runs (see repro.obs.speedup).
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-        "mode": "parallel" if workers > 1 else "serial",
-        "bench_workers": BENCH_WORKERS,
         "total_wall_ms": round(collector["total_wall_ms"], 3),
         "experiments": collector["experiments"],
         "benchmarks": collector["benchmarks"],

@@ -12,11 +12,9 @@ Commands:
 - ``obs``    — observability: ``summary`` / ``compare`` over the run
   manifests that ``run --trace DIR`` / ``world --trace DIR`` write,
   ``profile`` for span-aware function profiles,
-  ``ingest`` / ``trend`` for the append-only benchmark history,
-  ``timeline`` for per-worker Gantt lanes + parallel overhead
-  attribution, ``speedup`` for the serial-vs-parallel crossover
-  report, and ``dashboard`` for the combined per-run report
-  (terminal or ``--html``);
+  ``ingest`` / ``trend`` for the append-only benchmark history and
+  its one regression gate, and ``dashboard`` for the combined per-run
+  report (terminal or ``--html``);
 - ``explain`` — decision provenance: ``client`` (why one probe landed
   where it did, end to end), ``diff`` (attribute every flipped client
   between two prefixes to the AS decision that changed, §5.4), and
@@ -410,45 +408,6 @@ def _cmd_obs_trend(args: argparse.Namespace) -> int:
     return 1 if args.gate and regressions else 0
 
 
-def _cmd_obs_timeline(args: argparse.Namespace) -> int:
-    """Per-worker Gantt timeline + overhead attribution of one run."""
-    from pathlib import Path
-
-    from repro.obs.manifest import load_manifest
-    from repro.obs.timeline import (
-        build_timeline,
-        render_timeline,
-        timeline_to_dict,
-    )
-
-    try:
-        manifest = load_manifest(args.run)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read manifest {args.run}: {exc}", file=sys.stderr)
-        return 2
-    timeline = build_timeline(manifest)
-    print(render_timeline(timeline, width=args.width))
-    if args.json:
-        import json
-
-        out = Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(timeline_to_dict(timeline), indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"\ntimeline written to {out}")
-    return 0
-
-
-def _cmd_obs_speedup(args: argparse.Namespace) -> int:
-    """Serial-vs-parallel crossover report over the bench history."""
-    from repro.obs.speedup import groups_from_history, render_speedup
-
-    print(render_speedup(groups_from_history(args.history)))
-    return 0
-
-
 def _cmd_obs_dashboard(args: argparse.Namespace) -> int:
     """Combined report for one run: spans, profile, health, trends."""
     from pathlib import Path
@@ -732,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs = sub.add_parser(
         "obs",
         help="observability: summary / compare / profile / ingest / "
-             "trend / timeline / speedup / dashboard")
+             "trend / dashboard")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
     p_obs_summary = obs_sub.add_parser(
         "summary", help="where one traced run spent its time")
@@ -783,26 +742,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_trend.add_argument("--window", type=int, default=20, metavar="N",
                              help="history window per metric (default 20)")
     p_obs_trend.add_argument("--top", type=int, default=12, metavar="N",
-                             help="metrics shown per label (default 12)")
+                             help="metrics shown per label, by latest "
+                                  "value (default 12); serial/parallel "
+                                  "ratios are always shown")
     p_obs_trend.set_defaults(func=_cmd_obs_trend)
-    p_obs_timeline = obs_sub.add_parser(
-        "timeline",
-        help="per-worker Gantt timeline and parallel overhead attribution")
-    p_obs_timeline.add_argument("run", help="a run-<id>.json manifest")
-    p_obs_timeline.add_argument("--width", type=int, default=64, metavar="N",
-                                help="Gantt lane width in cells (default 64)")
-    p_obs_timeline.add_argument("--json", default=None, metavar="OUT",
-                                help="additionally write the timeline as "
-                                     "JSON to OUT")
-    p_obs_timeline.set_defaults(func=_cmd_obs_timeline)
-    p_obs_speedup = obs_sub.add_parser(
-        "speedup",
-        help="serial-vs-parallel crossover report over the bench history")
-    p_obs_speedup.add_argument("--history", default="obs/history",
-                               metavar="DIR",
-                               help="trend history directory "
-                                    "(default obs/history)")
-    p_obs_speedup.set_defaults(func=_cmd_obs_speedup)
     p_obs_dash = obs_sub.add_parser(
         "dashboard",
         help="combined report for one run: spans, profile, health, trends")

@@ -122,12 +122,6 @@ class Checker(ast.NodeVisitor):
         #: Bare names bound to the explain emit facade (``from
         #: repro.explain import emit`` / ``...provenance import emit``).
         self._emit_funcs: set[str] = set()
-        #: Function nodes that bracket work with ``obsbuf.start_capture``
-        #: — the par worker entrypoints; spans opened inside them are
-        #: held to the stricter ``obs-worker-span-literal`` rule.
-        self._worker_funcs: set[ast.AST] = set()
-        #: Enclosing function nodes of the current visit, innermost last.
-        self._func_stack: list[ast.AST] = []
 
     # ------------------------------------------------------------------
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
@@ -297,68 +291,11 @@ class Checker(ast.NodeVisitor):
                 "obs-span-literal", name,
                 "span name is computed at runtime, not a string literal",
             )
-            self._report_worker_span(name)
         elif not _SPAN_NAME_RE.match(name.value):
             self._report(
                 "obs-span-literal", name,
                 f"span name {name.value!r} is not a dotted identifier",
             )
-            self._report_worker_span(name)
-
-    # ------------------------------------------------------------------
-    # obs-worker-span-literal
-    # ------------------------------------------------------------------
-    def _report_worker_span(self, name: ast.expr) -> None:
-        """The stricter companion report inside worker entrypoints."""
-        if any(func in self._worker_funcs for func in self._func_stack):
-            self._report(
-                "obs-worker-span-literal", name,
-                "dynamic span name inside a par worker entrypoint "
-                "(start_capture scope); worker spans are merged across "
-                "the process boundary and must keep static names",
-            )
-
-    def _collect_worker_funcs(self, tree: ast.Module) -> None:
-        """Pre-pass: find the functions that call ``start_capture``.
-
-        Runs before the import-tracking visit, so it resolves the
-        ``repro.par.obsbuf`` bindings itself from a flat walk.
-        """
-        capture_names: set[str] = set()
-        obsbuf_mods: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module == "repro.par.obsbuf":
-                    for alias in node.names:
-                        if alias.name == "start_capture":
-                            capture_names.add(alias.asname or alias.name)
-                elif node.module == "repro.par":
-                    for alias in node.names:
-                        if alias.name == "obsbuf":
-                            obsbuf_mods.add(alias.asname or alias.name)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "repro.par.obsbuf" and alias.asname:
-                        obsbuf_mods.add(alias.asname)
-
-        def is_start_capture(func: ast.expr) -> bool:
-            if isinstance(func, ast.Name):
-                return func.id in capture_names
-            return (
-                isinstance(func, ast.Attribute)
-                and func.attr == "start_capture"
-                and isinstance(func.value, ast.Name)
-                and func.value.id in obsbuf_mods
-            )
-
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(
-                    isinstance(call, ast.Call)
-                    and is_start_capture(call.func)
-                    for call in ast.walk(node)
-                ):
-                    self._worker_funcs.add(node)
 
     # ------------------------------------------------------------------
     # explain-event-literal
@@ -441,19 +378,11 @@ class Checker(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node)
-        self._func_stack.append(node)
-        try:
-            self.generic_visit(node)
-        finally:
-            self._func_stack.pop()
+        self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
-        self._func_stack.append(node)
-        try:
-            self.generic_visit(node)
-        finally:
-            self._func_stack.pop()
+        self.generic_visit(node)
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_defaults(node)
@@ -518,7 +447,6 @@ class Checker(ast.NodeVisitor):
     def check_module(self, tree: ast.Module) -> None:
         """Run the whole-module passes, then the node visitors."""
         self._check_all_drift(tree)
-        self._collect_worker_funcs(tree)
         self.visit(tree)
 
     def _check_all_drift(self, tree: ast.Module) -> None:

@@ -94,21 +94,6 @@ RULES: dict[str, RuleSpec] = {
             ),
         ),
         RuleSpec(
-            rule_id="obs-worker-span-literal",
-            summary=(
-                "span opened inside a par worker entrypoint (a function "
-                "that brackets work with obsbuf.start_capture) has a "
-                "non-literal name; worker spans cross the process boundary "
-                "and are re-keyed by the parent's merge, so dynamic names "
-                "additionally break per-worker timeline attribution"
-            ),
-            hint=(
-                "use a static dotted literal for the worker-side span and "
-                "carry the varying part as a span attribute; the merge "
-                "tags worker_pid/chunk_index for you"
-            ),
-        ),
-        RuleSpec(
             rule_id="explain-event-literal",
             summary=(
                 "provenance.emit(...) event name is not a static "

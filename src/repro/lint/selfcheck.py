@@ -4,9 +4,8 @@ A static analyzer fails *open*: a refactor that breaks symbol
 resolution or drops call edges produces fewer findings, and a clean
 report becomes indistinguishable from a blind analyzer.  The self-check
 guards against that by synthesising a miniature package with exactly one
-violation per Layer-3 rule (plus a Layer-1 fixture for the context-
-sensitive ``obs-worker-span-literal`` rule), running the real passes
-over it, and asserting each expected rule fires.
+violation per Layer-3 rule, running the real passes over it, and
+asserting each expected rule fires.
 
 ``repro lint --self-check`` runs this and exits non-zero if any rule
 stayed silent; CI runs it next to the real ``--deep-static`` gate.
@@ -14,18 +13,15 @@ stayed silent; CI runs it next to the real ``--deep-static`` gate.
 
 from __future__ import annotations
 
-import ast
 import tempfile
 from pathlib import Path
 
-from repro.lint.ast_checks import check_tree
 from repro.lint.cachekeys import CacheKeyConfig, cache_key_findings
 from repro.lint.callgraph import build_project_graph
 from repro.lint.forksafe import ForkSafetyConfig, fork_safety_findings
 from repro.lint.purity import purity_findings
 
 __all__ = [
-    "EXPECTED_LAYER1_RULES",
     "EXPECTED_RULES",
     "run_self_check",
     "render_self_check",
@@ -42,29 +38,6 @@ EXPECTED_RULES: tuple[str, ...] = (
     "global-mutable-state",
     "cache-key-gap",
 )
-
-#: Context-sensitive Layer-1 rules exercised against a dedicated
-#: fixture.  Unconditional Layer-1 rules are covered by unit tests;
-#: these depend on a pre-pass (worker-entrypoint detection) that a
-#: refactor could silently disconnect, so they get self-check fixtures.
-EXPECTED_LAYER1_RULES: tuple[str, ...] = (
-    "obs-worker-span-literal",
-)
-
-#: Layer-1 fixture: a par worker entrypoint (brackets its work with
-#: ``obsbuf.start_capture``) that opens a span with a dynamic name.
-#: Both ``obs-span-literal`` and ``obs-worker-span-literal`` must fire.
-_LAYER1_FIXTURE = '''\
-"""Worker entrypoint with a dynamic span name (seeded violation)."""
-from repro import obs
-from repro.par import obsbuf
-
-
-def _work_chunk(task):
-    obsbuf.start_capture(True, chunk_index=task[1])
-    with obs.span(f"work.{task[0]}"):
-        return task
-'''
 
 #: The synthetic package: one seeded violation per rule, and one
 #: *allowlisted* initializer that must stay clean (so the self-check
@@ -194,7 +167,7 @@ def _fixture_configs() -> tuple[ForkSafetyConfig, CacheKeyConfig]:
 
 
 def run_self_check() -> dict[str, bool]:
-    """``{rule_id: fired}`` for every expected rule, both layers.
+    """``{rule_id: fired}`` for every expected rule.
 
     Also asserts the allowlist still works: a spurious finding against
     the ``_init_demo_worker`` initializer reports the pseudo-rule
@@ -217,13 +190,6 @@ def run_self_check() -> dict[str, bool]:
     result["allowlist-regression"] = not any(
         f.symbol.endswith("._init_demo_worker") for f in findings
     )
-
-    layer1_tree = ast.parse(_LAYER1_FIXTURE)
-    layer1_fired = {
-        f.rule for f in check_tree(layer1_tree, "selfcheck-layer1.py")
-    }
-    for rule in EXPECTED_LAYER1_RULES:
-        result[rule] = rule in layer1_fired
     return result
 
 

@@ -12,10 +12,6 @@ The observability substrate of the reproduction pipeline:
   (``repro obs profile``, ``repro run --profile``);
 - :mod:`repro.obs.trend` — append-only benchmark history and the
   median+MAD regression gate (``repro obs ingest`` / ``trend``);
-- :mod:`repro.obs.timeline` — per-worker Gantt timelines and overhead
-  attribution for parallel runs (``repro obs timeline``);
-- :mod:`repro.obs.speedup` — serial-vs-parallel crossover analysis over
-  the bench history (``repro obs speedup``);
 - :mod:`repro.obs.health` — domain health gauges recorded at the end of
   instrumented runs (``health.*``);
 - :mod:`repro.obs.report` — ``obs summary`` / ``obs compare`` /

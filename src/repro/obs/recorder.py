@@ -238,17 +238,6 @@ class Recorder:
         """The innermost open span (the root when none is open)."""
         return self._stack[-1]
 
-    @property
-    def wall_origin(self) -> float:
-        """``perf_counter`` reading when this recorder was constructed.
-
-        On Linux ``perf_counter`` is CLOCK_MONOTONIC — a system-wide
-        clock — so origins from different processes on the same host are
-        directly comparable.  ``repro.par.obsbuf`` relies on this to turn
-        worker-side capture times into parent-relative offsets.
-        """
-        return self._wall_origin
-
     def span(self, name: str, **attrs: object) -> ActiveSpan:
         return ActiveSpan(self, SpanRecord(name=name, attrs=dict(attrs)))
 

@@ -99,6 +99,11 @@ def render_summary(manifest: RunManifest, top: int = 15) -> str:
     return "\n".join(lines)
 
 
+def _peak_wall_ms(record: SpanRecord) -> float:
+    """The longest wall time of any span in ``record``'s subtree."""
+    return max([record.wall_ms, *map(_peak_wall_ms, record.children)])
+
+
 def render_span_tree(
     root: SpanRecord,
     *,
@@ -107,8 +112,10 @@ def render_span_tree(
 ) -> str:
     """Indented span tree with wall/self times, pre-order.
 
-    Children under ``min_wall_ms`` are folded into a single summary
-    line so deep traces stay readable.
+    A child whose whole subtree stays under ``min_wall_ms`` is folded
+    into a single summary line so deep traces stay readable.  A short
+    span can hold longer ones: ``par.merge`` holds one ``par.chunk`` per
+    task, each timed in the worker process that ran it.
     """
     lines = [f"{'span':52}  {'wall ms':>10}  {'self ms':>10}  {'cpu ms':>10}"]
 
@@ -127,7 +134,7 @@ def render_span_tree(
         hidden = 0
         hidden_ms = 0.0
         for child in record.children:
-            if child.wall_ms < min_wall_ms:
+            if _peak_wall_ms(child) < min_wall_ms:
                 hidden += 1
                 hidden_ms += child.wall_ms
                 continue
@@ -356,14 +363,6 @@ def dashboard_sections(
          _hotspot_table(manifest, top)),
         ("span tree", render_span_tree(manifest.root)),
     ]
-    from repro.obs.timeline import build_timeline, render_timeline
-
-    timeline = build_timeline(manifest)
-    if timeline.regions:
-        sections.append(
-            ("parallel timeline & overhead attribution",
-             render_timeline(timeline)),
-        )
     if manifest.profile is not None:
         sections.append(
             ("profiler: hot functions by span path",

@@ -97,13 +97,9 @@ class TrendRecord:
     #: metric name -> value (unit per :func:`metric_unit`); keys are
     #: stable span names or bench ids.
     series: dict[str, float] = field(default_factory=dict)
-    #: Execution environment of the run (``cpu_count``, ``workers``,
-    #: ``mode``, ``bench_workers``); keys the crossover report
-    #: (:mod:`repro.obs.speedup`) uses to group comparable runs.
-    env: dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, object]:
-        data: dict[str, object] = {
+        return {
             "schema": TREND_SCHEMA,
             "run_id": self.run_id,
             "label": self.label,
@@ -113,16 +109,17 @@ class TrendRecord:
             "total_wall_ms": round(self.total_wall_ms, 3),
             "series": {k: round(v, 3) for k, v in sorted(self.series.items())},
         }
-        if self.env:
-            data["env"] = dict(sorted(self.env.items()))
-        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "TrendRecord":
+        """Load one history line.
+
+        Keys this schema does not read are ignored, such as the ``env``
+        stamp that older history lines carry.
+        """
         series = data.get("series", {})
         if not isinstance(series, dict):
             raise ValueError("trend record 'series' must be a mapping")
-        env = data.get("env", {})
         return cls(
             run_id=str(data.get("run_id", "")),
             label=str(data.get("label", "run")),
@@ -133,7 +130,6 @@ class TrendRecord:
                      else str(data.get("git_sha"))),
             total_wall_ms=float(data.get("total_wall_ms", 0.0)),  # type: ignore[arg-type]
             series={str(k): float(v) for k, v in series.items()},
-            env=dict(env) if isinstance(env, dict) else {},
         )
 
 
@@ -202,11 +198,6 @@ def record_from_bench(data: dict[str, object]) -> TrendRecord:
         series[base + RATIO_SUFFIX] = 100.0 * parallel / serial
     config = data.get("config")
     git_sha = data.get("git_sha")
-    env = {
-        key: data[key]
-        for key in ("cpu_count", "workers", "mode", "bench_workers")
-        if key in data
-    }
     return TrendRecord(
         run_id=str(data.get("run_id") or new_run_id()),
         label=str(data.get("label", "bench")),
@@ -215,7 +206,6 @@ def record_from_bench(data: dict[str, object]) -> TrendRecord:
         git_sha=None if git_sha is None else str(git_sha),
         total_wall_ms=float(data.get("total_wall_ms", 0.0)),  # type: ignore[arg-type]
         series=series,
-        env=env,
     )
 
 
@@ -400,7 +390,13 @@ def render_trend(
     window: int = 20,
     regressions: dict[str, list[Regression]] | None = None,
 ) -> str:
-    """Per-label sparkline report over every tracked metric."""
+    """Per-label sparkline report over every tracked metric.
+
+    Each label shows its ``top`` series by latest value, then every
+    serial/parallel ratio series (:data:`RATIO_SUFFIX`) outside them:
+    a ratio of tens of percent never ranks beside multi-second walls,
+    and this report is the one place a speedup can be read.
+    """
     # Lazily imported: the obs core stays stdlib-only at import time,
     # and repro.analysis pulls in numpy via its CDF machinery.
     from repro.analysis.asciiplot import render_sparkline
@@ -424,9 +420,10 @@ def render_trend(
             f"{latest.run_id} (git {sha}, "
             f"total {latest.total_wall_ms / 1000.0:.2f}s)"
         )
-        metrics = sorted(
-            latest.series, key=lambda m: (-latest.series[m], m)
-        )[:top]
+        ranked = sorted(latest.series, key=lambda m: (-latest.series[m], m))
+        metrics = ranked[:top] + [
+            m for m in ranked[top:] if m.endswith(RATIO_SUFFIX)
+        ]
         if not metrics:
             lines.append("  (no series recorded)")
             continue

@@ -11,8 +11,9 @@ results*):
   place work fans out to worker processes;
 - :mod:`repro.par.cache` — the on-disk routing-table store behind
   ``repro cache stats|clear`` and ``--cache-dir``;
-- :mod:`repro.par.obsbuf` — per-worker span/counter buffers merged
-  deterministically into the live recorder.
+- :mod:`repro.par.obsbuf` — per-task span/counter buffers, merged
+  deterministically into the live recorder as one ``par.chunk`` span
+  per task.
 
 Serial is the default: with ``REPRO_WORKERS`` unset and no cache
 configured, nothing here runs and the pipeline behaves exactly as the

@@ -15,7 +15,8 @@ user opts in.
 Worker processes are plain :class:`~concurrent.futures
 .ProcessPoolExecutor` workers using the ``fork`` start method where the
 platform offers it (cheap on Linux: the parent's pages are shared
-copy-on-write, so shipping a topology costs one pickle, not a rebuild).
+copy-on-write, so a forked worker inherits state the parent staged
+before the pool started, with no pickle and no rebuild).
 Callables submitted through :func:`map_deterministic` must be picklable
 (module-level functions); per-worker state is shipped once through the
 ``initializer`` / ``initargs`` pair, never per task.
@@ -124,8 +125,7 @@ def map_deterministic(
     When a recorder is live, ``par.fork`` brackets executor creation and
     ``par.dispatch`` brackets the submit-and-drain window.  Workers are
     forked lazily on first submit, so the real fork+init cost lands
-    inside the dispatch window and is attributed by
-    :mod:`repro.obs.timeline` as dispatch residual.
+    inside ``par.dispatch``, not ``par.fork``.
     """
     items = list(items)
     n = min(worker_count(workers), len(items))

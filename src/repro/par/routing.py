@@ -10,10 +10,10 @@ announcement per task, and returns the tables in announcement order.
 
 Workers buffer their ``routing.compute`` spans and counters through
 :mod:`repro.par.obsbuf`; the parent merges them in announcement order,
-each wrapped in a ``par.chunk`` span tagged with the worker pid, chunk
-index, and timeline offsets, and brackets the pool lifecycle with
-``par.stage`` / ``par.fork`` / ``par.dispatch`` / ``par.merge`` phase
-spans so :mod:`repro.obs.timeline` can attribute parallel overhead.
+one ``par.chunk`` span per announcement, and brackets the pool
+lifecycle with ``par.stage`` / ``par.fork`` / ``par.dispatch`` /
+``par.merge`` phase spans, so a traced run's span tree shows where the
+parallel region's wall time went.
 """
 
 from __future__ import annotations
@@ -65,14 +65,14 @@ def _init_routing_worker(topology: Topology | None) -> None:
 
 
 def _compute_task(
-    task: tuple[Announcement, bool, int],
+    task: tuple[Announcement, bool],
 ) -> tuple[RoutingTable, WorkerPayload | None]:
     """Worker-side: compute one announcement's table, capturing obs."""
-    announcement, record, chunk_index = task
+    announcement, record = task
     engine = _WORKER_ENGINE
     if engine is None:
         raise RuntimeError("routing worker used before initialization")
-    recorder = start_capture(record, chunk_index=chunk_index)
+    recorder = start_capture(record)
     try:
         table = engine.compute_uncached(announcement)
     finally:
@@ -113,10 +113,7 @@ def compute_fanout(
 
         adjacency = flat_adjacency(topology)
         adjacency.precompute_km()
-        tasks = [
-            (announcement, record, index)
-            for index, announcement in enumerate(announcements)
-        ]
+        tasks = [(announcement, record) for announcement in announcements]
         forked = pool_context().get_start_method() == "fork"
         initargs: tuple[Topology | None] = (None,) if forked else (topology,)
         if forked:

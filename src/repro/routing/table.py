@@ -25,8 +25,7 @@ order is the packed row order, the order ``encode_table`` writes (and
 with it every serial-vs-parallel digest).
 
 Pickling ships the packed columns, so a worker process returns five
-array buffers instead of a dataclass tree — the shrunken merge payload
-the parallel-plane timeline used to attribute to object pickling.
+array buffers instead of a dataclass tree.
 """
 
 from __future__ import annotations

@@ -491,7 +491,7 @@ class TestObsCli:
 
     @pytest.mark.parametrize("body", MALFORMED_MANIFESTS)
     @pytest.mark.parametrize(
-        "command", ["summary", "compare", "timeline", "dashboard"])
+        "command", ["summary", "compare", "dashboard"])
     def test_malformed_manifest_fails_with_message(
         self, tmp_path, capsys, command, body
     ):

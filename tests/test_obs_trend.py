@@ -15,6 +15,7 @@ import pytest
 from repro import cli, obs
 from repro.obs.manifest import from_recorder
 from repro.obs.trend import (
+    RATIO_SUFFIX,
     TrendRecord,
     append_record,
     check_history,
@@ -126,6 +127,30 @@ class TestIngestion:
         assert metric_unit("mem.bytes_per_as") == "B"
         assert metric_unit("bench.test_bench_pair.parallel_pct") == "%"
 
+    def test_nonpositive_or_unpaired_series_skipped(self):
+        record = record_from_bench({
+            "benchmarks": {
+                "test_pair_serial": 4900.0,
+                "test_pair_parallel": 10300.0,
+                "test_orphan_serial": 100.0,  # no parallel twin
+                "test_zero_serial": 100.0,
+                "test_zero_parallel": 0.0,
+                "test_negative_serial": -1.0,
+                "test_negative_parallel": 50.0,
+            },
+        })
+        assert [m for m in record.series if m.endswith(RATIO_SUFFIX)] == [
+            "bench.test_pair.parallel_pct",
+        ]
+
+    def test_par_series_prefix_tracked_from_manifests(self):
+        obs.uninstall()
+        with obs.recording("runner") as rec:
+            with obs.span("par.dispatch"):
+                pass
+        record = record_from_manifest(from_recorder(rec))
+        assert "par.dispatch" in record.series
+
     def test_record_from_file_dispatches_and_rejects(self, tmp_path):
         bench = tmp_path / "BENCH_obs.json"
         bench.write_text(json.dumps({"benchmarks": {"t": 1.0}}))
@@ -158,6 +183,22 @@ class TestHistoryStore:
         records = load_label_history(path)
         assert [r.run_id for r in records] == ["r000"]
 
+    def test_line_with_env_stamp_still_loads(self, tmp_path):
+        """History lines written with the retired ``env`` stamp load."""
+        line = {
+            "schema": 1, "run_id": "b000", "label": "bench 2x Test CPU",
+            "kind": "bench", "config": "small", "git_sha": "deadbeef",
+            "total_wall_ms": 150.0, "series": {"bench.test_x": 150.0},
+            "env": {"bench_workers": 4, "cpu_count": 2, "mode": "serial",
+                    "workers": 1},
+        }
+        path = tmp_path / "bench-2x-Test-CPU.jsonl"
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        [record] = load_label_history(path)
+        assert record.run_id == "b000"
+        assert record.series == {"bench.test_x": 150.0}
+        assert "env" not in record.to_dict()
+
     def test_malformed_middle_line_raises(self, tmp_path):
         path = append_record(tmp_path, _record(0, 100.0))
         with open(path, "a", encoding="utf-8") as fh:
@@ -165,54 +206,6 @@ class TestHistoryStore:
         append_record(tmp_path, _record(1, 100.0))
         with pytest.raises(json.JSONDecodeError):
             load_label_history(path)
-
-
-class TestEnvMetadata:
-    """The execution-environment dict feeding the crossover analyzer."""
-
-    def test_env_round_trips_through_history(self, tmp_path):
-        record = _record(0, 100.0)
-        record.env.update(
-            {"cpu_count": 8, "workers": 1, "mode": "serial",
-             "bench_workers": 4}
-        )
-        append_record(tmp_path, record)
-        [loaded] = load_history(tmp_path)["run"]
-        assert loaded.env == {
-            "cpu_count": 8, "workers": 1, "mode": "serial",
-            "bench_workers": 4,
-        }
-
-    def test_empty_env_is_not_serialised(self):
-        assert "env" not in _record(0, 100.0).to_dict()
-
-    def test_non_dict_env_tolerated_on_load(self):
-        data = _record(0, 100.0).to_dict()
-        data["env"] = "garbage"
-        assert TrendRecord.from_dict(data).env == {}
-
-    def test_record_from_bench_extracts_env(self):
-        record = record_from_bench({
-            "label": "bench",
-            "total_wall_ms": 12.0,
-            "benchmarks": {"test_x": 12.0},
-            "cpu_count": 8,
-            "workers": 1,
-            "mode": "serial",
-            "bench_workers": 4,
-        })
-        assert record.env == {
-            "cpu_count": 8, "workers": 1, "mode": "serial",
-            "bench_workers": 4,
-        }
-
-    def test_par_series_prefix_tracked_from_manifests(self):
-        obs.uninstall()
-        with obs.recording("runner") as rec:
-            with obs.span("par.dispatch"):
-                pass
-        record = record_from_manifest(from_recorder(rec))
-        assert "par.dispatch" in record.series
 
 
 class TestIdempotentIngest:
@@ -287,9 +280,9 @@ class TestDetectRegressions:
     def test_flat_history_is_quiet(self):
         assert detect_regressions(_flat_history()) == []
         # A steady pair where parallel loses (0.48x) is flat too.
-        assert detect_regressions(
-            [_bench(i, 4900.0, 10300.0) for i in range(5)]
-        ) == []
+        losing = [_bench(i, 4900.0, 10300.0) for i in range(5)]
+        assert "bench.test_bench_pair.parallel_pct" in losing[-1].series
+        assert detect_regressions(losing) == []
 
     def test_two_x_jump_flags(self):
         records = _flat_history() + [_record(99, 200.0)]
@@ -331,6 +324,18 @@ class TestDetectRegressions:
             "bench.test_bench_pair_parallel",
         }
 
+    def test_regression_fires_after_enough_history(self):
+        # Four points at a 0.48x speedup, then 0.16x: the ratio flags,
+        # judged as parallel wall over serial wall in percent.
+        records = [_bench(i, 4900.0, 10300.0) for i in range(4)]
+        records.append(_bench(99, 4900.0, 30000.0))
+        [ratio] = [r for r in detect_regressions(records)
+                   if r.metric.endswith(RATIO_SUFFIX)]
+        assert ratio.value_ms == pytest.approx(100.0 * 30000.0 / 4900.0)
+        assert ratio.baseline_ms == pytest.approx(100.0 * 10300.0 / 4900.0)
+        assert ("bench.test_bench_pair.parallel_pct: 612.2 % vs median "
+                "210.2 %") in ratio.render()
+
     def test_window_limits_the_baseline(self):
         # Old slow runs outside the window must not mask a regression
         # against the recent fast plateau.
@@ -368,6 +373,22 @@ class TestRendering:
         text, _ = check_history(tmp_path, top=2)
         shown = [ln for ln in text.splitlines() if "experiment.e" in ln]
         assert len(shown) == 2
+
+    def test_ratio_series_render_beyond_top(self, tmp_path):
+        """A speedup row renders even when 12 larger walls fill the top."""
+        for i in range(2):
+            artifact = _bench_artifact(i, 8000.0, 2000.0)
+            artifact["benchmarks"].update(
+                {f"test_wall_{k:02d}": 1000.0 + k for k in range(13)}
+            )
+            append_record(tmp_path, record_from_bench(artifact))
+        text, _ = check_history(tmp_path)
+        rows = [ln.split()[0] for ln in text.splitlines()
+                if ln.startswith("  bench.")]
+        assert "bench.test_bench_pair.parallel_pct" in rows
+        # The walls past the top 12 stay hidden.
+        assert len(rows) == 13
+        assert "bench.test_wall_00" not in rows
 
 
 class TestCliGate:

@@ -6,7 +6,6 @@ its serial twin for byte-level equality, and the on-disk cache is
 round-tripped, corrupted, and invalidated on purpose.
 """
 
-import os
 import struct
 
 import pytest
@@ -39,6 +38,7 @@ from repro.par.pool import (
     reset_worker_capture,
     worker_count,
 )
+from repro.par.routing import compute_fanout
 from repro.routing.engine import RoutingEngine
 from repro.routing.route import Announcement, OriginSpec
 from repro.routing.table import RoutingTable
@@ -155,7 +155,7 @@ class TestObsBuffers:
         merge_payload(None)  # no-op without a recorder either
 
     def test_capture_and_merge_in_order(self):
-        worker = start_capture(True, chunk_index=3)
+        worker = start_capture(True)
         try:
             with obs.span("routing.compute"):
                 pass
@@ -165,9 +165,8 @@ class TestObsBuffers:
             payload = finish_capture(worker)
         assert [s["name"] for s in payload["spans"]] == ["routing.compute"]
         meta = payload["meta"]
-        assert meta["pid"] == os.getpid()
-        assert meta["chunk_index"] == 3
-        assert meta["t1_s"] >= meta["t0_s"]
+        assert meta["wall_ms"] > 0.0
+        assert meta["cpu_ms"] >= 0.0
         parent = obs.Recorder("parent")
         obs.install(parent)
         try:
@@ -178,25 +177,22 @@ class TestObsBuffers:
             obs.uninstall()
         merged = parent.root.children[0]
         assert merged.name == "world.routing"
-        # Each payload becomes one par.chunk wrapper carrying the worker
-        # provenance; the worker's spans are the wrapper's children and
-        # its counters/gauges land on the wrapper (subtree totals match
+        # Each payload becomes one par.chunk wrapper timed by the capture
+        # window; the worker's spans are the wrapper's children and its
+        # counters/gauges land on the wrapper (subtree totals match
         # replaying them on the parent).
         assert [c.name for c in merged.children] == ["par.chunk", "par.chunk"]
         for chunk in merged.children:
-            assert chunk.attrs["worker_pid"] == os.getpid()
-            assert chunk.attrs["chunk_index"] == 3
-            assert chunk.attrs["t1_ms"] >= chunk.attrs["t0_ms"]
+            assert chunk.wall_ms == meta["wall_ms"]
+            assert chunk.cpu_ms == meta["cpu_ms"]
             assert [c.name for c in chunk.children] == ["routing.compute"]
-            assert chunk.children[0].attrs["worker_pid"] == os.getpid()
-            assert chunk.children[0].attrs["chunk_index"] == 3
             assert chunk.counters["routing.routes_pushed"] == 5
             assert chunk.gauges["routing.routed_nodes"] == 12
         assert merged.subtree_counters()["routing.routes_pushed"] == 10
 
     def test_zero_span_worker_still_merges_a_chunk(self):
         """A worker that opened no spans still gets its wrapper span."""
-        worker = start_capture(True, chunk_index=0)
+        worker = start_capture(True)
         payload = finish_capture(worker)
         assert payload["spans"] == []
         assert payload["counters"] == {}
@@ -212,12 +208,11 @@ class TestObsBuffers:
         chunk = merged.children[0]
         assert chunk.children == []
         assert chunk.counters == {}
-        assert chunk.attrs["chunk_index"] == 0
-        assert chunk.attrs["t1_ms"] >= chunk.attrs["t0_ms"]
+        assert chunk.wall_ms == payload["meta"]["wall_ms"]
 
     def test_zero_span_worker_still_reports_memory(self):
         """Peak RSS is process truth: reported even with zero spans."""
-        worker = start_capture(True, chunk_index=2)
+        worker = start_capture(True)
         payload = finish_capture(worker)
         assert payload["spans"] == []
         meta = payload["meta"]
@@ -242,7 +237,7 @@ class TestObsBuffers:
         uninstalled, and the parent can merge the surviving payload
         next to a ``None`` from a chunk that never reported.
         """
-        worker = start_capture(True, chunk_index=1)
+        worker = start_capture(True)
         payload = None
         with pytest.raises(ValueError):
             try:
@@ -266,7 +261,6 @@ class TestObsBuffers:
         assert [c.name for c in merged.children] == ["par.chunk"]
         chunk = merged.children[0]
         assert chunk.children[0].status == "error"
-        assert chunk.attrs["chunk_index"] == 1
 
     def test_pool_crash_propagates_and_parent_recorder_survives(self):
         """A crashing task aborts the fan-out but not the recording."""
@@ -291,7 +285,7 @@ class TestObsBuffers:
         """Same counter incremented in two workers: subtree totals add."""
         payloads = []
         for index in range(2):
-            worker = start_capture(True, chunk_index=index)
+            worker = start_capture(True)
             try:
                 obs.counter.inc("dns.queries", 3)
                 obs.gauge.set("dns.cache_size", 7 + index)
@@ -310,6 +304,31 @@ class TestObsBuffers:
         # Each wrapper keeps its own worker's contribution.
         assert [c.counters["dns.queries"] for c in merged.children] == [3, 3]
         assert [c.gauges["dns.cache_size"] for c in merged.children] == [7, 8]
+
+    def test_traced_fanout_records_phases_and_chunks(self, tiny_topology):
+        """A traced 2-worker fan-out reads in the span tree.
+
+        The pool phases, then one ``par.chunk`` per announcement in
+        submission order, each holding that task's ``routing.compute``.
+        """
+        announcements = _stub_announcements(tiny_topology, 4)
+        obs.uninstall()
+        with obs.recording("fanout") as recorder:
+            with obs.span("world.routing"):
+                compute_fanout(tiny_topology, announcements, workers=2)
+        [region] = recorder.root.children
+        assert [c.name for c in region.children] == [
+            "par.stage", "par.fork", "par.dispatch", "par.merge",
+        ]
+        chunks = region.children[-1].children
+        assert [c.name for c in chunks] == ["par.chunk"] * 4
+        for chunk, announcement in zip(chunks, announcements):
+            [compute] = chunk.children
+            assert compute.name == "routing.compute"
+            assert compute.attrs["prefix"] == str(announcement.prefix)
+            assert compute.cpu_ms > 0.0
+            assert chunk.wall_ms >= compute.wall_ms
+            assert chunk.attrs["worker_rss_peak_kib"] > 0
 
 
 class TestCodec:
