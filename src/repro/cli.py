@@ -7,7 +7,8 @@ Commands:
 - ``run``    — run experiments (all by default), optionally exporting
   structured results to JSON;
 - ``demo``   — run a micro-case (fig1 / fig7) standalone;
-- ``lint``   — Layer-1 determinism linter (``--list-rules`` for ids);
+- ``lint``   — Layer-1 per-file linter for determinism and module-state
+  hazards (``--list-rules`` for ids);
 - ``verify --deep`` adds the Layer-2 routing-invariant analyzer;
 - ``obs``    — observability: ``summary`` / ``compare`` over the run
   manifests that ``run --trace DIR`` / ``world --trace DIR`` write,
@@ -23,6 +24,10 @@ Commands:
   (enable with ``--cache-dir`` / ``REPRO_CACHE_DIR`` on builds);
 - ``digest`` — routing-table digest over the announced prefixes; used
   by CI to assert serial and ``REPRO_WORKERS=4`` runs are byte-equal.
+
+Before dispatching any command, :func:`main` refuses (exit 2) a
+``REPRO_WORKERS`` that is not a non-negative integer and a cache path
+that exists and is not a directory.
 """
 
 from __future__ import annotations
@@ -161,66 +166,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     status = 0 if all(o.passed for o in outcomes) else 1
     if getattr(args, "deep", False):
         from repro.lint.invariants import analyze_world, render_invariant_report
-        from repro.lint.runner import run_deep_static
 
         findings = analyze_world(world)
         print()
         print(render_invariant_report(findings))
         if findings:
             status = 1
-        report = run_deep_static()
-        print()
-        print(report.render())
-        if not report.clean:
-            status = 1
     return status
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Static analysis: Layer 1 per-file, Layer 3 whole-program."""
+    """Layer-1 static analysis over source files."""
     from pathlib import Path
 
     from repro.lint.findings import RULES
-    from repro.lint.runner import (
-        default_target,
-        lint_paths,
-        render_report,
-        run_deep_static,
-    )
+    from repro.lint.runner import default_target, lint_paths, render_report
 
     if args.list_rules:
         width = max(len(rule_id) for rule_id in RULES)
         for rule_id, spec in sorted(RULES.items()):
             print(f"{rule_id:{width}}  {spec.summary}")
         return 0
-    if args.self_check:
-        from repro.lint.selfcheck import render_self_check, run_self_check
-
-        result = run_self_check()
-        print(render_self_check(result))
-        return 0 if all(result.values()) else 1
-    if args.deep_static:
-        if len(args.paths) > 1:
-            print("--deep-static takes at most one root directory",
-                  file=sys.stderr)
-            return 2
-        root = Path(args.paths[0]) if args.paths else None
-        if root is not None and not root.is_dir():
-            print(f"no such directory: {root}", file=sys.stderr)
-            return 2
-        baseline = Path(args.baseline) if args.baseline else None
-        kwargs = {} if baseline is None else {"baseline": baseline}
-        report = run_deep_static(root, **kwargs)
-        print(report.render())
-        if args.json:
-            import json
-
-            Path(args.json).write_text(
-                json.dumps(report.to_dict(), indent=2) + "\n",
-                encoding="utf-8",
-            )
-            print(f"findings written to {args.json}")
-        return 1 if report.findings else 0
     targets = args.paths or [str(default_target())]
     missing = [t for t in targets if not Path(t).exists()]
     if missing:
@@ -662,30 +628,19 @@ def build_parser() -> argparse.ArgumentParser:
                           help="use the reduced test-scale world")
     p_verify.add_argument("--deep", action="store_true",
                           help="also run the routing-invariant analyzer "
-                               "(valley-freeness, export rules, catchments) "
-                               "and the Layer-3 whole-program static passes")
+                               "(valley-freeness, export rules, catchments)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_lint = sub.add_parser(
-        "lint", help="static analysis: determinism linter over source trees")
+        "lint", help="static analysis: per-file determinism and "
+                     "module-state linter over source trees")
     p_lint.add_argument("paths", nargs="*",
                         help="files or directories to lint "
-                             "(default: the installed repro package); with "
-                             "--deep-static, at most one package root dir")
+                             "(default: the installed repro package)")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="list every rule id and exit")
-    p_lint.add_argument("--deep-static", action="store_true",
-                        help="run the Layer-3 whole-program passes "
-                             "(fork-safety, purity, cache-key completeness) "
-                             "instead of the per-file Layer-1 rules")
     p_lint.add_argument("--json", metavar="FILE",
                         help="also write findings as JSON to FILE")
-    p_lint.add_argument("--baseline", metavar="FILE",
-                        help="Layer-3 baseline file (default: the committed "
-                             "repro/lint/deep_baseline.json)")
-    p_lint.add_argument("--self-check", action="store_true",
-                        help="prove every Layer-3 rule fires on a seeded "
-                             "synthetic violation, then exit")
     p_lint.set_defaults(func=_cmd_lint)
 
     p_obs = sub.add_parser(
@@ -840,9 +795,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _misconfiguration(args: argparse.Namespace) -> str | None:
+    """What in the settings would break a run, found before any build.
+
+    A ``REPRO_WORKERS`` that is not a non-negative integer, or a cache
+    path (``--cache-dir``, else ``REPRO_CACHE_DIR``) that exists and is
+    not a directory; None when neither applies.
+    """
+    import os
+    from pathlib import Path
+
+    from repro.par.cache import CACHE_DIR_ENV
+    from repro.par.pool import worker_count
+
+    try:
+        worker_count()
+    except ValueError as exc:
+        return str(exc)
+    source, directory = "--cache-dir", getattr(args, "cache_dir", None)
+    if not directory:
+        source = CACHE_DIR_ENV
+        directory = os.environ.get(CACHE_DIR_ENV, "").strip()
+    if directory:
+        path = Path(directory).expanduser()
+        if path.exists() and not path.is_dir():
+            return (f"{source} names {str(path)!r}, which exists and is "
+                    "not a directory")
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _misconfiguration(args)
+    if problem is not None:
+        print(f"repro: {problem}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -1,45 +1,27 @@
 """Domain-aware static analysis for the reproduction.
 
-Three layers:
+Two layers:
 
 - **Layer 1** (:mod:`repro.lint.ast_checks` via :mod:`repro.lint.runner`)
-  lints source code for determinism hazards — global RNG draws, float
-  equality, set-ordering leaks, mutable defaults, bare excepts, and
-  ``__all__`` drift — with a per-line ``# repro-lint: disable=RULE``
-  escape hatch.
+  lints source code, one file at a time, for determinism hazards —
+  global RNG draws, float equality, set-ordering leaks, mutable
+  defaults, bare excepts, ``__all__`` drift, dynamic span and event
+  names — and for writes to module state from outside its module or
+  outside a capture module's install/uninstall pair, with a per-line
+  ``# repro-lint: disable=RULE`` escape hatch.
 - **Layer 2** (:mod:`repro.lint.invariants`) verifies computed routing
   state: valley-free paths, Gao-Rexford export conformance, equal-best
   well-formedness, registry LPM consistency, and catchment completeness.
-- **Layer 3** (:mod:`repro.lint.callgraph` feeding
-  :mod:`repro.lint.forksafe`, :mod:`repro.lint.purity`, and
-  :mod:`repro.lint.cachekeys`) analyzes the *whole program*: fork-safety
-  of everything reachable from the parallel worker entrypoints, a
-  global-mutable-state inventory with capture-state discipline, and
-  completeness of the persistent routing-cache key against the compute
-  path's call-graph closure.  Intentional exceptions live in inline
-  disables or the committed ``deep_baseline.json``.
 
-``repro lint`` runs Layer 1 from the command line, ``repro lint
---deep-static`` runs Layer 3, and ``repro lint --self-check`` proves
-each Layer-3 rule still fires on a seeded synthetic violation.  ``repro
-verify --deep`` adds Layers 2 and 3 over the freshly built world.  See
-``docs/static-analysis.md`` for every rule and check id.
+``repro lint`` runs Layer 1 from the command line; ``repro verify
+--deep`` adds Layer 2 over the freshly built world.  Whether the
+persistent cache key covers the code the routing compute runs, and
+whether a parallel worker's task is pure, is checked at run time by
+``tests/test_compute_closure.py``.  See ``docs/static-analysis.md`` for
+every rule and check id.
 """
 
-from repro.lint.cachekeys import CacheKeyConfig, cache_key_findings
-from repro.lint.callgraph import ProjectGraph, build_project_graph
-from repro.lint.findings import (
-    DEEP_RULE_IDS,
-    RULES,
-    Finding,
-    RuleSpec,
-    render_report,
-)
-from repro.lint.forksafe import (
-    WORKER_ENTRYPOINTS,
-    ForkSafetyConfig,
-    fork_safety_findings,
-)
+from repro.lint.findings import RULES, Finding, RuleSpec, render_report
 from repro.lint.invariants import (
     InvariantFinding,
     analyze_world,
@@ -48,49 +30,26 @@ from repro.lint.invariants import (
     check_table,
     render_invariant_report,
 )
-from repro.lint.purity import (
-    StateInventory,
-    build_state_inventory,
-    purity_findings,
-)
 from repro.lint.runner import (
-    DeepReport,
     default_target,
     lint_file,
     lint_paths,
     lint_source,
-    run_deep_static,
 )
-from repro.lint.selfcheck import render_self_check, run_self_check
 
 __all__ = [
-    "CacheKeyConfig",
-    "DEEP_RULE_IDS",
-    "DeepReport",
     "Finding",
-    "ForkSafetyConfig",
     "InvariantFinding",
-    "ProjectGraph",
     "RULES",
     "RuleSpec",
-    "StateInventory",
-    "WORKER_ENTRYPOINTS",
     "analyze_world",
-    "build_project_graph",
-    "build_state_inventory",
-    "cache_key_findings",
     "check_catchments",
     "check_registry",
     "check_table",
     "default_target",
-    "fork_safety_findings",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "purity_findings",
     "render_invariant_report",
     "render_report",
-    "render_self_check",
-    "run_deep_static",
-    "run_self_check",
 ]

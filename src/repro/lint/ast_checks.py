@@ -7,6 +7,11 @@ runs of the same experiment disagree (global RNG draws, set-ordering
 leaks, float equality) is treated as a defect even where general-purpose
 linters stay quiet.
 
+Two rules guard module state: ``global-mutable-state`` (a write to an
+attribute of an imported name, ``other.LIMIT = 5``) and
+``capture-state-leak`` (a ``global`` rebind of an ``install``-managed
+capture slot outside the sanctioned install/uninstall functions).
+
 The checker is purely syntactic — it resolves ``import`` aliases within
 the module but does no cross-module inference, so it can run on any
 source string without importing it.
@@ -57,6 +62,13 @@ _ORDER_SENSITIVE_CALLS = frozenset({"list", "tuple", "enumerate", "iter"})
 #: Trend series and profiler paths key on these names verbatim, so they
 #: must be grep-able string constants, not runtime-assembled values.
 _SPAN_NAME_RE = re.compile(r"^[A-Za-z0-9_-]+(\.[A-Za-z0-9_-]+)*$")
+
+#: Functions allowed to rebind a capture-state global in its own module:
+#: the ``install``/``uninstall`` pair that defines the pattern and the
+#: ``capturing``/``recording`` context managers built directly on it.
+_CAPTURE_WRITERS = frozenset({
+    "install", "uninstall", "capturing", "recording",
+})
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -122,6 +134,9 @@ class Checker(ast.NodeVisitor):
         #: Bare names bound to the explain emit facade (``from
         #: repro.explain import emit`` / ``...provenance import emit``).
         self._emit_funcs: set[str] = set()
+        #: Every name the file binds by ``import`` or ``from … import``,
+        #: anywhere in it (filled before the visit).
+        self._imported: set[str] = set()
 
     # ------------------------------------------------------------------
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
@@ -442,11 +457,79 @@ class Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
+    # global-mutable-state
+    # ------------------------------------------------------------------
+    def _check_foreign_writes(self, node: ast.stmt,
+                              targets: list[ast.expr]) -> None:
+        """``other.NAME = ...`` where ``other`` is an imported name."""
+        for target in targets:
+            if isinstance(target, (ast.Tuple, ast.List)):
+                self._check_foreign_writes(node, list(target.elts))
+                continue
+            if not isinstance(target, ast.Attribute):
+                continue
+            root = target.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in self._imported:
+                self._report(
+                    "global-mutable-state", node,
+                    f"writes {ast.unparse(target)}, state of imported "
+                    f"name {root.id!r}",
+                )
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self._check_foreign_writes(node, list(node.targets))
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_foreign_writes(node, [node.target])
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_foreign_writes(node, [node.target])
+        self.generic_visit(node)
+
+    def visit_Delete(self, node: ast.Delete) -> None:
+        self._check_foreign_writes(node, list(node.targets))
+        self.generic_visit(node)
+
+    # ------------------------------------------------------------------
+    # capture-state-leak (module-level pass)
+    # ------------------------------------------------------------------
+    def _check_capture_state(self, tree: ast.Module) -> None:
+        """Rebinds of ``install``'s globals outside the sanctioned set.
+
+        Applies only to a module that defines both ``install`` and
+        ``uninstall`` at top level: the single-None-check capture slot
+        of :mod:`repro.obs.recorder` and :mod:`repro.explain.provenance`.
+        """
+        top = {stmt.name: stmt for stmt in tree.body
+               if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        if "install" not in top or "uninstall" not in top:
+            return
+        slots = {name for name, _ in _global_rebinds(top["install"])}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or node.name in _CAPTURE_WRITERS):
+                continue
+            for name, stmt in _global_rebinds(node):
+                if name in slots:
+                    self._report(
+                        "capture-state-leak", stmt,
+                        f"{node.name}() rebinds capture-state global "
+                        f"{name}, which only install/uninstall/"
+                        "capturing/recording may write",
+                    )
+
+    # ------------------------------------------------------------------
     # all-drift (module-level post pass)
     # ------------------------------------------------------------------
     def check_module(self, tree: ast.Module) -> None:
         """Run the whole-module passes, then the node visitors."""
+        self._imported = _imported_names(tree)
         self._check_all_drift(tree)
+        self._check_capture_state(tree)
         self.visit(tree)
 
     def _check_all_drift(self, tree: ast.Module) -> None:
@@ -525,6 +608,45 @@ def _module_level_names(tree: ast.Module) -> set[str]:
 
     collect(tree.body)
     return names
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Names bound by ``import`` / ``from … import`` anywhere in a file."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    names.add(alias.asname or alias.name.split(".")[0])
+    return names
+
+
+def _global_rebinds(
+    function: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> list[tuple[str, ast.stmt]]:
+    """Every write of a ``global`` name in the function's own scope, as
+    ``(name, statement)``; nested functions and classes are skipped."""
+    nodes: list[ast.AST] = []
+    stack: list[ast.AST] = list(function.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+            nodes.append(node)
+            stack.extend(ast.iter_child_nodes(node))
+    declared = {name for node in nodes if isinstance(node, ast.Global)
+                for name in node.names}
+    writes: list[tuple[str, ast.stmt]] = []
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        writes.extend((t.id, node) for t in targets
+                      if isinstance(t, ast.Name) and t.id in declared)
+    return writes
 
 
 def check_tree(tree: ast.Module, path: str) -> list[Finding]:

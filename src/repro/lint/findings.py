@@ -1,4 +1,4 @@
-"""Finding and rule value types shared by both analysis layers.
+"""Finding and rule value types of the Layer-1 linter.
 
 A :class:`Finding` is one report from the AST linter: a rule fired at a
 source location.  :data:`RULES` is the registry of every Layer-1 rule id
@@ -106,101 +106,11 @@ RULES: dict[str, RuleSpec] = {
             ),
         ),
         RuleSpec(
-            rule_id="parse-error",
-            summary="file could not be parsed as Python",
-            hint="fix the syntax error",
-        ),
-        # ------------------------------------------------------------
-        # Layer-3 (whole-program) rules — repro lint --deep-static
-        # ------------------------------------------------------------
-        RuleSpec(
-            rule_id="fork-global-write",
-            summary=(
-                "function reachable from a fork-worker entrypoint writes a "
-                "module-level global; forked workers inherit parent state "
-                "copy-on-write and divergent writes break the serial == "
-                "parallel determinism contract"
-            ),
-            hint=(
-                "pass state through task arguments, stage it in an "
-                "allowlisted _init_*_worker initializer, or disable with a "
-                "comment explaining why the write is idempotent and "
-                "content-derived"
-            ),
-        ),
-        RuleSpec(
-            rule_id="fork-env-mutation",
-            summary=(
-                "function reachable from a fork-worker entrypoint mutates "
-                "os.environ; environment writes in one worker are invisible "
-                "to siblings and the parent, so behaviour depends on which "
-                "process ran the code"
-            ),
-            hint=(
-                "read configuration once in the parent and ship it via task "
-                "arguments or the worker initializer"
-            ),
-        ),
-        RuleSpec(
-            rule_id="fork-unseeded-entropy",
-            summary=(
-                "function reachable from a fork-worker entrypoint draws "
-                "from an unseeded entropy source; forked workers either "
-                "share the parent RNG state (identical 'random' draws) or "
-                "reseed on exec, so results depend on the worker count"
-            ),
-            hint=(
-                "derive randomness from task-stable identifiers (hash a "
-                "seed + key) or ship a seeded generator per task"
-            ),
-        ),
-        RuleSpec(
-            rule_id="fork-wallclock",
-            summary=(
-                "function reachable from a fork-worker entrypoint reads the "
-                "wall clock; wall-clock values differ per worker and per "
-                "run, so they must not influence computed results "
-                "(monotonic/perf counters for durations are fine)"
-            ),
-            hint=(
-                "use time.perf_counter()/process_time() for durations, or "
-                "stamp times in the parent after the parallel region"
-            ),
-        ),
-        RuleSpec(
-            rule_id="fork-module-resource",
-            summary=(
-                "module reachable from a fork-worker entrypoint creates a "
-                "lock/file/socket at module scope; such resources are "
-                "duplicated into forked children in an undefined state "
-                "(held locks deadlock, shared fds interleave writes)"
-            ),
-            hint=(
-                "create the resource lazily inside the function that uses "
-                "it, or re-create it in an _init_*_worker initializer"
-            ),
-        ),
-        RuleSpec(
-            rule_id="capture-state-leak",
-            summary=(
-                "capture-state global (a binding written by its module's "
-                "install/uninstall pair) is mutated outside the sanctioned "
-                "install/uninstall/capturing/recording functions; ad-hoc "
-                "writes bypass the single-None-check discipline that keeps "
-                "observability capture re-entrant and fork-safe"
-            ),
-            hint=(
-                "route the mutation through the module's install()/"
-                "uninstall() (or a capturing()/recording() context manager)"
-            ),
-        ),
-        RuleSpec(
             rule_id="global-mutable-state",
             summary=(
-                "module-level binding of another module is reassigned from "
-                "outside it; cross-module writes make module state "
-                "impossible to reason about locally and defeat the purity "
-                "inventory"
+                "assignment or del on an attribute of an imported name "
+                "(other.LIMIT = 5); cross-module writes make module state "
+                "impossible to reason about locally"
             ),
             hint=(
                 "add a setter function in the owning module (so the write "
@@ -208,59 +118,37 @@ RULES: dict[str, RuleSpec] = {
             ),
         ),
         RuleSpec(
-            rule_id="cache-key-gap",
+            rule_id="capture-state-leak",
             summary=(
-                "module reachable from the cached-compute path is not "
-                "folded into the persistent cache key; editing it could "
-                "change results without invalidating cached routing tables"
+                "global rebind of a capture-state slot (a name the "
+                "module's install() rebinds) outside install/uninstall/"
+                "capturing/recording; ad-hoc writes bypass the "
+                "single-None-check discipline that keeps capture "
+                "re-entrant and fork-safe"
             ),
             hint=(
-                "add the module to FINGERPRINT_MODULES in repro/par/"
-                "cache.py (over-invalidation is safe; silent staleness is "
-                "not)"
+                "route the mutation through the module's install()/"
+                "uninstall() (or a capturing()/recording() context manager)"
             ),
         ),
         RuleSpec(
-            rule_id="baseline-stale",
-            summary=(
-                "baseline file entry matches no current finding; the "
-                "underlying issue was fixed (or the symbol renamed) and the "
-                "suppression must not outlive it"
-            ),
-            hint="delete the stale entry from the baseline file",
+            rule_id="parse-error",
+            summary="file could not be parsed as Python",
+            hint="fix the syntax error",
         ),
     )
 }
 
-#: Rule ids produced only by the Layer-3 whole-program passes.
-DEEP_RULE_IDS = frozenset({
-    "fork-global-write",
-    "fork-env-mutation",
-    "fork-unseeded-entropy",
-    "fork-wallclock",
-    "fork-module-resource",
-    "capture-state-leak",
-    "global-mutable-state",
-    "cache-key-gap",
-    "baseline-stale",
-})
-
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One report: a rule fired at ``path:line``.
-
-    Layer-3 findings also carry ``symbol`` — the qualified name of the
-    function/binding/module the finding is about.  Baseline entries match
-    on ``(rule, symbol)`` so they survive unrelated line-number churn.
-    """
+    """One report: a rule fired at ``path:line``."""
 
     path: str
     line: int
     rule: str
     message: str
     hint: str = field(default="", compare=False)
-    symbol: str = field(default="", compare=False)
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -274,7 +162,6 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "rule": self.rule,
-            "symbol": self.symbol,
             "message": self.message,
             "hint": self.hint,
         }

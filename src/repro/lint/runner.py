@@ -1,4 +1,4 @@
-"""Lint drivers: file discovery, disable comments, baselines, reporting.
+"""Lint driver: file discovery, disable comments, reporting.
 
 The Layer-1 runner parses each target file, hands the tree to
 :mod:`repro.lint.ast_checks`, and filters the findings through the inline
@@ -10,50 +10,25 @@ A disable comment suppresses the named rule(s) on its own physical line
 only (``disable=all`` suppresses every rule there).  Unknown rule ids in
 a disable comment are themselves reported, so annotations cannot rot
 silently.
-
-:func:`run_deep_static` is the Layer-3 driver: it builds the project
-graph once, runs the fork-safety / purity / cache-key passes, applies
-the same line-scoped disable comments, and then a committed **baseline**
-(:data:`DEFAULT_BASELINE`) of intentional exceptions.  Baseline entries
-match on ``(rule, symbol)`` — not line numbers — so they survive
-unrelated edits; an entry matching nothing becomes a ``baseline-stale``
-finding, so suppressions cannot outlive the code they excused.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
 
 from repro.lint.ast_checks import check_tree
-from repro.lint.cachekeys import CacheKeyConfig, cache_key_findings
-from repro.lint.callgraph import ProjectGraph, build_project_graph
 from repro.lint.findings import RULES, Finding, render_report
-from repro.lint.forksafe import ForkSafetyConfig, fork_safety_findings
-from repro.lint.purity import (
-    StateInventory,
-    build_state_inventory,
-    purity_findings,
-)
 
 __all__ = [
-    "DEFAULT_BASELINE",
-    "DeepReport",
     "default_target",
     "lint_file",
     "lint_paths",
     "lint_source",
     "render_report",
-    "run_deep_static",
 ]
-
-#: The committed baseline of intentional Layer-3 exceptions.
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "deep_baseline.json"
 
 _DISABLE_RE = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\- ]+?)\s*(?:--.*)?$"
@@ -137,175 +112,3 @@ def lint_paths(paths: Iterable[Union[Path, str]]) -> list[Finding]:
 def default_target() -> Path:
     """The installed ``repro`` package source tree."""
     return Path(__file__).resolve().parent.parent
-
-
-# ----------------------------------------------------------------------
-# Layer 3: whole-program driver
-# ----------------------------------------------------------------------
-
-@dataclass
-class DeepReport:
-    """Everything one ``repro lint --deep-static`` run produced."""
-
-    root: str
-    findings: list[Finding]
-    baselined: int
-    inventory: StateInventory
-    modules: int
-    functions: int
-    edges: int
-    wall_ms: float
-    graph: ProjectGraph = field(repr=False)
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-    def to_dict(self) -> dict[str, object]:
-        """Machine-readable form (``--json``, obs dashboard)."""
-        return {
-            "schema": 1,
-            "generated_by": "repro lint --deep-static",
-            "root": self.root,
-            "findings": [f.to_dict() for f in self.findings],
-            "baselined": self.baselined,
-            "inventory": self.inventory.to_dict(),
-            "summary": {
-                "findings": len(self.findings),
-                "modules": self.modules,
-                "functions": self.functions,
-                "edges": self.edges,
-                "wall_ms": round(self.wall_ms, 3),
-            },
-        }
-
-    def render(self) -> str:
-        lines = [f.render() for f in self.findings]
-        lines.append(
-            f"repro-lint deep-static: {len(self.findings)} finding"
-            f"{'s' if len(self.findings) != 1 else ''}"
-            f" ({self.baselined} baselined) over {self.modules} modules, "
-            f"{self.functions} functions, {self.edges} call edges"
-        )
-        return "\n".join(lines)
-
-
-def load_baseline(path: "Path | None") -> list[dict[str, str]]:
-    """Baseline entries ``[{"rule", "symbol", "reason"}, ...]``.
-
-    A missing file is an empty baseline; a malformed one raises — a
-    broken suppression list must never silently suppress nothing (or
-    everything).
-    """
-    if path is None or not path.exists():
-        return []
-    document = json.loads(path.read_text(encoding="utf-8"))
-    entries = document.get("entries", [])
-    if not isinstance(entries, list):
-        raise ValueError(f"baseline {path}: 'entries' must be a list")
-    for entry in entries:
-        if not isinstance(entry, dict) or not entry.get("rule") \
-                or not entry.get("symbol"):
-            raise ValueError(
-                f"baseline {path}: each entry needs 'rule' and 'symbol'"
-            )
-    return entries
-
-
-def apply_baseline(
-    findings: list[Finding],
-    entries: list[dict[str, str]],
-    baseline_path: "Path | None",
-) -> tuple[list[Finding], int]:
-    """Split findings into (kept + stale-entry findings, baselined count).
-
-    An entry suppresses every finding with its exact ``(rule, symbol)``
-    pair; entries that suppress nothing surface as ``baseline-stale``.
-    """
-    keys = {(e["rule"], e["symbol"]) for e in entries}
-    kept = [f for f in findings if (f.rule, f.symbol) not in keys]
-    baselined = len(findings) - len(kept)
-    matched = {(f.rule, f.symbol) for f in findings} & keys
-    for entry in entries:
-        if (entry["rule"], entry["symbol"]) in matched:
-            continue
-        kept.append(Finding(
-            path=str(baseline_path) if baseline_path else "<baseline>",
-            line=1,
-            rule="baseline-stale",
-            message=(
-                f"baseline entry ({entry['rule']}, {entry['symbol']}) "
-                "matches no current finding"
-            ),
-            hint=RULES["baseline-stale"].hint,
-            symbol=entry["symbol"],
-        ))
-    return sorted(kept), baselined
-
-
-def _apply_disables(
-    graph: ProjectGraph, findings: list[Finding]
-) -> list[Finding]:
-    """Filter deep findings through per-line disable comments.
-
-    Reuses the Layer-1 comment grammar; unknown-rule-id reporting is
-    Layer 1's job (it sees the same files), so only the line sets are
-    used here.
-    """
-    disables: dict[str, dict[int, set[str]]] = {}
-    for module in graph.modules.values():
-        disabled, _ = _parse_disables(module.source, str(module.path))
-        if disabled:
-            disables[str(module.path)] = disabled
-    kept = []
-    for finding in findings:
-        rules_here = disables.get(finding.path, {}).get(finding.line, set())
-        if finding.rule in rules_here or "all" in rules_here:
-            continue
-        kept.append(finding)
-    return kept
-
-
-def run_deep_static(
-    root: "Path | None" = None,
-    *,
-    package: str = "repro",
-    baseline: "Path | None" = DEFAULT_BASELINE,
-    forksafe_config: ForkSafetyConfig | None = None,
-    cachekey_config: CacheKeyConfig | None = None,
-) -> DeepReport:
-    """Build the project graph and run every Layer-3 pass over it."""
-    start = time.perf_counter()
-    target = Path(root) if root is not None else default_target()
-    graph = build_project_graph(target, package)
-
-    findings: list[Finding] = []
-    for module in graph.modules.values():
-        if module.parse_error:
-            findings.append(Finding(
-                path=str(module.path),
-                line=1,
-                rule="parse-error",
-                message=module.parse_error,
-                hint=RULES["parse-error"].hint,
-                symbol=module.name,
-            ))
-    findings.extend(fork_safety_findings(graph, forksafe_config))
-    findings.extend(purity_findings(graph))
-    findings.extend(cache_key_findings(graph, cachekey_config))
-
-    findings = _apply_disables(graph, findings)
-    entries = load_baseline(baseline)
-    findings, baselined = apply_baseline(findings, entries, baseline)
-
-    return DeepReport(
-        root=str(target),
-        findings=sorted(findings),
-        baselined=baselined,
-        inventory=build_state_inventory(graph),
-        modules=len(graph.modules),
-        functions=len(graph.functions),
-        edges=sum(len(v) for v in graph.edges.values()),
-        wall_ms=(time.perf_counter() - start) * 1000.0,
-        graph=graph,
-    )

@@ -286,31 +286,18 @@ def render_explain_section(data: dict[str, object]) -> str:
 
 
 def render_lint_section(data: dict[str, object]) -> str:
-    """Render a ``repro lint --json`` / ``--deep-static --json`` document.
+    """Render a ``repro lint --json`` document.
 
     Shows per-rule counts and the first findings; a clean document says
     so explicitly, so a dashboard with the section present proves the
-    analyzer actually ran.
+    linter actually ran.
     """
     findings = data.get("findings", [])
     if not isinstance(findings, list):
         return "malformed lint document (findings is not a list)"
-    summary = data.get("summary")
-    parts: list[str] = []
-    if isinstance(summary, dict):
-        parts.append(
-            f"analyzed {summary.get('modules', '?')} modules / "
-            f"{summary.get('functions', '?')} functions / "
-            f"{summary.get('edges', '?')} call edges in "
-            f"{summary.get('wall_ms', '?')} ms"
-        )
     if not findings:
-        baselined = data.get("baselined", 0)
-        parts.append(
-            "no findings"
-            + (f" ({baselined} baselined)" if baselined else "")
-        )
-        return "\n".join(parts)
+        return "no findings"
+    parts: list[str] = []
     by_rule: dict[str, int] = {}
     for finding in findings:
         if isinstance(finding, dict):

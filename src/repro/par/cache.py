@@ -122,15 +122,16 @@ def topology_hash(topology: Topology) -> str:
         hasher.update(f"{section} {len(lines)}\n".encode())
         hasher.update("".join([line + "\n" for line in lines]).encode())
     digest = hasher.hexdigest()
-    _TOPO_HASHES[topology] = (topology.version, digest)  # repro-lint: disable=fork-global-write -- idempotent content-derived memo
+    _TOPO_HASHES[topology] = (topology.version, digest)
     return digest
 
 
-#: Every module whose source can change a cached routing table.  The
-#: deep-static ``cache-key-gap`` rule diffs this literal tuple against
-#: the transitive call closure of ``RoutingEngine.compute_uncached`` and
-#: fails the build when a reachable result-relevant module is missing —
-#: over-invalidation is safe, silent staleness is not.
+#: Every module whose source can change a cached routing table.
+#: ``tests/test_compute_closure.py`` profiles
+#: ``RoutingEngine.compute_uncached`` and fails when a ``repro`` module
+#: that ran is missing here (``repro.obs``, ``repro.explain`` and
+#: ``repro.par`` excepted) — over-invalidation is safe, silent staleness
+#: is not.
 FINGERPRINT_MODULES: tuple[str, ...] = (
     "repro.geo.coords",
     "repro.geoloc.database",
@@ -162,7 +163,7 @@ def engine_fingerprint() -> str:
             assert source is not None
             hasher.update(name.encode() + b"\0")
             hasher.update(Path(source).read_bytes())
-        _ENGINE_FP = hasher.hexdigest()  # repro-lint: disable=fork-global-write -- idempotent content-derived memo
+        _ENGINE_FP = hasher.hexdigest()
     return _ENGINE_FP
 
 

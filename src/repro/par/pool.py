@@ -8,9 +8,10 @@ outputs, and claim scorecards to a serial run — only the wall clock
 differs.
 
 The knob is the ``REPRO_WORKERS`` environment variable (or an explicit
-``workers=`` argument).  Unset, empty, non-numeric, ``0``, and ``1`` all
-mean *serial*: the seed behaviour of the pipeline is unchanged unless a
-user opts in.
+``workers=`` argument).  Unset, empty, ``0``, and ``1`` all mean
+*serial*: the seed behaviour of the pipeline is unchanged unless a user
+opts in.  Any other value that is not a non-negative integer is refused
+with a :class:`ValueError` (``repro`` exits 2 on it before any build).
 
 Worker processes are plain :class:`~concurrent.futures
 .ProcessPoolExecutor` workers using the ``fork`` start method where the
@@ -39,8 +40,10 @@ def worker_count(explicit: int | None = None) -> int:
     """Resolve the effective worker count (1 means serial).
 
     ``explicit`` wins when given; otherwise ``REPRO_WORKERS`` is read.
-    Anything unset, unparsable, or below 2 resolves to 1, so the default
-    pipeline stays single-process.
+    Unset, empty, ``0`` and ``1`` resolve to 1, so the default pipeline
+    stays single-process.  A value that is not a non-negative integer
+    (``abc``, ``-3``, ``2.5``) raises :class:`ValueError` naming the
+    variable, rather than running serially without a word.
     """
     if explicit is not None:
         return max(1, explicit)
@@ -50,7 +53,12 @@ def worker_count(explicit: int | None = None) -> int:
     try:
         value = int(raw)
     except ValueError:
-        return 1
+        value = -1
+    if value < 0:
+        raise ValueError(
+            f"{WORKERS_ENV}={raw!r} is not a worker count; use a "
+            "non-negative integer (0 or 1 runs serially)"
+        )
     return max(1, value)
 
 

@@ -55,7 +55,7 @@ def _pair_km(a: "GeoPoint", b: "GeoPoint") -> float:
     km = _PAIR_KM.get(key)
     if km is None:
         km = a.distance_km(b)
-        _PAIR_KM[key] = km  # repro-lint: disable=fork-global-write -- idempotent content-derived memo
+        _PAIR_KM[key] = km
     return km
 
 
@@ -250,5 +250,5 @@ def flat_adjacency(topology: "Topology") -> FlatAdjacency:
     adjacency = _ADJACENCIES.get(topology)
     if adjacency is None or adjacency.version != topology.version:
         adjacency = FlatAdjacency(topology)
-        _ADJACENCIES[topology] = adjacency  # repro-lint: disable=fork-global-write -- idempotent content-derived memo
+        _ADJACENCIES[topology] = adjacency
     return adjacency

@@ -14,7 +14,10 @@ Three groups:
 
 from __future__ import annotations
 
+import json
+import re
 import textwrap
+from pathlib import Path
 
 from repro.geo.atlas import load_default_atlas
 from repro.lint import (
@@ -267,6 +270,132 @@ class TestAllDrift:
                 from os import path as fallback
             except ImportError:
                 fallback = None
+            """
+        ) == []
+
+
+class TestGlobalMutableState:
+    def test_write_to_imported_module_fires(self):
+        assert fired(
+            """\
+            import repro.par.cache as cache
+            from repro import obs
+
+            def poke():
+                cache._ENGINE_FP = None
+                obs.recorder._CURRENT = None
+            """
+        ) == [("global-mutable-state", 5), ("global-mutable-state", 6)]
+
+    def test_augmented_annotated_and_del_fire(self):
+        assert fired(
+            """\
+            import config
+
+            def poke():
+                config.LIMIT += 1
+                config.NAME: str = "x"
+                del config.OLD
+            """
+        ) == [
+            ("global-mutable-state", 4),
+            ("global-mutable-state", 5),
+            ("global-mutable-state", 6),
+        ]
+
+    def test_tuple_target_and_local_import_fire(self):
+        assert fired(
+            """\
+            def poke():
+                from repro.topology import flat
+
+                flat.A, x = 1, 2
+            """
+        ) == [("global-mutable-state", 4)]
+
+    def test_own_and_local_state_is_clean(self):
+        assert fired(
+            """\
+            import config
+
+            _MEMO = {}
+
+            class Box:
+                def __init__(self):
+                    self.value = config.LIMIT
+
+            def fill(box, key):
+                box.value = 1
+                _MEMO[key] = config.LIMIT
+            """
+        ) == []
+
+
+class TestCaptureStateLeak:
+    _PAIR = """\
+        _CURRENT = None
+        _OTHER = 0
+
+
+        def install(obj):
+            global _CURRENT
+            _CURRENT = obj
+
+
+        def uninstall():
+            global _CURRENT
+            _CURRENT = None
+
+
+        def capturing(obj):
+            global _CURRENT
+            _CURRENT = obj
+        """
+
+    def test_sanctioned_pattern_is_clean(self):
+        assert fired(self._PAIR) == []
+
+    def test_unsanctioned_rebind_fires(self):
+        assert fired(self._PAIR + """\
+
+
+        def hijack(obj):
+            global _CURRENT, _OTHER
+            _OTHER += 1
+            _CURRENT = obj
+        """) == [("capture-state-leak", 23)]
+
+    def test_method_and_nested_writers_fire(self):
+        assert fired(self._PAIR + """\
+
+
+        class Session:
+            def start(self, obj):
+                global _CURRENT
+                _CURRENT = obj
+
+
+        def install_later(obj):
+            def inner():
+                global _CURRENT
+                del _CURRENT
+            return inner
+        """) == [("capture-state-leak", 23), ("capture-state-leak", 29)]
+
+    def test_module_without_uninstall_is_not_checked(self):
+        assert fired(
+            """\
+            _CURRENT = None
+
+
+            def install(obj):
+                global _CURRENT
+                _CURRENT = obj
+
+
+            def hijack(obj):
+                global _CURRENT
+                _CURRENT = obj
             """
         ) == []
 
@@ -561,6 +690,22 @@ class TestDisableComments:
             """
         ) == [("unseeded-random", 3)]
 
+    def test_multi_rule_disable_line(self):
+        # One comment naming several rules suppresses each of them on
+        # that line.
+        source = textwrap.dedent("""\
+            import random
+
+            def f(x=[]):  # repro-lint: disable=mutable-default, unseeded-random -- both
+                x.append(random.random())
+                return x
+        """)
+        findings = lint_source(source)
+        assert not [f for f in findings if f.line == 3]
+        # The rules still fire on lines the comment does not cover.
+        assert any(f.rule == "unseeded-random" and f.line == 4
+                   for f in findings)
+
     def test_unknown_rule_id_is_reported(self):
         findings = lint("x = 1  # repro-lint: disable=bogus-rule\n")
         assert [(f.rule, f.line) for f in findings] == [("parse-error", 1)]
@@ -569,6 +714,24 @@ class TestDisableComments:
     def test_syntax_error_reported_not_raised(self):
         findings = lint("def broken(:\n")
         assert [f.rule for f in findings] == ["parse-error"]
+
+    def test_syntax_error_reported_by_lint_paths(self, tmp_path):
+        # One unparsable file is reported and the rest of the tree is
+        # still linted.
+        (tmp_path / "broken.py").write_text("x = 1\ndef broken(:\n",
+                                            encoding="utf-8")
+        (tmp_path / "bad.py").write_text(
+            "import random\nx = random.random()\n", encoding="utf-8")
+        findings = lint_paths([tmp_path])
+        assert [(Path(f.path).name, f.line, f.rule) for f in findings] == [
+            ("bad.py", 2, "unseeded-random"),
+            ("broken.py", 2, "parse-error"),
+        ]
+
+    def test_every_rule_id_valid_in_disable_comment(self):
+        for rule_id in RULES:
+            source = f"x = 1  # repro-lint: disable={rule_id} -- fixture\n"
+            assert lint(source) == [], rule_id
 
     def test_every_finding_cites_a_registered_rule(self):
         findings = lint(
@@ -840,6 +1003,20 @@ class TestShippedTreeGates:
 
 
 class TestCli:
+    def _run(self, *argv):
+        import repro.cli as cli
+
+        return cli.main(list(argv))
+
+    def test_layer1_json_written(self, tmp_path):
+        out = tmp_path / "l1.json"
+        target = tmp_path / "bad.py"
+        target.write_text("import random\nx = random.random()\n",
+                          encoding="utf-8")
+        assert self._run("lint", str(target), "--json", str(out)) == 1
+        document = json.loads(out.read_text(encoding="utf-8"))
+        assert document["findings"][0]["rule"] == "unseeded-random"
+
     def test_lint_exit_codes(self, tmp_path):
         from repro.cli import main
 
@@ -858,3 +1035,46 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in RULES:
             assert rule_id in out
+
+
+class TestJsonOutput:
+    def _document(self, tmp_path) -> tuple[Path, dict]:
+        """A file with two findings and its ``repro lint --json`` document."""
+        from repro.cli import main
+
+        target = tmp_path / "bad.py"
+        target.write_text(
+            "import random\nimport config\n"
+            "x = random.random()\nconfig.LIMIT = 5\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "findings.json"
+        assert main(["lint", str(target), "--json", str(out)]) == 1
+        return target, json.loads(out.read_text(encoding="utf-8"))
+
+    def test_document_shape(self, tmp_path, capsys):
+        _, document = self._document(tmp_path)
+        assert document["schema"] == 1
+        assert document["generated_by"] == "repro lint"
+        assert len(document["findings"]) == 2
+        for finding in document["findings"]:
+            assert set(finding) == {"path", "line", "rule", "message", "hint"}
+
+    def test_render_lint_section(self, tmp_path, capsys):
+        from repro.obs.report import render_lint_section
+
+        target, document = self._document(tmp_path)
+        text = render_lint_section(document)
+        assert "unseeded-random" in text and "global-mutable-state" in text
+        assert f"{target}:3: [unseeded-random]" in text
+        assert render_lint_section({"findings": []}) == "no findings"
+
+
+class TestDocs:
+    def test_every_rule_has_a_row_in_the_rule_table(self):
+        """docs/static-analysis.md's Layer-1 table names every rule id."""
+        doc = Path(__file__).resolve().parent.parent / "docs" / \
+            "static-analysis.md"
+        rows = set(re.findall(r"^\| `([a-z-]+)` \|",
+                              doc.read_text(encoding="utf-8"), re.M))
+        assert sorted(set(RULES) - rows) == []

@@ -58,6 +58,10 @@ def _explode(x):
     return x * x
 
 
+def _no_build(*args, **kwargs):
+    raise AssertionError("a misconfigured run built a world")
+
+
 def _stub_announcements(topology, count=3):
     """One single-origin announcement per stub, distinct prefixes."""
     stubs = [n.node_id for n in topology.nodes() if n.tier is Tier.STUB]
@@ -79,10 +83,25 @@ class TestWorkerCount:
         monkeypatch.setenv(WORKERS_ENV, "4")
         assert worker_count() == 4
 
-    @pytest.mark.parametrize("raw", ["", "  ", "abc", "0", "-3", "1"])
+    @pytest.mark.parametrize("raw", ["", "  ", "0", "1"])
     def test_degenerate_values_mean_serial(self, monkeypatch, raw):
         monkeypatch.setenv(WORKERS_ENV, raw)
         assert worker_count() == 1
+
+    @pytest.mark.parametrize("raw", ["abc", "-3", "2.5"])
+    def test_malformed_values_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv(WORKERS_ENV, raw)
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            worker_count()
+
+    def test_cli_refuses_malformed_value_before_building(
+            self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        monkeypatch.setattr(cli, "World", _no_build)
+        monkeypatch.setenv(WORKERS_ENV, "2.5")
+        assert cli.main(["digest", "--small"]) == 2
+        assert WORKERS_ENV in capsys.readouterr().err
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "8")
@@ -470,10 +489,40 @@ class TestRoutingTableCache:
         _entries, total_bytes = cache.disk_stats()
         assert sizes.total_bytes == total_bytes
 
-    def test_key_distinguishes_announcements(self, tiny_topology):
+    @pytest.mark.parametrize("component", [
+        "format-version", "engine-fingerprint", "topology", "announcement",
+    ])
+    def test_key_changes_with_each_component(self, monkeypatch, component):
+        """Changing any one input of ``key_for`` changes the key."""
+        import repro.par.cache as cache_module
+
+        def topology(extra_link=False):
+            net = Net()
+            for node, city in ((1, "FRA"), (2, "JFK"), (3, "AMS")):
+                net.node(node, city)
+            net.transit(2, 1)
+            if extra_link:
+                net.peer(2, 3, iata="AMS")
+            return net.topo
+
+        def announcement(third_octet=0):
+            prefix = IPv4Prefix.parse(f"198.18.{third_octet}.0/24")
+            return Announcement(prefix=prefix,
+                                origins=(OriginSpec(site_node=2),))
+
         cache = RoutingTableCache("/nonexistent")
-        a, b = _stub_announcements(tiny_topology, 2)
-        assert cache.key_for(tiny_topology, a) != cache.key_for(tiny_topology, b)
+        topo, ann = topology(), announcement()
+        before = cache.key_for(topo, ann)
+        if component == "format-version":
+            monkeypatch.setattr(cache_module, "FORMAT_VERSION",
+                                FORMAT_VERSION + 1)
+        elif component == "engine-fingerprint":
+            monkeypatch.setattr(cache_module, "_ENGINE_FP", "0" * 64)
+        elif component == "topology":
+            topo = topology(extra_link=True)
+        else:
+            ann = announcement(third_octet=1)
+        assert cache.key_for(topo, ann) != before
 
     def test_topology_hash_tracks_version(self, tiny_topology):
         first = topology_hash(tiny_topology)
@@ -628,6 +677,32 @@ class TestCacheCli:
         assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
         assert "removed 1" in capsys.readouterr().out
         assert cache.entries() == []
+
+    def test_cache_path_that_is_a_file_fails_up_front(
+            self, tmp_path, monkeypatch, capsys):
+        import repro.cli as cli
+
+        monkeypatch.setattr(cli, "World", _no_build)
+        regular = tmp_path / "F"
+        regular.write_text("", encoding="utf-8")
+        argv = ["digest", "--small", "--cache-dir", str(regular)]
+        assert cli.main(argv) == 2
+        assert str(regular) in capsys.readouterr().err
+        monkeypatch.setenv(CACHE_DIR_ENV, str(regular))
+        assert cli.main(["digest", "--small"]) == 2
+        err = capsys.readouterr().err
+        assert CACHE_DIR_ENV in err and str(regular) in err
+
+    def test_store_into_a_file_path_is_swallowed(self, tiny_topology,
+                                                 tmp_path):
+        """At run time a failing store still degrades to recomputation."""
+        regular = tmp_path / "F"
+        regular.write_text("", encoding="utf-8")
+        cache = RoutingTableCache(regular)
+        ann = _stub_announcements(tiny_topology, 1)[0]
+        table = RoutingEngine(tiny_topology).compute_uncached(ann)
+        assert cache.store(tiny_topology, ann, table) is None
+        assert cache.stats.store_errors == 1
 
     def test_stats_respects_env_dir(self, tiny_topology, tmp_path,
                                     monkeypatch, capsys):
