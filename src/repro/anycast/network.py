@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+import weakref
 from dataclasses import dataclass
 
 from repro.geo.areas import Area
-from repro.geo.atlas import City
+from repro.geo.atlas import City, city_km
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
 from repro.routing.route import Announcement, OriginSpec
 from repro.topology.asys import (
@@ -23,6 +24,18 @@ from repro.topology.graph import Topology, TopologyError
 #: Site node ids start far above any generated ASN so they can never
 #: collide with ordinary ASes.
 _SITE_NODE_BASE = 1_000_000
+
+
+#: The node ids of a topology's transit ASes, and per site metro those
+#: transits ranked by nearest-PoP km (ties: lower node id).
+_Rankings = tuple[tuple[int, ...], dict[str, list[AutonomousSystem]]]
+
+#: Each topology's rankings.  Every network deployed over one topology
+#: shares them, so LARGE ranks its 53 site metros once rather than once
+#: for each of its 109 sites.  Weak keys: an entry dies with its topology.
+_RANKINGS: "weakref.WeakKeyDictionary[Topology, _Rankings]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def _alloc_site_node_id(topology: Topology) -> int:
@@ -103,6 +116,9 @@ class AnycastNetwork:
         self._plan = topology.address_plan  # type: ignore[attr-defined]
         self._atlas = topology.atlas  # type: ignore[attr-defined]
         self._transits: list[AutonomousSystem] | None = None
+        #: Metro -> ``_transits`` ranked for it: this topology's
+        #: ``_RANKINGS`` entry, bound together with ``_transits``.
+        self._ranked: dict[str, list[AutonomousSystem]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -192,15 +208,19 @@ class AnycastNetwork:
             self._transits = [
                 n for n in self._topology.nodes() if n.tier is Tier.TRANSIT
             ]
+            ids = tuple(t.node_id for t in self._transits)
+            shared = _RANKINGS.get(self._topology)
+            if shared is None or shared[0] != ids:
+                shared = _RANKINGS[self._topology] = (ids, {})
+            self._ranked = shared[1]
         if not self._transits:
             raise TopologyError("topology has no transit ASes to attach sites to")
-        ranked = sorted(
-            self._transits,
-            key=lambda t: (
-                t.nearest_pop(city).city.location.distance_km(city.location),
-                t.node_id,
-            ),
-        )
+        ranked = self._ranked.get(city.iata)
+        if ranked is None:
+            ranked = self._ranked[city.iata] = sorted(
+                self._transits,
+                key=lambda t: (t.nearest_pop_km(city), t.node_id),
+            )
         pool = ranked[: max(count + 3, 5)]
         count = min(count, len(pool))
         return sorted(self._rng.sample(pool, count), key=lambda t: t.node_id)
@@ -255,7 +275,7 @@ class AnycastNetwork:
         nearest = None
         nearest_km = remote_radius_km
         for ixp in self._topology.ixps():
-            km = ixp.city.location.distance_km(city.location)
+            km = city_km(ixp.city, city)
             if km <= nearest_km:
                 nearest, nearest_km = ixp, km
         return [nearest] if nearest is not None else []

@@ -27,6 +27,7 @@ Commands:
 
 Before dispatching any command, :func:`main` refuses (exit 2) a
 ``REPRO_WORKERS`` that is not a non-negative integer and a cache path
+(``--cache-dir``, ``cache stats|clear --dir`` or ``REPRO_CACHE_DIR``)
 that exists and is not a directory.
 """
 
@@ -799,8 +800,9 @@ def _misconfiguration(args: argparse.Namespace) -> str | None:
     """What in the settings would break a run, found before any build.
 
     A ``REPRO_WORKERS`` that is not a non-negative integer, or a cache
-    path (``--cache-dir``, else ``REPRO_CACHE_DIR``) that exists and is
-    not a directory; None when neither applies.
+    path (``--cache-dir`` or ``cache stats|clear --dir``, else
+    ``REPRO_CACHE_DIR``) that exists and is not a directory; None when
+    neither applies.
     """
     import os
     from pathlib import Path
@@ -813,6 +815,8 @@ def _misconfiguration(args: argparse.Namespace) -> str | None:
     except ValueError as exc:
         return str(exc)
     source, directory = "--cache-dir", getattr(args, "cache_dir", None)
+    if not directory:
+        source, directory = "--dir", getattr(args, "dir", None)
     if not directory:
         source = CACHE_DIR_ENV
         directory = os.environ.get(CACHE_DIR_ENV, "").strip()

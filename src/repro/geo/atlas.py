@@ -10,14 +10,22 @@ The atlas is embedded (no data files, no network) and deterministic.  It
 covers the metros where real CDN PoPs, IXPs, and RIPE Atlas probes are
 concentrated, with coordinates accurate to well under the 100 km resolution
 the latency model can distinguish.
+
+Every city-to-city distance the world build and the routing plane need
+comes from :func:`city_km`: one great-circle distance per ordered pair of
+the default atlas's cities, kept in one ``array('d')`` row per city and
+filled on first use.  A LARGE build asks for about half a million such
+distances over a few tens of thousands of distinct pairs.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.geo.areas import Area, area_of_country
-from repro.geo.coords import GeoPoint
+from repro.geo.coords import GeoPoint, great_circle_km
 from repro.geo.countries import Continent, continent_of
 
 # (IATA, city name, country code, lat, lon)
@@ -247,11 +255,18 @@ class City:
     country: str
     location: GeoPoint
 
+    #: This city's row and column in the default atlas's distance table
+    #: (:func:`city_km`).  :func:`load_default_atlas` sets it on that
+    #: atlas's own objects; every other ``City`` keeps -1.  A class
+    #: attribute, not a field, so equality, hashing and repr still see
+    #: only the four fields above.
+    index = -1
+
     @property
     def continent(self) -> Continent:
         return continent_of(self.country)
 
-    @property
+    @cached_property
     def area(self) -> Area:
         return area_of_country(self.country)
 
@@ -325,15 +340,44 @@ class WorldAtlas:
 
 _DEFAULT_ATLAS: WorldAtlas | None = None
 
+#: The default atlas's distance table: row ``i``, when filled, holds
+#: ``great_circle_km(cities[i].location, cities[j].location)`` at column
+#: ``j``.  200 rows of 200 doubles is 320,000 bytes of distances.
+_KM_ROWS: list[array | None] = [None] * len(_CITY_ROWS)
+
 
 def load_default_atlas() -> WorldAtlas:
     """The shared embedded atlas instance (built once, cached)."""
     global _DEFAULT_ATLAS
     if _DEFAULT_ATLAS is None:
-        _DEFAULT_ATLAS = WorldAtlas(
+        atlas = WorldAtlas(
             cities=tuple(
                 City(iata=iata, name=name, country=country, location=GeoPoint(lat, lon))
                 for iata, name, country, lat, lon in _CITY_ROWS
             )
         )
+        for index, city in enumerate(atlas.cities):
+            object.__setattr__(city, "index", index)
+        _DEFAULT_ATLAS = atlas
     return _DEFAULT_ATLAS
+
+
+def city_km(a: City, b: City) -> float:
+    """``great_circle_km(a.location, b.location)``.
+
+    Read from the distance table when both cities are the default
+    atlas's own objects, so every value is the float a direct call
+    returns; computed directly for any other ``City``.
+    """
+    i = a.index
+    j = b.index
+    if i < 0 or j < 0:
+        return great_circle_km(a.location, b.location)
+    row = _KM_ROWS[i]
+    if row is None:
+        cities = load_default_atlas().cities
+        origin = cities[i].location
+        row = _KM_ROWS[i] = array(
+            "d", [great_circle_km(origin, city.location) for city in cities]
+        )
+    return row[j]

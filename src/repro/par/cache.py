@@ -133,6 +133,7 @@ def topology_hash(topology: Topology) -> str:
 #: ``repro.par`` excepted) — over-invalidation is safe, silent staleness
 #: is not.
 FINGERPRINT_MODULES: tuple[str, ...] = (
+    "repro.geo.atlas",
     "repro.geo.coords",
     "repro.geoloc.database",
     "repro.netaddr.ipv4",

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from repro import obs
 from repro.explain import provenance
 from repro.explain.provenance import ExitOption, ForwardingStep, ForwardingTrail
-from repro.geo.atlas import City
+from repro.geo.atlas import City, city_km
 from repro.geo.coords import FIBER_KM_PER_MS_RTT, GeoPoint
 from repro.netaddr.ipv4 import IPv4Address
 from repro.routing.engine import RoutingTable
-from repro.topology.flat import _pair_km, flat_adjacency
+from repro.topology.flat import flat_adjacency
 from repro.topology.graph import Topology
 
 
@@ -96,9 +96,11 @@ def walk(
     packet's current point, ties to the lower node id.  A node with one
     next hop has nothing to compare, so outside a provenance capture the
     walk takes its exit directly.  Kilometres and per-interconnect
-    latencies are summed in walk order, and the last leg comes from the
-    city-pair distance memo, so the floats do not depend on whether an
-    exit or a distance was a memo hit.
+    latencies are summed in walk order, and the last leg (from the last
+    interconnect city to the site's city) comes from the atlas's
+    city-pair table, so the floats do not depend on whether an exit or
+    a distance was a memo hit.  A walk of no hops measures its last leg
+    from the client's own point.
 
     ``last_mile_ms`` and ``primary_only`` are as for
     :func:`trace_forwarding_path`.  ``hops``, when given, receives the
@@ -118,6 +120,7 @@ def walk(
     steps: list[ForwardingStep] = []
     node = start_node
     point = start_point
+    city = None
     total_km = 0.0
     extra_ms = last_mile_ms
     hop_count = 0
@@ -152,7 +155,8 @@ def walk(
             exit_ = exits[pick]
         ic = exit_.interconnect
         total_km += exit_.walk_km
-        point = ic.city.location
+        city = ic.city
+        point = city.location
         extra_ms += ic.extra_ms
         node = next_hops[pick]
         hop_count += 1
@@ -160,14 +164,16 @@ def walk(
             hops.append(Hop(
                 addr=exit_.addr,
                 node_id=node,
-                city=ic.city,
+                city=city,
                 ixp_id=exit_.ixp_id,
                 rtt_ms=total_km / FIBER_KM_PER_MS_RTT + extra_ms,
             ))
         next_hops = next_hops_at(node)
         if next_hops is None:  # pragma: no cover - engine guarantees continuity
             return None
-    total_km += _pair_km(point, site_city(topology, node).location)
+    dest = site_city(topology, node)
+    total_km += (point.distance_km(dest.location) if city is None
+                 else city_km(city, dest))
     obs.counter.inc("forwarding.hops", hop_count)
     if prov is not None:
         prov.record_forwarding(ForwardingTrail(

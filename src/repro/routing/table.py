@@ -12,14 +12,15 @@ each routed node's equal-best set in five ``array`` columns:
   (``array('i')``, length ``routes + 1``);
 - ``path_nodes`` — all AS paths, flattened (``array('i')``).
 
-Lookups go through a sorted-id bisect index.  The forwarding walk reads
+Lookups go through a sorted-id bisect index, sorted by the first
+lookup: a table that is only computed, stored, loaded or digested
+(every ``routing-large`` table) never sorts.  The forwarding walk reads
 next hops off the columns (:meth:`RoutingTable.next_hops_at`), and
 the table memoizes each node's next-hop tuple the first time a walk
 asks for it, so the bisect runs once per (table, node).  The memo is
-filled lazily: a table nothing walks (every ``routing-large`` table)
-keeps it empty.  ``Route``/``RouteChoice`` objects are built fresh, and
-never kept, only on inspection paths — explain, lint invariants,
-catchment summaries.  The ``best`` mapping
+filled lazily too: a table nothing walks keeps it empty.
+``Route``/``RouteChoice`` objects are built fresh, and never kept, only
+on inspection paths — explain, lint invariants, catchment summaries.  The ``best`` mapping
 the rest of the codebase iterates is a read-only view whose iteration
 order is the packed row order, the order ``encode_table`` writes (and
 with it every serial-vs-parallel digest).
@@ -97,9 +98,10 @@ class RoutingTable:
         self._tiers = tiers
         self._path_start = path_start
         self._path_nodes = path_nodes
-        order = sorted(range(len(node_ids)), key=node_ids.__getitem__)
-        self._sorted_ids = array("i", [node_ids[row] for row in order])
-        self._sorted_rows = array("i", order)
+        #: Node ids in ascending order, and the row of each; built by
+        #: the first :meth:`_row_of`.
+        self._sorted_ids: array | None = None
+        self._sorted_rows: array | None = None
         #: node id -> next-hop tuple (None when unrouted); filled by
         #: :meth:`next_hops_at` as walks reach each node.
         self._next_hops: dict[int, tuple[int, ...] | None] = {}
@@ -141,11 +143,16 @@ class RoutingTable:
 
     # ------------------------------------------------------------------
     def _row_of(self, node_id: int) -> int | None:
-        index = bisect_left(self._sorted_ids, node_id)
-        if (
-            index < len(self._sorted_ids)
-            and self._sorted_ids[index] == node_id
-        ):
+        sorted_ids = self._sorted_ids
+        if sorted_ids is None:
+            node_ids = self._node_ids
+            order = sorted(range(len(node_ids)), key=node_ids.__getitem__)
+            self._sorted_rows = array("i", order)
+            sorted_ids = self._sorted_ids = array(
+                "i", [node_ids[row] for row in order]
+            )
+        index = bisect_left(sorted_ids, node_id)
+        if index < len(sorted_ids) and sorted_ids[index] == node_id:
             return self._sorted_rows[index]
         return None
 

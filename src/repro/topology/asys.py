@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.geo.atlas import City
+from repro.geo.atlas import City, city_km
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
 
 
@@ -99,12 +99,13 @@ class AutonomousSystem:
     def cities(self) -> tuple[City, ...]:
         return tuple(pop.city for pop in self.pops)
 
-    def has_pop_in(self, iata: str) -> bool:
-        return any(pop.iata == iata for pop in self.pops)
-
     def nearest_pop(self, city: City) -> PoP:
-        """The PoP geographically nearest to ``city``."""
-        return min(self.pops, key=lambda p: p.city.location.distance_km(city.location))
+        """The PoP geographically nearest to ``city`` (ties: the first)."""
+        return min(self.pops, key=lambda p: city_km(p.city, city))
+
+    def nearest_pop_km(self, city: City) -> float:
+        """Great-circle km from :meth:`nearest_pop` to ``city``."""
+        return min([city_km(p.city, city) for p in self.pops])
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"AS{self.asn}({self.name})"

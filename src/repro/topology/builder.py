@@ -300,24 +300,27 @@ class InternetBuilder:
         # Providers are drawn with NA-heavy weights: the global transit
         # market is centred on large North American carriers, so foreign
         # customer cones — and the global-anycast catchment pathologies
-        # they cause — concentrate behind NA providers.
+        # they cause — concentrate behind NA providers.  A transit's pool
+        # is every transit homed in another area (which leaves the transit
+        # itself out), so one pool and weight list serve a whole area.
+        foreign_pools: dict[Area, tuple[list[AutonomousSystem], list[float]]] = {}
         for node in transits:
             if self._rng.random() >= self.params.transit_intercontinental_prob:
                 continue
-            foreign = [
-                t
-                for t in transits
-                if t.node_id != node.node_id
-                and t.pops[0].city.area is not node.pops[0].city.area
-            ]
+            area = node.pops[0].city.area
+            pool = foreign_pools.get(area)
+            if pool is None:
+                foreign = [t for t in transits if t.pops[0].city.area is not area]
+                weights = [
+                    self.params.intercontinental_provider_weights.get(
+                        t.pops[0].city.area, 1.0
+                    )
+                    for t in foreign
+                ]
+                pool = foreign_pools[area] = (foreign, weights)
+            foreign, weights = pool
             if not foreign:
                 continue
-            weights = [
-                self.params.intercontinental_provider_weights.get(
-                    t.pops[0].city.area, 1.0
-                )
-                for t in foreign
-            ]
             provider = self._rng.choices(foreign, weights, k=1)[0]
             if topo.has_link(node.node_id, provider.node_id):
                 continue
@@ -327,12 +330,12 @@ class InternetBuilder:
                 continue
             self._link_transit(topo, customer=node, provider=provider)
         # Private peering between same-area transits sharing a metro.
-        for i, a in enumerate(transits):
-            a_cities = {p.iata for p in a.pops}
-            for b in transits[i + 1 :]:
-                if topo.has_link(a.node_id, b.node_id):
+        pop_cities = [frozenset(p.iata for p in t.pops) for t in transits]
+        for i, (a, a_cities) in enumerate(zip(transits, pop_cities)):
+            for b, b_cities in zip(transits[i + 1 :], pop_cities[i + 1 :]):
+                if a_cities.isdisjoint(b_cities):
                     continue
-                if not a_cities.intersection(p.iata for p in b.pops):
+                if topo.has_link(a.node_id, b.node_id):
                     continue
                 if self._rng.random() < self.params.transit_private_peer_prob:
                     self._link_peers(topo, a, b, LinkKind.PEER_PRIVATE)
@@ -373,10 +376,7 @@ class InternetBuilder:
         """Choose 1-2 nearby transits for a stub, weighted toward proximity."""
         pool = self._stub_pools.get(city.iata)
         if pool is None:
-            ranked = sorted(
-                area_transits,
-                key=lambda t: t.nearest_pop(city).city.location.distance_km(city.location),
-            )
+            ranked = sorted(area_transits, key=lambda t: t.nearest_pop_km(city))
             # Sample from the nearest candidates with mild randomness so
             # stubs in one metro do not all share a single provider.
             pool = ranked[: max(4, len(ranked) // 4)]
@@ -392,7 +392,11 @@ class InternetBuilder:
     # IXPs
     # ------------------------------------------------------------------
     def _build_ixps(self, topo: Topology) -> None:
-        nodes = list(topo.nodes())
+        # Nodes with a PoP in each metro, in topology order.
+        nodes_in: dict[str, list[AutonomousSystem]] = {}
+        for node in topo.nodes():
+            for pop in node.pops:
+                nodes_in.setdefault(pop.iata, []).append(node)
         transit_members_per_ixp: list[list[AutonomousSystem]] = []
         for i, iata in enumerate(self.params.ixp_cities):
             city = self.atlas.get(iata)
@@ -407,9 +411,7 @@ class InternetBuilder:
             )
             topo.add_ixp(ixp)
             members: list[AutonomousSystem] = []
-            for node in nodes:
-                if not node.has_pop_in(iata):
-                    continue
+            for node in nodes_in.get(iata, ()):
                 if node.tier is Tier.TIER1:
                     continue  # tier-1s rely on PNIs in this model
                 join_prob = (

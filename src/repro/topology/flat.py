@@ -17,8 +17,9 @@ before the hot-potato sort), so this mirroring keeps every routing
 digest tied to the topology's own adjacency order.
 
 The exit-kilometre metric (nearest PoP to nearest link interconnect —
-the hot-potato tie-break) is served from a per-adjacency memo backed by
-a module-level city-pair distance memo, filled lazily or all at once via
+the hot-potato tie-break) is served from a per-adjacency memo whose
+distances come from the atlas's city-pair table
+(:func:`repro.geo.atlas.city_km`), filled lazily or all at once via
 :meth:`FlatAdjacency.precompute_km` before a fan-out forks workers.
 
 The forwarding plane keeps a second memo here: the hot-potato exit of
@@ -36,27 +37,13 @@ import weakref
 from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
+from repro.geo.atlas import city_km
 from repro.topology.asys import Interconnect, LinkKind
 
 if TYPE_CHECKING:
     from repro.geo.coords import GeoPoint
     from repro.netaddr.ipv4 import IPv4Address
     from repro.topology.graph import Topology
-
-#: Great-circle km between two city locations, memoized per pair of
-#: coordinates (a float tuple hashes in C; a GeoPoint's dataclass hash
-#: is a Python call).  Locations are immutable and version-independent,
-#: so the memo is shared across topologies and never invalidated.
-_PAIR_KM: dict[tuple[float, float, float, float], float] = {}
-
-
-def _pair_km(a: "GeoPoint", b: "GeoPoint") -> float:
-    key = (a.lat, a.lon, b.lat, b.lon)
-    km = _PAIR_KM.get(key)
-    if km is None:
-        km = a.distance_km(b)
-        _PAIR_KM[key] = km
-    return km
 
 
 class HotPotatoExit(NamedTuple):
@@ -165,11 +152,11 @@ class FlatAdjacency:
             topology = self._topology()
             link = topology.link_between(node_id, neighbor_id)
             pops = topology.node(node_id).pops
-            km = min(
-                _pair_km(ic.city.location, pop.city.location)
+            km = min([
+                city_km(ic.city, pop.city)
                 for ic in link.interconnects
                 for pop in pops
-            )
+            ])
             km = round(km, 3)
             self.km[key] = km
         return km

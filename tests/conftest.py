@@ -1,7 +1,9 @@
 """Shared fixtures: session-scoped worlds and micro-topologies.
 
-Building a world costs ~0.5 s; integration tests share one small world
-(and its measurement caches) per session instead of rebuilding.
+Building a small world costs about 0.3 s; integration tests share one
+(and its measurement caches) per session instead of rebuilding.  A test
+whose work must not depend on what ran before it takes ``fresh_small``
+instead.
 """
 
 from __future__ import annotations
@@ -28,3 +30,12 @@ def tiny_topology() -> Topology:
 def small_world() -> World:
     """The shared small experiment world (measurements cached within)."""
     return World(SMALL)
+
+
+@pytest.fixture(scope="module")
+def fresh_small() -> World:
+    """A SMALL world of its own: the shared session world gains service
+    prefixes as experiments run, this one holds the build's 27."""
+    world = World(SMALL)
+    assert len(world.registry.announcements()) == 27
+    return world

@@ -12,11 +12,11 @@ code as it runs, under :mod:`cProfile`: function-local imports and
 - **Cache-key closure.**  ``RoutingEngine.compute_uncached`` runs over
   SMALL's 27 announcements and over the random worlds of
   :mod:`tests.test_routing_properties`, each input once plainly and once
-  under ``provenance.capturing()``, with the flat-adjacency and
-  city-pair km memos emptied so that the code filling them runs too.  Every ``repro`` module that ran must be
-  fingerprinted or result-neutral by design: ``repro.obs``,
-  ``repro.explain`` and ``repro.par`` record, explain or ship tables,
-  they do not compute them.
+  under ``provenance.capturing()``, with the flat-adjacency memo and the
+  atlas's city-pair distance table emptied so that the code filling them
+  runs too.  Every ``repro`` module that ran must be fingerprinted or
+  result-neutral by design: ``repro.obs``, ``repro.explain`` and
+  ``repro.par`` record, explain or ship tables, they do not compute them.
 - **Worker task.**  ``_compute_task`` runs two passes over SMALL's
   announcements, with span capture off and on.  It must read no wall
   clock, draw no entropy and write no environment variable.  Every
@@ -53,9 +53,8 @@ from typing import Callable
 import numpy
 import pytest
 
-from repro.experiments.config import SMALL
-from repro.experiments.world import World
 from repro.explain import provenance
+from repro.geo import atlas
 from repro.par import routing as par_routing
 from repro.par.cache import FINGERPRINT_MODULES
 from repro.routing.engine import RoutingEngine
@@ -186,20 +185,11 @@ def _compute_all(inputs) -> None:
         RoutingEngine(topology).compute_uncached(announcement)
 
 
-@pytest.fixture(scope="module")
-def fresh_small():
-    """A SMALL world of its own: the shared session world gains service
-    prefixes as experiments run, this one holds the build's 27."""
-    world = World(SMALL)
-    assert len(world.registry.announcements()) == 27
-    return world
-
-
 @pytest.fixture
 def cold_memos(monkeypatch):
-    """Empty flat-adjacency and city-pair km memos, so that the code
-    filling them runs under the profile."""
-    monkeypatch.setattr(flat, "_PAIR_KM", {})
+    """An empty flat-adjacency memo and city-pair distance table, so that
+    the code filling them runs under the profile."""
+    monkeypatch.setattr(atlas, "_KM_ROWS", [None] * len(atlas._KM_ROWS))
     monkeypatch.setattr(flat, "_ADJACENCIES", weakref.WeakKeyDictionary())
 
 
@@ -222,7 +212,7 @@ def test_compute_closure_is_fingerprinted(fresh_small, cold_memos, source,
 
     ran = repro_modules(modules_that_ran(profiled(run)))
     assert {"repro.routing.engine", "repro.topology.flat",
-            "repro.geo.coords"} <= ran
+            "repro.geo.atlas", "repro.geo.coords"} <= ran
     unkeyed = sorted(
         name for name in ran
         if name not in FINGERPRINT_MODULES and not under(name, RESULT_NEUTRAL)

@@ -1,10 +1,13 @@
 """Unit tests for the world atlas and probe-area classification."""
 
+from array import array
+
 import pytest
 
+from repro.geo import atlas as atlas_module
 from repro.geo.areas import AREAS, Area, area_of_country
-from repro.geo.atlas import City, WorldAtlas, load_default_atlas
-from repro.geo.coords import GeoPoint
+from repro.geo.atlas import City, WorldAtlas, city_km, load_default_atlas
+from repro.geo.coords import GeoPoint, great_circle_km
 from repro.geo.countries import Continent, continent_of, is_country
 
 
@@ -70,6 +73,62 @@ class TestAtlasLookups:
         sin = atlas.get("SIN")
         assert sin.continent is Continent.ASIA
         assert sin.area is Area.APAC
+
+
+class TestCityDistanceTable:
+    """``city_km`` reads a table of the default atlas's city pairs, and
+    every value in it is the float a direct ``great_circle_km`` gives."""
+
+    def test_every_ordered_pair_equals_the_direct_distance(self, atlas):
+        cities = atlas.cities
+        assert len(cities) ** 2 == 40_000
+        assert [city.index for city in cities] == list(range(len(cities)))
+        differ = [
+            (a.iata, b.iata)
+            for a in cities
+            for b in cities
+            if city_km(a, b) != great_circle_km(a.location, b.location)
+        ]
+        assert differ == []
+        rows = atlas_module._KM_ROWS
+        assert all(isinstance(row, array) and row.typecode == "d"
+                   and len(row) == len(cities) for row in rows)
+        assert sum(row.itemsize * len(row) for row in rows) <= 320_000
+        assert all(
+            rows[a.index][b.index] == great_circle_km(a.location, b.location)
+            for a in cities
+            for b in cities
+        )
+
+    def test_other_cities_get_the_direct_distance(self, atlas, monkeypatch):
+        fra = atlas.get("FRA")
+        # Equal to an atlas city by value, but not one of its objects.
+        twin = City(fra.iata, fra.name, fra.country, fra.location)
+        moved = City("FRA", "Frankfurt at sea", "DE", GeoPoint(0.0, 0.0))
+        assert twin == fra and twin.index == moved.index == -1
+        monkeypatch.setattr(atlas_module, "_KM_ROWS",
+                            [None] * len(atlas_module._KM_ROWS))
+        nrt = atlas.get("NRT")
+        for city in (twin, moved):
+            assert city_km(city, nrt) == great_circle_km(city.location,
+                                                         nrt.location)
+            assert city_km(nrt, city) == great_circle_km(nrt.location,
+                                                         city.location)
+        assert city_km(moved, fra) > 5_000
+        # No row was filled for a city outside the table.
+        assert atlas_module._KM_ROWS == [None] * len(atlas)
+
+    def test_area_is_computed_once_per_city(self, atlas, monkeypatch):
+        calls = []
+
+        def counting(country):
+            calls.append(country)
+            return area_of_country(country)
+
+        monkeypatch.setattr(atlas_module, "area_of_country", counting)
+        city = City("ZZA", "Nowhere", "DE", GeoPoint(50.0, 8.0))
+        assert [city.area for _ in range(3)] == [Area.EMEA] * 3
+        assert calls == ["DE"]
 
 
 class TestAreaClassification:

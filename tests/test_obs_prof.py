@@ -4,7 +4,8 @@ Unit tests drive the profiler over synthetic workloads; the acceptance
 tests pin the two properties the profiler is specified by — CPU
 overhead under 3x on a SMALL world build (the median of three
 alternating pairs), and per-span-path self-time totals that agree with
-the span tree recorded alongside (within 5%).
+the span tree recorded alongside (within 5%), over a profiled SMALL
+build with two spans of busy work beside it.
 """
 
 from __future__ import annotations
@@ -220,9 +221,20 @@ class TestAcceptance:
 
                 profiler = SpanProfiler("prof")
                 start = time.process_time()
-                with obs.recording("prof", profiler=profiler) as rec:
+                with obs.recording("prof", profiler=profiler):
                     World(SMALL)
                 pairs.append((plain_s, time.process_time() - start))
+            # No span of a SMALL build has 250 ms of self time, so the
+            # path-sum check profiles one more build with two spans of
+            # busy work beside it.  The timed pairs above stay plain
+            # builds.
+            profiler = SpanProfiler("sums")
+            with obs.recording("sums", profiler=profiler) as rec:
+                World(SMALL)
+                with obs.span("busy.first"):
+                    _spin_ms(400)
+                with obs.span("busy.second"):
+                    _spin_ms(400)
         return pairs, profiler.snapshot(), rec.root
 
     def test_overhead_under_3x(self, profiled_small_build):

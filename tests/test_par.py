@@ -644,16 +644,16 @@ class TestParallelEquality:
         parallel = RoutingEngine(tiny_topology).compute_many(anns, workers=2)
         assert tables_digest(parallel) == tables_digest(serial)
 
-    def test_small_world_digest_matches_serial(self, small_world):
+    def test_small_world_digest_matches_serial(self, fresh_small):
         """The CI cross-leg check, in-process: SMALL world announcements
         computed serially and with two workers give one digest."""
-        anns = small_world.registry.announcements()
-        topology = small_world.topology
+        anns = fresh_small.registry.announcements()
+        topology = fresh_small.topology
         serial = RoutingEngine(topology).compute_many(anns, workers=1)
         parallel = RoutingEngine(topology).compute_many(anns, workers=2)
         assert tables_digest(serial) == tables_digest(parallel)
         # The world precomputed the same tables during build.
-        built = [small_world.engine.routing.compute(a) for a in anns]
+        built = [fresh_small.engine.routing.compute(a) for a in anns]
         assert tables_digest(built) == tables_digest(serial)
 
 
@@ -692,6 +692,24 @@ class TestCacheCli:
         assert cli.main(["digest", "--small"]) == 2
         err = capsys.readouterr().err
         assert CACHE_DIR_ENV in err and str(regular) in err
+
+    @pytest.mark.parametrize("command", ["stats", "clear"])
+    def test_cache_command_dir_that_is_a_file_fails_up_front(
+            self, tmp_path, monkeypatch, capsys, command):
+        import repro.cli as cli
+        import repro.par.cache as cache_module
+
+        def no_cache(*args, **kwargs):
+            raise AssertionError("a misconfigured cache command ran")
+
+        monkeypatch.setattr(cache_module, "RoutingTableCache", no_cache)
+        regular = tmp_path / "F"
+        regular.write_text("kept", encoding="utf-8")
+        assert cli.main(["cache", command, "--dir", str(regular)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--dir" in captured.err and str(regular) in captured.err
+        assert regular.read_text(encoding="utf-8") == "kept"
 
     def test_store_into_a_file_path_is_swallowed(self, tiny_topology,
                                                  tmp_path):

@@ -153,6 +153,50 @@ class TestExplainTrailParity:
         assert trailed == list(captured.best)
 
 
+class TestLazyIndex:
+    def test_construction_sorts_nothing_and_lookups_answer(
+            self, presets, monkeypatch):
+        """A table sorts its bisect index on the first lookup, not when
+        it is built, stored or loaded."""
+        from repro.routing import table as table_module
+
+        topology, announcements = presets("small")
+        engine = RoutingEngine(topology)
+        reference = engine.compute_uncached(announcements[0])
+        expected = {
+            node_id: (reference.next_hops_at(node_id),
+                      reference.catchment_of(node_id))
+            for node_id in reference.best
+        }
+        sorts = []
+
+        def counting_sorted(*args, **kwargs):
+            sorts.append(args)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(table_module, "sorted", counting_sorted,
+                            raising=False)
+        computed = engine.compute_uncached(announcements[0])
+        loaded = decode_table(encode_table(computed), announcements[0],
+                              computed.topology_version)
+        packed = RoutingTable.from_rows(
+            announcements[0], computed.topology_version, topology.num_nodes,
+            [(1, 0, [(1,)])])
+        assert sorts == []
+        for table in (computed, loaded):
+            got = {
+                node_id: (table.next_hops_at(node_id),
+                          table.catchment_of(node_id))
+                for node_id in table.best
+            }
+            assert got == expected
+            missing = max(expected) + 1
+            assert table.choice_at(missing) is None
+            assert missing not in table.best
+        assert packed.catchment_of(1) == 1
+        assert len(sorts) == 3
+
+
 class TestFlatEdgeCases:
     def test_equal_best_overflow_capped_like_oracle(self):
         """>16 equal candidates at one node: the oracle's best 16."""

@@ -6,10 +6,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.config import CONFIGS, LARGE, SMALL
+from repro.cdn.edgio import build_edgio
+from repro.cdn.imperva import build_imperva
+from repro.experiments.config import CONFIGS, DEFAULT, LARGE, SMALL
 from repro.geo.areas import Area
 from repro.geo.atlas import load_default_atlas
+from repro.geo.coords import great_circle_km
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
+from repro.par.cache import topology_hash
+from repro.tangled.testbed import build_tangled
 from repro.topology.asys import (
     AutonomousSystem,
     Interconnect,
@@ -54,6 +59,40 @@ SMALL_375_LINK_DIGEST = (
     "4e79ecd5398b406692e6491337bacf69cd3a30a1b6d812951810bac234c55717"
 )
 
+#: ``topology_hash`` of each preset's topology, built at its own seeds and
+#: with every seed shifted by 1000 (perfbench's samples shift them by
+#: multiples of 1000), before and after the Edgio, Imperva and Tangled
+#: deployments.  Any change to what the builder or the site attachment
+#: draws from its RNG, or to which transits it ranks nearest, moves one.
+BUILD_HASHES = {
+    ("small", 0): (
+        "390f99d01c85851534259d65c0d73b9e400734af652343395ca0ff9cf5920b87",
+        "152ed165cb30a6806152771322f6a6e185a84e73af723e9181e1bfaef728cd12",
+    ),
+    ("small", 1000): (
+        "38b07c3ceb4192524081c1d4865b9ede81252f902761104f6ca041d622276d63",
+        "f1ada6394bb364913ffb6361d1cab4f7726786fb2808fda62995fb6207d1da84",
+    ),
+    ("default", 0): (
+        "4f00541f57a78d187771cd6a4c563471560db4d6a40ae2604b231c5feea7b93b",
+        "f1869e509e70346d75d6cdc875230a18e8240c49a4dfd564ab88e402cfbf0901",
+    ),
+    ("default", 1000): (
+        "d83d0e7f45f5618c39a6ce0eb16aef355b98953ebcdcf4b1ecf744e53877e022",
+        "9bc0c7f401fbd2a33b18ec8198aa52106b2f9cde78101641ac761fd009adfbde",
+    ),
+    ("large", 0): (
+        "8d66d1f64c8c3ad8695d5f0168f5fc3ce67132fead61fe5af2c26019cca3c7df",
+        "3a9e44cc14667cdb329339b2b75dbe49a5645ba2b41d23b5fd13b4ef78431eea",
+    ),
+    ("large", 1000): (
+        "5c3c187713edaf7f78cd08f44cc7d0c2a618d9aff4809bd933a87aca6a45afdf",
+        "1f71caba0739063eb07d69a735313f076943a0868a2a2e4c5822eb825b84a4a7",
+    ),
+}
+
+PRESETS = {"small": SMALL, "default": DEFAULT, "large": LARGE}
+
 
 def _shifted(cfg, shift):
     return replace(cfg.topology, seed=cfg.topology.seed + shift)
@@ -79,6 +118,14 @@ class TestAsysTypes:
         node = make_as(1, ["FRA", "NRT", "JFK"])
         assert node.nearest_pop(ATLAS.get("MUC")).iata == "FRA"
         assert node.nearest_pop(ATLAS.get("ICN")).iata == "NRT"
+
+    def test_nearest_pop_km(self):
+        node = make_as(1, ["FRA", "NRT", "JFK"])
+        for iata in ("MUC", "ICN", "BOS", "FRA"):
+            city = ATLAS.get(iata)
+            nearest = node.nearest_pop(city).city
+            assert node.nearest_pop_km(city) == great_circle_km(
+                nearest.location, city.location)
 
     def test_site_detection(self):
         site = AutonomousSystem(
@@ -301,6 +348,17 @@ class TestInternetBuilder:
         a would-be cycle keeps every link, byte for byte."""
         topo = InternetBuilder(_shifted(SMALL, 375)).build()
         assert _link_digest(topo) == SMALL_375_LINK_DIGEST
+
+    @pytest.mark.parametrize(("name", "shift"), sorted(BUILD_HASHES))
+    def test_build_and_deployments_pinned(self, name, shift):
+        cfg = PRESETS[name]
+        topo = InternetBuilder(_shifted(cfg, shift)).build()
+        before = topology_hash(topo)
+        seed = cfg.deployment_seed + shift
+        build_edgio(topo, seed=seed)
+        build_imperva(topo, seed=seed + 1)
+        build_tangled(topo, seed=seed + 2)
+        assert (before, topology_hash(topo)) == BUILD_HASHES[(name, shift)]
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
