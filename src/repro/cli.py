@@ -20,8 +20,10 @@ Commands:
   where it did, end to end), ``diff`` (attribute every flipped client
   between two prefixes to the AS decision that changed, §5.4), and
   ``catchment`` (per-site winner-tier breakdown of one prefix);
-- ``cache`` — persistent routing-table cache: ``stats`` / ``clear``
-  (enable with ``--cache-dir`` / ``REPRO_CACHE_DIR`` on builds);
+- ``cache`` — persistent routing-table cache: ``stats`` (the current
+  generation's entries, and each stale one's) / ``clear`` (every
+  generation); enable it with ``--cache-dir`` / ``REPRO_CACHE_DIR`` on
+  builds;
 - ``digest`` — routing-table digest over the announced prefixes; used
   by CI to assert serial and ``REPRO_WORKERS=4`` runs are byte-equal.
 
@@ -527,11 +529,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.cache_command == "stats":
         sizes = cache.entry_size_stats()
         print(f"cache directory: {cache.directory}")
+        print(f"generation: {cache.generation_dir.name}")
         print(f"entries: {sizes.count}")
         print(f"bytes: {sizes.total_bytes}")
         if sizes.count:
             print(f"entry bytes: min {sizes.min_bytes}  "
                   f"mean {sizes.mean_bytes:.0f}  max {sizes.max_bytes}")
+        for stale in cache.stale():
+            where = ("top level (before generations)" if stale.name == "."
+                     else f"generation {stale.name}")
+            print(f"stale, {where}: {stale.count} entries, "
+                  f"{stale.total_bytes} bytes (repro cache clear removes them)")
         return 0
     removed = cache.clear()
     print(f"removed {removed} entries from {cache.directory}")
@@ -766,13 +774,15 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="persistent routing-table cache: stats / clear")
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_cache_stats = cache_sub.add_parser(
-        "stats", help="entry count and size of the on-disk cache")
+        "stats", help="entry count and size of the on-disk cache, and of "
+                      "stale generations")
     p_cache_stats.add_argument("--dir", metavar="DIR",
                                help="cache directory (default: "
                                     "REPRO_CACHE_DIR or ~/.cache/repro)")
     p_cache_stats.set_defaults(func=_cmd_cache)
     p_cache_clear = cache_sub.add_parser(
-        "clear", help="delete every cached routing table")
+        "clear", help="delete every cached routing table, stale "
+                      "generations included")
     p_cache_clear.add_argument("--dir", metavar="DIR",
                                help="cache directory (default: "
                                     "REPRO_CACHE_DIR or ~/.cache/repro)")

@@ -17,6 +17,14 @@ processes, all deterministic per (database, address):
 Three default instances stand in for MaxMind, ipinfo, and EdgeScape, with
 *independent* errors so the "all databases agree on the country" consensus
 rule of the country-level IPGeo technique has real content.
+
+An answer is a pure function of the database (name, seed, error knobs)
+and of the oracle's ground truth for the address, so each database keeps
+one answer per address and per client subnet.  Probes behind one
+resolver or subnet, the two Edgio sets that share the ``edgio-mapping``
+database, and p-hops seen in several targets' traces ask the oracle
+once.  The ground truth moves only with the topology, so the memo is
+emptied when the oracle's topology version changes.
 """
 
 from __future__ import annotations
@@ -67,6 +75,12 @@ class GeoDatabase:
         self.params = params
         self._oracle = oracle
         self._seed = seed
+        self._topology = oracle.topology
+        #: One answer per address (keyed on its integer value) and per
+        #: subnet (``(network, length)``), valid for topology version
+        #: ``_version``.
+        self._answers: dict[object, GeoRecord | None] = {}
+        self._version = self._topology.version
 
     # ------------------------------------------------------------------
     def _hash01(self, *parts: object) -> float:
@@ -91,17 +105,37 @@ class GeoDatabase:
     # ------------------------------------------------------------------
     def lookup(self, addr: IPv4Address) -> GeoRecord | None:
         """The database's answer for an address (None for unknown space)."""
+        answers = self._memo()
+        key = addr.value
+        if key in answers:
+            return answers[key]
         truth = self._oracle.attribute(addr)
-        if truth is None:
-            return None
-        return self._record_for(addr, truth)
+        record = answers[key] = (
+            None if truth is None else self._record_for(addr, truth)
+        )
+        return record
 
     def lookup_subnet(self, subnet: IPv4Prefix) -> GeoRecord | None:
         """The database's answer for a client /24 (used by ECS mapping)."""
+        answers = self._memo()
+        key = (subnet.network, subnet.length)
+        if key in answers:
+            return answers[key]
         truth = self._oracle.attribute_subnet(subnet)
-        if truth is None:
-            return None
-        return self._record_for(subnet.network_address, truth)
+        record = answers[key] = (
+            None if truth is None
+            else self._record_for(subnet.network_address, truth)
+        )
+        return record
+
+    def _memo(self) -> dict[object, GeoRecord | None]:
+        """The answers given under the topology's current version; the
+        memo is emptied when the version moves."""
+        version = self._topology.version
+        if version != self._version:
+            self._answers.clear()
+            self._version = version
+        return self._answers
 
     def _record_for(self, addr: IPv4Address, truth: AddressAttribution) -> GeoRecord:
         p = self.params

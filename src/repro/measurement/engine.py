@@ -36,14 +36,30 @@ bit-identical to a fresh walk.  :meth:`MeasurementEngine.campaign`
 derives an engine for another campaign seed that shares the memo and the
 routing engine.  ``docs/performance.md`` ("Measure once") covers the
 memo's key, lifetime and invalidation.
+
+**Cheap records, no collector passes.**  A batch builds several records
+per probe, so :class:`PingResult`, :class:`TracerouteHop` and
+:class:`TracerouteResult` (like ``Hop`` and ``ForwardingPath`` on the
+forwarding side) declare ``__slots__`` by hand and take
+``unsafe_hash=True`` instead of ``frozen=True``: construction costs
+less than half as much, while ``repr``, equality, hashing, field names and
+pickling stay as they were.  (``dataclass(slots=True)`` would need
+Python 3.10.)  Each batch also runs with the cyclic garbage collector
+paused and gives the caller's setting back on every exit: its records
+hold no reference cycle, so reference counting frees everything and the
+collector's passes over the world would find nothing.
+``docs/performance.md`` ("Measurement records and the collector") has
+the measurements.
 """
 
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from repro import obs
 from repro.explain import provenance
@@ -68,9 +84,11 @@ WalkMemo = dict[WalkKey, WalkOutcome]
 _TWO_64 = float(1 << 64)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PingResult:
     """Outcome of one ping measurement."""
+
+    __slots__ = ("probe_id", "target", "rtt_ms", "catchment")
 
     probe_id: int
     target: IPv4Address
@@ -84,9 +102,11 @@ class PingResult:
         return self.rtt_ms is not None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TracerouteHop:
     """One line of traceroute output."""
+
+    __slots__ = ("ttl", "addr", "rtt_ms")
 
     ttl: int
     #: None when the router did not respond ("* * *").
@@ -94,9 +114,11 @@ class TracerouteHop:
     rtt_ms: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TracerouteResult:
     """Outcome of one traceroute measurement."""
+
+    __slots__ = ("probe_id", "target", "hops", "reached", "path")
 
     probe_id: int
     target: IPv4Address
@@ -299,7 +321,7 @@ class MeasurementEngine:
         """
         attrs = {} if salt is None else {"salt": salt}
         with obs.span("measurement.ping_many", addr=str(addr),
-                      probes=len(probes), **attrs):
+                      probes=len(probes), **attrs), _collector_paused():
             target = self._target(addr)
             if target is None:
                 return {
@@ -357,7 +379,7 @@ class MeasurementEngine:
         provenance capture needs the trail; the walk's path is kept.
         """
         with obs.span("measurement.traceroute_many", addr=str(addr),
-                      probes=len(probes)):
+                      probes=len(probes)), _collector_paused():
             target = self._target(addr)
             if target is None:
                 return {
@@ -441,6 +463,25 @@ class MeasurementEngine:
             u = int.from_bytes(digest[:8], "big") / _TWO_64
             silent = self._memo.silent[hop.addr] = u < self._hop_silent_fraction
         return silent
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic garbage collector off, then restore
+    the caller's setting, whether the body returns or raises.
+
+    A traceroute batch keeps about ten acyclic objects per probe; left
+    on, the collector would count them and traverse every tracked object
+    of the world many times, to find nothing.  Reference counting still frees
+    whatever the batch drops.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _rtt_scale(text: str, fraction: float) -> float:

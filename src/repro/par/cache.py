@@ -18,6 +18,14 @@ module gives routing tables a life across processes.
   the compute path), so changing the algorithm silently invalidates
   every table the old code produced.
 
+**Generations.**  Entries live in ``<dir>/v<FORMAT_VERSION>-<first 12
+hex digits of the engine fingerprint>/``, one subdirectory per
+generation.  A format bump or an edit to a fingerprinted module starts a
+new generation, and no run reads the old one again: ``repro cache
+stats`` counts only the current generation and names the others (and
+any ``*.rtc`` that releases before generations left at the top level)
+with their sizes; ``repro cache clear`` removes them all.
+
 **Format.**  Entries are versioned binary blobs: a magic/version header,
 a SHA-256 checksum, the announcement key, then a zlib-compressed copy of
 the table's five packed columns, little-endian (row order preserved, so
@@ -36,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import os
+import re
 import struct
 import sys
 import weakref
@@ -63,6 +72,10 @@ MAGIC = b"RPRT"
 
 #: File extension of cache entries.
 SUFFIX = ".rtc"
+
+#: Name of a generation subdirectory (see
+#: :attr:`RoutingTableCache.generation_dir`).
+_GENERATION = re.compile(r"v[0-9]+-[0-9a-f]{12}")
 
 #: Environment variable naming the cache directory (enables the cache).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -135,7 +148,6 @@ def topology_hash(topology: Topology) -> str:
 FINGERPRINT_MODULES: tuple[str, ...] = (
     "repro.geo.atlas",
     "repro.geo.coords",
-    "repro.geoloc.database",
     "repro.netaddr.ipv4",
     "repro.routing.engine",
     "repro.routing.route",
@@ -369,6 +381,16 @@ class EntrySizeStats:
     max_bytes: int
 
 
+@dataclass(frozen=True)
+class StaleEntries:
+    """Entries no run of this code reads: an older generation's
+    subdirectory, or ``"."`` for ``*.rtc`` files at the top level."""
+
+    name: str
+    count: int
+    total_bytes: int
+
+
 class RoutingTableCache:
     """Content-addressed store of routing tables under one directory."""
 
@@ -395,8 +417,16 @@ class RoutingTableCache:
         ))
         return hashlib.sha256(material.encode()).hexdigest()
 
+    @property
+    def generation_dir(self) -> Path:
+        """Where this code's entries live: ``<dir>/v<FORMAT_VERSION>-<first
+        12 hex digits of the engine fingerprint>``."""
+        return self.directory / f"v{FORMAT_VERSION}-{engine_fingerprint()[:12]}"
+
     def path_for(self, topology: Topology, announcement: Announcement) -> Path:
-        return self.directory / (self.key_for(topology, announcement) + SUFFIX)
+        return self.generation_dir / (
+            self.key_for(topology, announcement) + SUFFIX
+        )
 
     # ------------------------------------------------------------------
     def load(
@@ -440,7 +470,7 @@ class RoutingTableCache:
         path = self.path_for(topology, announcement)
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
+            path.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_bytes(encode_table(table))
             os.replace(tmp, path)
         except OSError:
@@ -455,29 +485,30 @@ class RoutingTableCache:
 
     # ------------------------------------------------------------------
     def entries(self) -> list[Path]:
-        """Every cache entry currently on disk, sorted by name."""
+        """Every entry of the current generation, sorted by name."""
+        return _glob(self.generation_dir, f"*{SUFFIX}")
+
+    def _generations(self) -> list[Path]:
+        """The generation subdirectories on disk, current one included."""
         try:
-            return sorted(self.directory.glob(f"*{SUFFIX}"))
+            children = sorted(self.directory.iterdir())
         except OSError:
             return []
+        return [child for child in children
+                if _GENERATION.fullmatch(child.name) and child.is_dir()]
 
     def disk_stats(self) -> tuple[int, int]:
-        """``(entry count, total bytes)`` of the on-disk store."""
+        """``(entry count, total bytes)`` of the current generation."""
         sizes = self.entry_size_stats()
         return sizes.count, sizes.total_bytes
 
     def entry_size_stats(self) -> "EntrySizeStats":
-        """Per-entry size distribution of the on-disk store.
+        """Per-entry size distribution of the current generation.
 
         One encoded routing table per entry, so these are the on-disk
         bytes-per-table numbers ``repro cache stats`` reports.
         """
-        sizes: list[int] = []
-        for entry in self.entries():
-            try:
-                sizes.append(entry.stat().st_size)
-            except OSError:
-                pass
+        sizes = _sizes(self.entries())
         if not sizes:
             return EntrySizeStats(0, 0, 0, 0.0, 0)
         return EntrySizeStats(
@@ -488,16 +519,70 @@ class RoutingTableCache:
             max_bytes=max(sizes),
         )
 
+    def stale(self) -> list[StaleEntries]:
+        """Every older generation on disk, then the top-level entries of
+        releases before generations, each with its size; empty ones are
+        left out."""
+        current = self.generation_dir.name
+        found = [
+            (generation.name, _sizes(_glob(generation, f"*{SUFFIX}")))
+            for generation in self._generations()
+            if generation.name != current
+        ]
+        found.append((".", _sizes(_glob(self.directory, f"*{SUFFIX}"))))
+        return [StaleEntries(name, len(sizes), sum(sizes))
+                for name, sizes in found if sizes]
+
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete the entries of every generation and the top-level ones,
+        with the emptied generation directories; returns the number of
+        entries removed.
+
+        Only ``*.rtc`` files, a store's leftover temporary files and
+        generation directories are touched: a directory that holds
+        anything else stays.
+        """
         removed = 0
-        for entry in self.entries():
+        generations = self._generations()
+        for directory in (*generations, self.directory):
+            removed += sum(map(_unlink, _glob(directory, f"*{SUFFIX}")))
+            for tmp in _glob(directory, f"*{SUFFIX}.tmp-*"):
+                _unlink(tmp)
+        for generation in generations:
             try:
-                entry.unlink()
-                removed += 1
+                generation.rmdir()
             except OSError:
                 pass
         return removed
+
+
+def _glob(directory: Path, pattern: str) -> list[Path]:
+    """The regular files in ``directory`` matching ``pattern``, sorted."""
+    try:
+        return sorted(path for path in directory.glob(pattern)
+                      if path.is_file())
+    except OSError:
+        return []
+
+
+def _unlink(path: Path) -> bool:
+    """Delete a file; whether it went."""
+    try:
+        path.unlink()
+    except OSError:
+        return False
+    return True
+
+
+def _sizes(paths: list[Path]) -> list[int]:
+    """The byte size of each file that still exists."""
+    sizes: list[int] = []
+    for path in paths:
+        try:
+            sizes.append(path.stat().st_size)
+        except OSError:
+            pass
+    return sizes
 
 
 # ----------------------------------------------------------------------

@@ -34,9 +34,11 @@ from repro.topology.flat import flat_adjacency
 from repro.topology.graph import Topology
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Hop:
     """One traceroute-visible router on a forwarding path."""
+
+    __slots__ = ("addr", "node_id", "city", "ixp_id", "rtt_ms")
 
     addr: IPv4Address
     node_id: int
@@ -46,9 +48,12 @@ class Hop:
     rtt_ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ForwardingPath:
     """The realised path of one client's traffic toward a prefix."""
+
+    __slots__ = ("node_path", "origin", "hops", "rtt_ms", "distance_km",
+                 "dest_city")
 
     #: Node-level path actually taken, client AS first, origin site last.
     node_path: tuple[int, ...]
@@ -129,9 +134,9 @@ def walk(
         pick = 0
         if len(next_hops) == 1 and prov is None:
             # Nothing to compare and no trail to record.
-            exit_ = hot_potato_exit(node, next_hops[0], point)
+            exit_ = hot_potato_exit(node, next_hops[0], point, city)
         else:
-            exits = [hot_potato_exit(node, next_hop, point)
+            exits = [hot_potato_exit(node, next_hop, point, city)
                      for next_hop in next_hops]
             if not primary_only:
                 for i in range(1, len(exits)):

@@ -41,6 +41,7 @@ from repro.geo.atlas import city_km
 from repro.topology.asys import Interconnect, LinkKind
 
 if TYPE_CHECKING:
+    from repro.geo.atlas import City
     from repro.geo.coords import GeoPoint
     from repro.netaddr.ipv4 import IPv4Address
     from repro.topology.graph import Topology
@@ -171,14 +172,23 @@ class FlatAdjacency:
         return topology
 
     def hot_potato_exit(
-        self, node_id: int, next_hop: int, point: "GeoPoint"
+        self,
+        node_id: int,
+        next_hop: int,
+        point: "GeoPoint",
+        city: "City | None" = None,
     ) -> HotPotatoExit:
         """The exit of ``node_id``'s link toward ``next_hop`` nearest
         ``point``, memoized per ``(node, next hop, point)``.
 
-        Both distances are stored as the walk computed them, each in its
-        own direction: the walk compares ``km`` and adds ``walk_km``, so
-        replaying the memo reproduces every RTT float bit for bit.
+        ``city`` is the interconnect city the packet sits at, whose
+        location is ``point``, or None for a probe's own point.  From a
+        city both distances come from the atlas's city-pair table
+        (:func:`repro.geo.atlas.city_km`); from a probe's point they are
+        computed directly.  Either way each is stored as the walk
+        computed it, in its own direction: the walk compares ``km`` and
+        adds ``walk_km``, so replaying the memo reproduces every RTT
+        float bit for bit.
         """
         where = (point.lat, point.lon)
         memo = self._exits.get(where)
@@ -188,17 +198,27 @@ class FlatAdjacency:
         exit_ = memo.get(key)
         if exit_ is None:
             link = self._topology().link_between(node_id, next_hop)
-            ic = min(
-                link.interconnects,
-                key=lambda ic: (ic.city.location.distance_km(point), str(ic.addr_a)),
-            )
-            location = ic.city.location
+            if city is None:
+                ic = min(
+                    link.interconnects,
+                    key=lambda ic: (ic.city.location.distance_km(point),
+                                    str(ic.addr_a)),
+                )
+                km = ic.city.location.distance_km(point)
+                walk_km = point.distance_km(ic.city.location)
+            else:
+                ic = min(
+                    link.interconnects,
+                    key=lambda ic: (city_km(ic.city, city), str(ic.addr_a)),
+                )
+                km = city_km(ic.city, city)
+                walk_km = city_km(city, ic.city)
             exit_ = memo[key] = HotPotatoExit(
                 interconnect=ic,
                 addr=link.addr_of(next_hop, ic),
                 ixp_id=link.ixp_id,
-                km=location.distance_km(point),
-                walk_km=point.distance_km(location),
+                km=km,
+                walk_km=walk_km,
             )
         return exit_
 

@@ -40,6 +40,7 @@ import os
 import random
 import secrets
 import socket
+import subprocess
 import sys
 import textwrap
 import threading
@@ -222,6 +223,24 @@ def test_compute_closure_is_fingerprinted(fresh_small, cold_memos, source,
         "repro.par.cache.FINGERPRINT_MODULES: editing them would not "
         "rotate the persistent cache key"
     )
+
+
+def test_compute_modules_load_no_geolocation():
+    """Geolocation answers cannot change a routing table: the compute,
+    its flat adjacency and its worker task import no ``repro.geoloc``
+    module, so none is fingerprinted."""
+    code = textwrap.dedent("""
+        import sys
+        import repro.par.routing, repro.routing.engine
+        import repro.topology.flat, repro.topology.graph
+        print(sorted(m for m in sys.modules if m.startswith("repro.geoloc")))
+    """)
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+    assert not any(name.startswith("repro.geoloc")
+                   for name in FINGERPRINT_MODULES)
 
 
 # ----------------------------------------------------------------------

@@ -87,6 +87,7 @@ class TestFormatVersioning:
             decode_table(v2_entry, table.announcement, table.topology_version)
         cache = RoutingTableCache(tmp_path)
         path = cache.path_for(tiny_topology, announcement)
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(v2_entry)
         assert cache.load(tiny_topology, announcement) is None
         assert cache.stats.corrupt == 1
@@ -193,6 +194,7 @@ class TestForgedEntries:
             decode_table(blob, announcement, tiny_topology.version)
         cache = RoutingTableCache(tmp_path)
         path = cache.path_for(tiny_topology, announcement)
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(blob)
         assert cache.load(tiny_topology, announcement) is None
         assert cache.stats.corrupt == 1

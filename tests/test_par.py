@@ -678,6 +678,42 @@ class TestCacheCli:
         assert "removed 1" in capsys.readouterr().out
         assert cache.entries() == []
 
+    def test_stale_generations_counted_apart_and_cleared(
+            self, tiny_topology, tmp_path, capsys):
+        from repro.cli import main
+
+        cache = self._warm(tiny_topology, tmp_path)
+        (current,) = cache.entries()
+        generation = f"v{FORMAT_VERSION}-{engine_fingerprint()[:12]}"
+        assert current.parent == cache.generation_dir == tmp_path / generation
+        old = tmp_path / "v3-0123456789ab"
+        old.mkdir()
+        for name in ("a", "b"):
+            (old / f"{name}.rtc").write_bytes(b"x" * 100)
+        (tmp_path / "legacy.rtc").write_bytes(b"y" * 7)
+        foreign = tmp_path / "notes"
+        foreign.mkdir()
+        (foreign / "kept.rtc").write_bytes(b"z")
+        (tmp_path / "README").write_text("kept", encoding="utf-8")
+
+        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"generation: {generation}" in out
+        assert "entries: 1\n" in out
+        assert f"bytes: {current.stat().st_size}\n" in out
+        assert "generation v3-0123456789ab: 2 entries, 200 bytes" in out
+        assert "top level (before generations): 1 entries, 7 bytes" in out
+        assert out.count("\nstale, ") == 2 and "notes" not in out
+        assert [(s.name, s.count, s.total_bytes) for s in cache.stale()] == [
+            ("v3-0123456789ab", 2, 200), (".", 1, 7)]
+
+        assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
+        assert "removed 4 entries" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["README",
+                                                              "notes"]
+        assert (foreign / "kept.rtc").exists()
+        assert cache.stale() == [] and cache.disk_stats() == (0, 0)
+
     def test_cache_path_that_is_a_file_fails_up_front(
             self, tmp_path, monkeypatch, capsys):
         import repro.cli as cli
