@@ -12,7 +12,6 @@ Commands:
 - ``verify --deep`` adds the Layer-2 routing-invariant analyzer;
 - ``obs``    — observability: ``summary`` / ``compare`` over the run
   manifests that ``run --trace DIR`` / ``world --trace DIR`` write,
-  ``profile`` for span-aware function profiles,
   ``ingest`` / ``trend`` for the append-only benchmark history and
   its one regression gate, and ``dashboard`` for the combined per-run
   report (terminal or ``--html``);
@@ -42,7 +41,7 @@ import time
 from typing import Sequence
 
 from repro.experiments import config
-from repro.experiments.base import experiment_name, run_instrumented
+from repro.experiments.base import experiment_name
 from repro.experiments.runner import ALL_EXPERIMENTS, run_all
 from repro.experiments.world import World, get_world
 
@@ -130,26 +129,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.manifest import tracing
 
     _apply_cache_dir(args)
-    profiler = None
-    if args.profile:
-        from repro.obs.prof import SpanProfiler
-
-        profiler = SpanProfiler("repro-run")
     with tracing(args.trace, label="repro-run", config=cfg,
-                 argv=sys.argv[1:], profiler=profiler) as recorder:
+                 argv=sys.argv[1:]) as recorder:
         world = get_world(cfg)
         results, _ = run_all(world, selected=selected, plots=args.plots)
         if recorder is not None:
             from repro.obs.health import record_health
 
             record_health(world, _by_name(selected, results))
-    if profiler is not None and recorder is not None:
-        from repro.obs.prof import render_profile
-        from repro.obs.report import render_span_tree
-
-        print(render_span_tree(recorder.root))
-        print()
-        print(render_profile(profiler.snapshot()))
     if args.json:
         from repro.experiments.export import export_results
 
@@ -312,40 +299,6 @@ def _cmd_obs_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_profile(args: argparse.Namespace) -> int:
-    """Profile one experiment (or the world build) grouped by span path."""
-    from repro.obs.manifest import tracing
-    from repro.obs.prof import SpanProfiler, render_profile
-    from repro.obs.report import render_span_tree
-
-    cfg = _config_from_args(args)
-    known = {
-        module.__name__.rsplit(".", 1)[-1]: (module, description)
-        for module, description in ALL_EXPERIMENTS
-    }
-    if args.target != "world" and args.target not in known:
-        print(f"unknown target: {args.target}", file=sys.stderr)
-        print(f"available: world, {', '.join(sorted(known))}", file=sys.stderr)
-        return 2
-    profiler = SpanProfiler("repro-profile")
-    with tracing(args.trace, label="repro-profile", config=cfg,
-                 argv=sys.argv[1:], profiler=profiler) as recorder:
-        if args.target == "world":
-            World(cfg)
-        else:
-            world = get_world(cfg)
-            module, description = known[args.target]
-            run_instrumented(module, description, world)
-    assert recorder is not None  # a profiler forces recording
-    print(render_span_tree(recorder.root))
-    print()
-    print(render_profile(profiler.snapshot(), top_paths=args.top,
-                         top_functions=args.top))
-    if recorder.manifest_path is not None:
-        print(f"\n[obs] manifest written to {recorder.manifest_path}")
-    return 0
-
-
 def _cmd_obs_ingest(args: argparse.Namespace) -> int:
     """Append run manifests / BENCH artifacts to the trend history."""
     from repro.obs.trend import history_file, ingest_files
@@ -378,7 +331,7 @@ def _cmd_obs_trend(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_dashboard(args: argparse.Namespace) -> int:
-    """Combined report for one run: spans, profile, health, trends."""
+    """Combined report for one run: spans, health, trends."""
     from pathlib import Path
 
     from repro.obs.manifest import load_manifest
@@ -389,22 +342,10 @@ def _cmd_obs_dashboard(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read manifest {args.run}: {exc}", file=sys.stderr)
         return 2
-    lint_data = None
-    if args.lint:
-        import json
-
-        try:
-            lint_data = json.loads(
-                Path(args.lint).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"cannot read lint findings {args.lint}: {exc}",
-                  file=sys.stderr)
-            return 2
-    print(render_dashboard(manifest, history_dir=args.history, top=args.top,
-                           lint=lint_data))
+    print(render_dashboard(manifest, history_dir=args.history, top=args.top))
     if args.html:
         page = render_dashboard_html(manifest, history_dir=args.history,
-                                     top=args.top, lint=lint_data)
+                                     top=args.top)
         out = Path(args.html)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(page, encoding="utf-8")
@@ -607,9 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", metavar="DIR",
                        help="record an obs trace; writes run-<id>.json and "
                             "events-<id>.jsonl into DIR")
-    p_run.add_argument("--profile", action="store_true",
-                       help="attribute wall time to functions per span path "
-                            "and print the tables after the run")
     p_run.add_argument("--cache-dir", metavar="DIR",
                        help="persist routing tables under DIR "
                             "(see also REPRO_CACHE_DIR)")
@@ -654,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser(
         "obs",
-        help="observability: summary / compare / profile / ingest / "
-             "trend / dashboard")
+        help="observability: summary / compare / ingest / trend / "
+             "dashboard")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
     p_obs_summary = obs_sub.add_parser(
         "summary", help="where one traced run spent its time")
@@ -670,21 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_compare.add_argument("--top", type=int, default=20, metavar="N",
                                help="span paths to show (default 20)")
     p_obs_compare.set_defaults(func=_cmd_obs_compare)
-    p_obs_profile = obs_sub.add_parser(
-        "profile",
-        help="span-aware function profile of one experiment or the world "
-             "build")
-    p_obs_profile.add_argument(
-        "target", help="an experiment name (see `repro list`) or 'world'")
-    p_obs_profile.add_argument("--small", action="store_true",
-                               help="use the reduced test-scale world")
-    p_obs_profile.add_argument("--top", type=int, default=8, metavar="N",
-                               help="span paths / functions per table "
-                                    "(default 8)")
-    p_obs_profile.add_argument("--trace", metavar="DIR",
-                               help="also write the manifest (profile "
-                                    "embedded) into DIR")
-    p_obs_profile.set_defaults(func=_cmd_obs_profile)
     p_obs_ingest = obs_sub.add_parser(
         "ingest",
         help="append run manifests / BENCH_obs.json to the trend history")
@@ -712,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_trend.set_defaults(func=_cmd_obs_trend)
     p_obs_dash = obs_sub.add_parser(
         "dashboard",
-        help="combined report for one run: spans, profile, health, trends")
+        help="combined report for one run: spans, health, trends")
     p_obs_dash.add_argument("run", help="a run-<id>.json manifest")
     p_obs_dash.add_argument("--history", default=None, metavar="DIR",
                             help="also render trend sparklines from DIR")
@@ -721,9 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "to OUT")
     p_obs_dash.add_argument("--top", type=int, default=10, metavar="N",
                             help="rows per table (default 10)")
-    p_obs_dash.add_argument("--lint", default=None, metavar="FILE",
-                            help="render a static-analysis section from a "
-                                 "`repro lint --json` findings file")
     p_obs_dash.set_defaults(func=_cmd_obs_dashboard)
 
     p_explain = sub.add_parser(

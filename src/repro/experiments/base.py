@@ -51,7 +51,7 @@ def run_instrumented(
     name = experiment_name(module)
     # The experiment registry is the one place a span name is assembled:
     # every possible value still matches the static `experiment.<name>`
-    # shape that trend series and the profiler key on.
+    # shape that trend series key on.
     with obs.span(f"experiment.{name}", description=description) as active:  # repro-lint: disable=obs-span-literal -- registry-driven, shape-stable
         result = module.run(world)
     return result, active.record

@@ -59,8 +59,8 @@ _MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray", "defaultdict"})
 _ORDER_SENSITIVE_CALLS = frozenset({"list", "tuple", "enumerate", "iter"})
 
 #: Shape a static span name must have: dotted lowercase-ish segments.
-#: Trend series and profiler paths key on these names verbatim, so they
-#: must be grep-able string constants, not runtime-assembled values.
+#: Trend series key on these names verbatim, so they must be grep-able
+#: string constants, not runtime-assembled values.
 _SPAN_NAME_RE = re.compile(r"^[A-Za-z0-9_-]+(\.[A-Za-z0-9_-]+)*$")
 
 #: Functions allowed to rebind a capture-state global in its own module:

@@ -85,8 +85,7 @@ RULES: dict[str, RuleSpec] = {
             rule_id="obs-span-literal",
             summary=(
                 "obs.span(...) name is not a static dotted-string literal; "
-                "dynamic span names break trend-series matching and "
-                "profiler path grouping across runs"
+                "dynamic span names break trend-series matching across runs"
             ),
             hint=(
                 "pass a literal like \"routing.compute\" and attach the "

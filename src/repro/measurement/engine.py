@@ -212,14 +212,16 @@ class ForwardingMemo:
       version)``: two addresses of one prefix share it, and a table of an
       older topology never serves a walk.
     - ``silent`` records, per router interface, whether it answers
-      traceroute — a property of the router, not of a campaign.
+      traceroute — a property of the router, not of a campaign.  It is
+      keyed on the address's integer, which hashes in C; an
+      ``IPv4Address`` key costs a Python ``__hash__`` call per hop.
     """
 
     def __init__(self) -> None:
         self.snapshot: tuple[int, int] | None = None
         self.targets: dict[IPv4Address, tuple[RoutingTable, WalkMemo] | None] = {}
         self.walks: dict[tuple[Announcement, int], WalkMemo] = {}
-        self.silent: dict[IPv4Address, bool] = {}
+        self.silent: dict[int, bool] = {}
 
     def entries(self) -> int:
         """Memoized walks over every table: landings plus paths."""
@@ -455,13 +457,14 @@ class MeasurementEngine:
 
     def _hop_silent(self, hop: Hop) -> bool:
         """Whether a router interface never answers traceroute (memoized)."""
-        silent = self._memo.silent.get(hop.addr)
+        key = hop.addr.value
+        silent = self._memo.silent.get(key)
         if silent is None:
             digest = hashlib.sha256(
                 f"silent|{self._hop_silence_seed}|{hop.addr}".encode()
             ).digest()
             u = int.from_bytes(digest[:8], "big") / _TWO_64
-            silent = self._memo.silent[hop.addr] = u < self._hop_silent_fraction
+            silent = self._memo.silent[key] = u < self._hop_silent_fraction
         return silent
 
 

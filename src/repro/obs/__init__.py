@@ -7,9 +7,8 @@ The observability substrate of the reproduction pipeline:
 - :mod:`repro.obs.events` — the span ``start``/``end`` stream
   (``events-<id>.jsonl``) a traced run writes as it goes;
 - :mod:`repro.obs.manifest` — run manifests (config, seeds, git SHA,
-  span tree) and the :func:`~repro.obs.manifest.tracing` helper;
-- :mod:`repro.obs.prof` — deterministic span-aware function profiler
-  (``repro obs profile``, ``repro run --profile``);
+  span tree) and the :func:`~repro.obs.manifest.tracing` helper, which
+  records through :func:`~repro.obs.recorder.recording`;
 - :mod:`repro.obs.trend` — append-only benchmark history and the
   median+MAD regression gate (``repro obs ingest`` / ``trend``);
 - :mod:`repro.obs.health` — domain health gauges recorded at the end of

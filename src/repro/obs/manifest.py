@@ -8,8 +8,9 @@ consume these files; CI archives them so performance regressions between
 PRs are a file diff, not a guess.
 
 The :func:`tracing` context manager is the one-liner the CLI layers use:
-it installs a recorder, streams span events to ``events-<id>.jsonl``, and
-writes ``run-<id>.json`` into the trace directory on the way out.
+it records the block through :func:`repro.obs.recorder.recording`,
+streams span events to ``events-<id>.jsonl``, and writes
+``run-<id>.json`` into the trace directory on the way out.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Iterator
 
-from repro.obs import recorder as _recorder
 from repro.obs.events import JsonlEventSink
-from repro.obs.prof import ProfileData, SpanProfiler
-from repro.obs.recorder import Recorder, SpanRecord
+from repro.obs.recorder import Recorder, SpanRecord, recording
 
 #: Manifest schema version; bump on breaking layout changes.
 SCHEMA_VERSION = 1
@@ -96,8 +95,6 @@ class RunManifest:
     git_sha: str | None
     argv: list[str]
     root: SpanRecord
-    #: Function-level profile (repro.obs.prof), when the run was profiled.
-    profile: ProfileData | None = None
     #: Decision-provenance payload (repro.explain journeys/diffs), when
     #: the run captured any.  Kept as plain data so loading a manifest
     #: never imports the explain subsystem.
@@ -125,24 +122,22 @@ class RunManifest:
             "argv": list(self.argv),
             "spans": self.root.to_dict(),
         }
-        if self.profile is not None:
-            data["profile"] = self.profile.to_dict()
         if self.explain is not None:
             data["explain"] = self.explain
         return data
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "RunManifest":
+        """Rebuild a manifest; unknown keys are ignored.
+
+        Manifests of older runs may carry the payloads of retired
+        features (``"memory"``, ``"profile"``); they load without them.
+        """
         spans = data.get("spans")
         if not isinstance(spans, dict):
             raise ValueError("manifest has no 'spans' tree")
         seeds = data.get("seeds", {})
         argv = data.get("argv", [])
-        raw_profile = data.get("profile")
-        profile = (
-            ProfileData.from_dict(raw_profile)
-            if isinstance(raw_profile, dict) else None
-        )
         raw_explain = data.get("explain")
         explain = raw_explain if isinstance(raw_explain, dict) else None
         return cls(
@@ -156,7 +151,6 @@ class RunManifest:
                      else str(data.get("git_sha"))),
             argv=[str(a) for a in argv] if isinstance(argv, list) else [],
             root=SpanRecord.from_dict(spans),
-            profile=profile,
             explain=explain,
         )
 
@@ -170,10 +164,6 @@ def from_recorder(
 ) -> RunManifest:
     """Freeze a recorder into a manifest (stamps the root totals)."""
     recorder.finish()
-    profile: ProfileData | None = None
-    if recorder.profiler is not None:
-        recorder.profiler.stop()
-        profile = recorder.profiler.snapshot()
     return RunManifest(
         run_id=run_id or new_run_id(),
         label=recorder.root.name,
@@ -182,7 +172,6 @@ def from_recorder(
         git_sha=current_git_sha(),
         argv=list(argv or []),
         root=recorder.root,
-        profile=profile,
         explain=recorder.explain_data,
     )
 
@@ -215,14 +204,13 @@ def tracing(
     label: str = "run",
     config: object = None,
     argv: list[str] | None = None,
-    profiler: SpanProfiler | None = None,
 ) -> Iterator[Recorder | None]:
     """Record the block and export ``run-<id>.json`` + event JSONL.
 
     A trace directory receives exactly two files: the span stream
     ``events-<id>.jsonl`` (span ``start``/``end`` lines, written as the
     run goes, so a killed run leaves it behind) and, once the block
-    exits, the manifest ``run-<id>.json``.
+    exits, the manifest ``run-<id>.json``, also when the block raises.
 
     ``trace_dir=None`` disables tracing entirely (yields None), so CLI
     code can wrap its work unconditionally::
@@ -232,34 +220,19 @@ def tracing(
         if rec is not None:
             print(rec.manifest_path)
 
-    A ``profiler`` (see :mod:`repro.obs.prof`) is started on entry,
-    stopped on exit, and its snapshot is embedded in the manifest.  With
-    ``trace_dir=None`` but a profiler given, the block is still recorded
-    (so the profiler can group by span path) — only the file export is
-    skipped; ``manifest_path`` stays None.
-
-    Whatever recorder was installed before is restored afterwards.
+    The block runs under :func:`~repro.obs.recorder.recording`, which
+    restores whatever recorder was installed before.
     """
-    if trace_dir is None and profiler is None:
+    if trace_dir is None:
         yield None
         return
     run_id = new_run_id()
-    sink: JsonlEventSink | None = None
-    out_dir: Path | None = None
-    if trace_dir is not None:
-        out_dir = Path(trace_dir)
-        sink = JsonlEventSink(out_dir / f"events-{run_id}.jsonl")
-    recorder = Recorder(label, event_sink=sink, profiler=profiler)
-    previous = _recorder.active()
-    _recorder.install(recorder)
-    if profiler is not None:
-        profiler.start()
-    try:
-        yield recorder
-    finally:
-        _recorder.install(previous)
-        if profiler is not None:
-            profiler.stop()
-        manifest = from_recorder(recorder, config=config, run_id=run_id, argv=argv)
-        if out_dir is not None:
+    out_dir = Path(trace_dir)
+    sink = JsonlEventSink(out_dir / f"events-{run_id}.jsonl")
+    with recording(label, event_sink=sink) as recorder:
+        try:
+            yield recorder
+        finally:
+            manifest = from_recorder(recorder, config=config, run_id=run_id,
+                                     argv=argv)
             recorder.manifest_path = write_manifest(manifest, out_dir)

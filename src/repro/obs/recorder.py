@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checking only
     from repro.obs.events import EventSink
-    from repro.obs.prof import SpanProfiler
 
 try:  # pragma: no cover - exercised on POSIX only
     import resource as _resource
@@ -213,15 +212,10 @@ class Recorder:
         self,
         label: str = "run",
         event_sink: "EventSink | None" = None,
-        profiler: "SpanProfiler | None" = None,
     ):
         self.root = SpanRecord(name=label)
         self._stack: list[SpanRecord] = [self.root]
         self._events = event_sink
-        #: Optional span-aware function profiler (see repro.obs.prof);
-        #: notified on every span push/pop so function time groups by
-        #: span path.  None costs one attribute check per span.
-        self.profiler = profiler
         self._wall_origin = time.perf_counter()
         self._cpu_origin = time.process_time()
         self._rss_origin = _peak_rss_kib()
@@ -263,8 +257,6 @@ class Recorder:
     def _push(self, record: SpanRecord) -> None:
         self._stack[-1].children.append(record)
         self._stack.append(record)
-        if self.profiler is not None:
-            self.profiler.span_push(record.name)
         if self._events is not None:
             self._events.emit({
                 "ev": "start",
@@ -280,8 +272,6 @@ class Recorder:
         while len(self._stack) > 1:
             if self._stack.pop() is record:
                 break
-        if self.profiler is not None:
-            self.profiler.span_pop()
         if self._events is not None:
             self._events.emit({
                 "ev": "end",
@@ -331,26 +321,21 @@ def span(name: str, **attrs: object) -> ActiveSpan | NullSpan:
 def recording(
     label: str = "run",
     event_sink: "EventSink | None" = None,
-    profiler: "SpanProfiler | None" = None,
 ) -> Iterator[Recorder]:
     """Install a fresh recorder for the duration of the block.
 
     Restores whatever recorder (or None) was installed before, so
     recordings nest safely; the yielded recorder is finished on exit.
-    A ``profiler`` is started on entry and stopped on exit, bracketing
-    exactly the recorded region.
+    This is the one place a recorder is installed around a block:
+    :func:`repro.obs.manifest.tracing` is built on it.
     """
     global _CURRENT
     previous = _CURRENT
-    recorder = Recorder(label, event_sink=event_sink, profiler=profiler)
+    recorder = Recorder(label, event_sink=event_sink)
     _CURRENT = recorder
-    if profiler is not None:
-        profiler.start()
     try:
         yield recorder
     finally:
-        if profiler is not None:
-            profiler.stop()
         recorder.finish()
         _CURRENT = previous
 

@@ -6,9 +6,8 @@ plus counter and gauge tables).  ``repro obs compare`` lines two runs up
 span-path by span-path and reports the wall-time deltas and the
 counters that moved; it judges nothing (the one regression gate is
 :mod:`repro.obs.trend`).  ``repro obs dashboard`` composes the
-full picture for one run — span hotspots, profiler top functions, health
-gauges, and trend sparklines — as a terminal report or a static HTML
-page.
+full picture for one run — span hotspots, the span tree, health gauges,
+and trend sparklines — as a terminal report or a static HTML page.
 """
 
 from __future__ import annotations
@@ -285,53 +284,14 @@ def render_explain_section(data: dict[str, object]) -> str:
     return "\n\n".join(parts)
 
 
-def render_lint_section(data: dict[str, object]) -> str:
-    """Render a ``repro lint --json`` document.
-
-    Shows per-rule counts and the first findings; a clean document says
-    so explicitly, so a dashboard with the section present proves the
-    linter actually ran.
-    """
-    findings = data.get("findings", [])
-    if not isinstance(findings, list):
-        return "malformed lint document (findings is not a list)"
-    if not findings:
-        return "no findings"
-    parts: list[str] = []
-    by_rule: dict[str, int] = {}
-    for finding in findings:
-        if isinstance(finding, dict):
-            by_rule[str(finding.get("rule", "?"))] = (
-                by_rule.get(str(finding.get("rule", "?")), 0) + 1
-            )
-    width = max(len(rule) for rule in by_rule)
-    parts.append("\n".join(
-        f"{rule:{width}}  {count}"
-        for rule, count in sorted(by_rule.items())
-    ))
-    shown = []
-    for finding in findings[:10]:
-        if isinstance(finding, dict):
-            shown.append(
-                f"{finding.get('path', '?')}:{finding.get('line', '?')}: "
-                f"[{finding.get('rule', '?')}] {finding.get('message', '')}"
-            )
-    if len(findings) > 10:
-        shown.append(f"... and {len(findings) - 10} more")
-    parts.append("\n".join(shown))
-    return "\n\n".join(parts)
-
-
 def dashboard_sections(
     manifest: RunManifest,
     *,
     history_dir: Path | str | None = None,
     top: int = 10,
-    lint: dict[str, object] | None = None,
 ) -> list[tuple[str, str]]:
     """The dashboard's ``(title, body)`` sections, in display order."""
     from repro.obs.health import health_gauges, render_health
-    from repro.obs.prof import render_profile
 
     header = [
         f"run       {manifest.run_id}",
@@ -349,26 +309,13 @@ def dashboard_sections(
         (f"span hotspots (top {top} by self time)",
          _hotspot_table(manifest, top)),
         ("span tree", render_span_tree(manifest.root)),
+        ("health gauges", render_health(health_gauges(manifest))),
     ]
-    if manifest.profile is not None:
-        sections.append(
-            ("profiler: hot functions by span path",
-             render_profile(manifest.profile, top_paths=top,
-                            top_functions=top)),
-        )
-    else:
-        sections.append(
-            ("profiler", "not profiled (re-run with --profile to attribute "
-                         "span time to functions)"),
-        )
-    sections.append(("health gauges", render_health(health_gauges(manifest))))
     if manifest.explain is not None:
         sections.append(
             ("explain: decision provenance",
              render_explain_section(manifest.explain)),
         )
-    if lint is not None:
-        sections.append(("static analysis", render_lint_section(lint)))
     if history_dir is not None:
         from repro.obs.trend import check_history
 
@@ -382,12 +329,11 @@ def render_dashboard(
     *,
     history_dir: Path | str | None = None,
     top: int = 10,
-    lint: dict[str, object] | None = None,
 ) -> str:
     """The combined terminal report for one traced run."""
     parts = []
     for title, body in dashboard_sections(
-        manifest, history_dir=history_dir, top=top, lint=lint
+        manifest, history_dir=history_dir, top=top
     ):
         rule = "-" * max(20, len(title) + 4)
         parts.append(f"-- {title} {rule[len(title) + 4:]}\n{body}")
@@ -413,13 +359,12 @@ def render_dashboard_html(
     *,
     history_dir: Path | str | None = None,
     top: int = 10,
-    lint: dict[str, object] | None = None,
 ) -> str:
     """A self-contained static HTML page with the same sections."""
     title = f"repro run {manifest.run_id}"
     body = [f"<h1>{_html.escape(title)}</h1>"]
     for section_title, text in dashboard_sections(
-        manifest, history_dir=history_dir, top=top, lint=lint
+        manifest, history_dir=history_dir, top=top
     ):
         body.append(f"<section><h2>{_html.escape(section_title)}</h2>")
         body.append(f"<pre>{_html.escape(text)}</pre></section>")

@@ -65,20 +65,14 @@ def worker_count(explicit: int | None = None) -> int:
 def capture_blocks_parallel() -> bool:
     """True when a process-local capture forces the serial path.
 
-    Two captures cannot survive a process boundary: decision provenance
-    (selection trails land in a process-local recorder) and the span
-    profiler (function samples are taken in-process, so merged worker
-    spans would carry durations with no matching samples and break the
-    path-sums-match-span-self-times invariant).  Every parallel entry
+    Decision provenance cannot survive a process boundary: selection
+    trails land in a process-local recorder.  Every parallel entry
     point checks this and falls back to serial execution, which is
-    always correct — just slower.
+    always correct — just slower.  Span tracing does not block: worker
+    spans are merged into the parent's trace.
     """
-    from repro import obs
     from repro.explain import provenance
 
-    recorder = obs.active()
-    if recorder is not None and recorder.profiler is not None:
-        return True
     return provenance.active() is not None
 
 

@@ -1038,8 +1038,8 @@ class TestCli:
 
 
 class TestJsonOutput:
-    def _document(self, tmp_path) -> tuple[Path, dict]:
-        """A file with two findings and its ``repro lint --json`` document."""
+    def _document(self, tmp_path) -> dict:
+        """The ``repro lint --json`` document of a file with two findings."""
         from repro.cli import main
 
         target = tmp_path / "bad.py"
@@ -1050,24 +1050,15 @@ class TestJsonOutput:
         )
         out = tmp_path / "findings.json"
         assert main(["lint", str(target), "--json", str(out)]) == 1
-        return target, json.loads(out.read_text(encoding="utf-8"))
+        return json.loads(out.read_text(encoding="utf-8"))
 
     def test_document_shape(self, tmp_path, capsys):
-        _, document = self._document(tmp_path)
+        document = self._document(tmp_path)
         assert document["schema"] == 1
         assert document["generated_by"] == "repro lint"
         assert len(document["findings"]) == 2
         for finding in document["findings"]:
             assert set(finding) == {"path", "line", "rule", "message", "hint"}
-
-    def test_render_lint_section(self, tmp_path, capsys):
-        from repro.obs.report import render_lint_section
-
-        target, document = self._document(tmp_path)
-        text = render_lint_section(document)
-        assert "unseeded-random" in text and "global-mutable-state" in text
-        assert f"{target}:3: [unseeded-random]" in text
-        assert render_lint_section({"findings": []}) == "no findings"
 
 
 class TestDocs:

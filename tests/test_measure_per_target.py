@@ -13,6 +13,7 @@ and a hop-by-hop walk that compares every exit of every node.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -34,7 +35,7 @@ from repro.routing.forwarding import (
     walk,
 )
 from repro.routing.route import PrefTier
-from repro.topology.flat import flat_adjacency
+from repro.topology.flat import FlatAdjacency
 from tests.test_routing_properties import random_world
 
 SEED = 17
@@ -213,13 +214,22 @@ def _reference_next_hops(table, node):
     return choice.next_hops()
 
 
+#: The reference's own adjacency per topology, apart from the
+#: ``flat_adjacency`` memo the walk reads, so the walk never replays an
+#: exit the reference computed.  Weak keys: an ``id()`` key could hand a
+#: dead world's adjacency to a new world at the same address.
+_REFERENCE_ADJACENCIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _reference_walk(topology, table, start_node, start_point,
                     primary_only, hops, stats):
     """The walk as it compared every exit at every node."""
     next_hops = _reference_next_hops(table, start_node)
     if next_hops is None:
         return None
-    adjacency = flat_adjacency(topology)
+    adjacency = _REFERENCE_ADJACENCIES.get(topology)
+    if adjacency is None:
+        adjacency = _REFERENCE_ADJACENCIES[topology] = FlatAdjacency(topology)
     node = start_node
     point = start_point
     total_km = 0.0

@@ -288,6 +288,26 @@ class TestManifest:
         assert read_events(events[0])
         assert obs.active() is None
 
+    def test_tracing_block_that_raises_still_writes_its_files(self, tmp_path):
+        outer = obs.install(obs.Recorder("outer"))
+        with pytest.raises(RuntimeError, match="boom"), \
+                tracing(tmp_path, label="tr") as rec, obs.span("stage"):
+            raise RuntimeError("boom")
+        assert obs.active() is outer
+        assert outer.root.children == []
+        assert rec is not None and rec.manifest_path is not None
+        run_id = rec.manifest_path.name[len("run-"):-len(".json")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"events-{run_id}.jsonl", f"run-{run_id}.json",
+        ]
+        stage = load_manifest(rec.manifest_path).root.find("stage")
+        assert stage is not None and stage.status == "error"
+        events = read_events(tmp_path / f"events-{run_id}.jsonl")
+        assert [(e["ev"], e["span"]) for e in events] == [
+            ("start", "stage"), ("end", "stage"),
+        ]
+        assert events[-1]["status"] == "error"
+
     def test_trace_dir_holds_only_manifest_and_stream(self, tmp_path):
         """A traced parallel map leaves the manifest and the stream, nothing else."""
         from repro.par.pool import map_deterministic
@@ -409,15 +429,15 @@ class TestDashboard:
         assert titles[0] == "run"
         assert any("hotspots" in t for t in titles)
         assert any(t == "span tree" for t in titles)
-        assert any("profiler" in t for t in titles)
         assert any("health" in t for t in titles)
+        assert not any("profil" in t for t in titles)
 
     def test_terminal_dashboard_mentions_health_and_spans(self):
         text = render_dashboard(self._manifest())
         assert "alpha" in text
         assert "claims    18/18 hold  [ok]" in text
         assert "cache hit rate 90.0%" in text
-        assert "not profiled" in text  # no profile embedded
+        assert "profil" not in text
 
     def test_trend_section_appears_with_history(self, tmp_path):
         from repro.obs.trend import append_record, record_from_manifest
@@ -461,6 +481,32 @@ MALFORMED_MANIFESTS = [
     pytest.param({"spans": {"name": "run", "wall_ms": [1]}},
                  id="list-valued-field"),
 ]
+
+
+#: Payloads of retired manifest features, shaped as their runs wrote
+#: them: the memory lens (allocation profile + structure census) and the
+#: span-aware profiler (function tables per span path).
+RETIRED_PAYLOADS = {
+    "memory": {
+        "schema": 1,
+        "profile": {"root_label": "repro-world", "total_net_bytes": 4096,
+                    "total_peak_bytes": 8192,
+                    "paths": {"repro-world/world.build": {
+                        "net_bytes": 4096, "peak_bytes": 8192,
+                        "slices": 2}},
+                    "top_sites": []},
+        "census": [{"name": "routing", "kind": "aggregate",
+                    "bytes": 1024, "objects": 12,
+                    "units": {"bytes_per_route": 37.0}}],
+    },
+    "profile": {
+        "schema": 1,
+        "root_label": "repro-run",
+        "paths": {"repro-run/world.build/world.topology": [
+            {"file": ".../coords.py", "line": 63, "func": "great_circle_km",
+             "calls": 118917, "self_ms": 1310.8, "cum_ms": 2190.2}]},
+    },
+}
 
 
 class TestObsCli:
@@ -524,32 +570,24 @@ class TestObsCli:
     def test_manifest_with_retired_memory_payload_still_reads(
         self, tmp_path, capsys
     ):
-        """Manifests written while ``--memory`` existed carry a ``"memory"``
-        key (allocation profile + structure census); they stay readable."""
-        data = _manifest_with({"world.build": 40.0}, "legacy-1").to_dict()
-        data["memory"] = {
-            "schema": 1,
-            "profile": {"root_label": "repro-world", "total_net_bytes": 4096,
-                        "total_peak_bytes": 8192,
-                        "paths": {"repro-world/world.build": {
-                            "net_bytes": 4096, "peak_bytes": 8192,
-                            "slices": 2}},
-                        "top_sites": []},
-            "census": [{"name": "routing", "kind": "aggregate",
-                        "bytes": 1024, "objects": 12,
-                        "units": {"bytes_per_route": 37.0}}],
-        }
-        path = tmp_path / "run-legacy-1.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        loaded = load_manifest(path)
-        assert loaded.root.find("world.build") is not None
-        assert "memory" not in loaded.to_dict()
-        assert cli.main(["obs", "summary", str(path)]) == 0
-        assert cli.main(["obs", "dashboard", str(path)]) == 0
-        assert "--memory" not in capsys.readouterr().out
+        """Manifests written by the retired memory lens or span-aware
+        profiler carry a ``"memory"`` or ``"profile"`` key; they stay
+        readable."""
         history = tmp_path / "history"
-        assert cli.main(
-            ["obs", "ingest", str(path), "--history", str(history)]) == 0
+        for key, payload in RETIRED_PAYLOADS.items():
+            data = _manifest_with({"world.build": 40.0},
+                                  f"legacy-{key}").to_dict()
+            data[key] = payload
+            path = tmp_path / f"run-legacy-{key}.json"
+            path.write_text(json.dumps(data), encoding="utf-8")
+            loaded = load_manifest(path)
+            assert loaded.root.find("world.build") is not None
+            assert key not in loaded.to_dict()
+            assert cli.main(["obs", "summary", str(path)]) == 0
+            assert cli.main(["obs", "dashboard", str(path)]) == 0
+            assert f"--{key}" not in capsys.readouterr().out
+            assert cli.main(
+                ["obs", "ingest", str(path), "--history", str(history)]) == 0
 
     def test_compare_rejects_unreadable_files(self, tmp_path):
         assert cli.main(

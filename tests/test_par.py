@@ -133,16 +133,6 @@ class TestCaptureBlocksParallel:
         finally:
             obs.uninstall()
 
-    def test_profiler_blocks(self):
-        from repro.obs.prof import SpanProfiler
-
-        recorder = obs.Recorder("prof", profiler=SpanProfiler("prof"))
-        obs.install(recorder)
-        try:
-            assert capture_blocks_parallel() is True
-        finally:
-            obs.uninstall()
-
     def test_provenance_blocks(self):
         from repro.explain import provenance
 
