@@ -27,9 +27,10 @@ Commands:
   by CI to assert serial and ``REPRO_WORKERS=4`` runs are byte-equal.
 
 Before dispatching any command, :func:`main` refuses (exit 2) a
-``REPRO_WORKERS`` that is not a non-negative integer and a cache path
+``REPRO_WORKERS`` that is not a non-negative integer, a cache path
 (``--cache-dir``, ``cache stats|clear --dir`` or ``REPRO_CACHE_DIR``)
-that exists and is not a directory.
+that exists and is not a directory, and a ``--trace`` path that exists
+and is not a directory.
 """
 
 from __future__ import annotations
@@ -729,16 +730,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _misconfiguration(args: argparse.Namespace) -> str | None:
     """What in the settings would break a run, found before any build.
 
-    A ``REPRO_WORKERS`` that is not a non-negative integer, or a cache
-    path (``--cache-dir`` or ``cache stats|clear --dir``, else
-    ``REPRO_CACHE_DIR``) that exists and is not a directory; None when
-    neither applies.
+    A ``REPRO_WORKERS`` that is not a non-negative integer, a cache path
+    (``--cache-dir`` or ``cache stats|clear --dir``, else
+    ``REPRO_CACHE_DIR``) that exists and is not a directory, or a
+    ``--trace`` path that exists and is not a directory; None when none
+    applies.
     """
     import os
     from pathlib import Path
 
     from repro.par.cache import CACHE_DIR_ENV
-    from repro.par.pool import worker_count
+    from repro.par.routing import worker_count
 
     try:
         worker_count()
@@ -750,8 +752,10 @@ def _misconfiguration(args: argparse.Namespace) -> str | None:
     if not directory:
         source = CACHE_DIR_ENV
         directory = os.environ.get(CACHE_DIR_ENV, "").strip()
-    if directory:
-        path = Path(directory).expanduser()
+    paths = [(source, Path(directory).expanduser())] if directory else []
+    if getattr(args, "trace", None):
+        paths.append(("--trace", Path(args.trace)))
+    for source, path in paths:
         if path.exists() and not path.is_dir():
             return (f"{source} names {str(path)!r}, which exists and is "
                     "not a directory")

@@ -51,8 +51,8 @@ def _fmt_ms(value: float) -> str:
     return f"{value:10.1f}"
 
 
-def render_summary(manifest: RunManifest, top: int = 15) -> str:
-    """The human-readable report for one manifest."""
+def _run_header(manifest: RunManifest) -> list[str]:
+    """The run, label, config, git, wall and seeds lines of a report."""
     lines = [
         f"run       {manifest.run_id}",
         f"label     {manifest.label}",
@@ -64,23 +64,37 @@ def render_summary(manifest: RunManifest, top: int = 15) -> str:
     if manifest.seeds:
         seeds = ", ".join(f"{k}={v}" for k, v in sorted(manifest.seeds.items()))
         lines.append(f"seeds     {seeds}")
+    return lines
+
+
+def _hotspot_table(manifest: RunManifest, top: int) -> list[str]:
+    """A column header, then the ``top`` span paths by self time."""
     stats = sorted(
         aggregate_spans(manifest.root).values(),
         key=lambda s: (-s.self_ms, s.path),
-    )
-    shown = stats[:top]
-    width = max((len(s.path) for s in shown), default=4)
-    lines += [
-        "",
-        f"top {len(shown)} span paths by self time:",
+    )[:top]
+    width = max((len(s.path) for s in stats), default=4)
+    lines = [
         f"  {'path':{width}}  {'calls':>6}  {'wall ms':>10}  "
-        f"{'self ms':>10}  {'cpu ms':>10}",
+        f"{'self ms':>10}  {'cpu ms':>10}"
     ]
-    for stat in shown:
+    for stat in stats:
         lines.append(
             f"  {stat.path:{width}}  {stat.calls:6d}  {_fmt_ms(stat.wall_ms)}  "
             f"{_fmt_ms(stat.self_ms)}  {_fmt_ms(stat.cpu_ms)}"
         )
+    return lines
+
+
+def render_summary(manifest: RunManifest, top: int = 15) -> str:
+    """The human-readable report for one manifest."""
+    table = _hotspot_table(manifest, top)
+    lines = [
+        *_run_header(manifest),
+        "",
+        f"top {len(table) - 1} span paths by self time:",
+        *table,
+    ]
     counters = manifest.counters()
     if counters:
         lines += ["", "counters:"]
@@ -242,24 +256,6 @@ def render_compare(
 # ----------------------------------------------------------------------
 # Dashboard: one run, every lens
 # ----------------------------------------------------------------------
-def _hotspot_table(manifest: RunManifest, top: int) -> str:
-    stats = sorted(
-        aggregate_spans(manifest.root).values(),
-        key=lambda s: (-s.self_ms, s.path),
-    )[:top]
-    width = max((len(s.path) for s in stats), default=4)
-    lines = [
-        f"  {'path':{width}}  {'calls':>6}  {'wall ms':>10}  "
-        f"{'self ms':>10}  {'cpu ms':>10}"
-    ]
-    for stat in stats:
-        lines.append(
-            f"  {stat.path:{width}}  {stat.calls:6d}  {_fmt_ms(stat.wall_ms)}  "
-            f"{_fmt_ms(stat.self_ms)}  {_fmt_ms(stat.cpu_ms)}"
-        )
-    return "\n".join(lines)
-
-
 def render_explain_section(data: dict[str, object]) -> str:
     """Render a manifest's ``explain`` payload (journeys and/or diffs).
 
@@ -293,21 +289,10 @@ def dashboard_sections(
     """The dashboard's ``(title, body)`` sections, in display order."""
     from repro.obs.health import health_gauges, render_health
 
-    header = [
-        f"run       {manifest.run_id}",
-        f"label     {manifest.label}",
-        f"config    {manifest.config_name or '-'}",
-        f"git       {manifest.git_sha or '-'}",
-        f"wall      {manifest.root.wall_ms / 1000.0:.2f}s  "
-        f"(cpu {manifest.root.cpu_ms / 1000.0:.2f}s)",
-    ]
-    if manifest.seeds:
-        seeds = ", ".join(f"{k}={v}" for k, v in sorted(manifest.seeds.items()))
-        header.append(f"seeds     {seeds}")
     sections = [
-        ("run", "\n".join(header)),
+        ("run", "\n".join(_run_header(manifest))),
         (f"span hotspots (top {top} by self time)",
-         _hotspot_table(manifest, top)),
+         "\n".join(_hotspot_table(manifest, top))),
         ("span tree", render_span_tree(manifest.root)),
         ("health gauges", render_health(health_gauges(manifest))),
     ]

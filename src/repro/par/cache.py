@@ -398,15 +398,6 @@ class RoutingTableCache:
         self.directory = Path(directory).expanduser()
         self.stats = CacheStats()
 
-    # Executors ship engines (and with them this cache) to workers;
-    # only the directory crosses the boundary — stats are per-process.
-    def __getstate__(self) -> dict[str, object]:
-        return {"directory": self.directory}
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.directory = Path(str(state["directory"]))
-        self.stats = CacheStats()
-
     # ------------------------------------------------------------------
     def key_for(self, topology: Topology, announcement: Announcement) -> str:
         material = "|".join((

@@ -108,9 +108,7 @@ class RoutingEngine:
             return self._compute(announcement)
 
     def compute_many(
-        self,
-        announcements: Iterable[Announcement],
-        workers: int | None = None,
+        self, announcements: Iterable[Announcement]
     ) -> list[RoutingTable]:
         """Tables for many announcements (cached per topology version),
         optionally computed in parallel.
@@ -118,13 +116,13 @@ class RoutingEngine:
         Lookup order: the in-memory cache, then the persistent on-disk
         cache when one is attached, then a real compute (whose result
         feeds both caches).  Only the real compute opens a
-        ``routing.compute`` span — a warm run shows none.  Two or more
-        uncomputed announcements fan out to worker processes when the
-        resolved worker count exceeds 1 and no provenance capture is
-        active (selection trails are recorded into a process-local
-        recorder, so parallel workers would lose them).  Results are
-        returned in input order and are byte-identical to serial
-        computes.
+        ``routing.compute`` span — a warm run shows none.  This is the
+        one place that decides between serial and parallel: two or more
+        uncomputed announcements fan out to worker processes when
+        ``REPRO_WORKERS`` exceeds 1 and no provenance capture is active
+        (selection trails are recorded into a process-local recorder,
+        so parallel workers would lose them).  Results are returned in
+        input order and are byte-identical to serial computes.
         """
         announcements = list(announcements)
         version = self._topology.version
@@ -145,20 +143,16 @@ class RoutingEngine:
             pending.append(index)
 
         if pending:
-            from repro.par.pool import capture_blocks_parallel, worker_count
+            from repro.par.routing import compute_fanout, worker_count
 
             parallel = (
                 len(pending) > 1
-                and worker_count(workers) > 1
-                and not capture_blocks_parallel()
+                and worker_count() > 1
+                and provenance.active() is None
             )
             if parallel:
-                from repro.par.routing import compute_fanout
-
                 tables = compute_fanout(
-                    self._topology,
-                    [announcements[i] for i in pending],
-                    workers=workers,
+                    self._topology, [announcements[i] for i in pending]
                 )
             else:
                 tables = [

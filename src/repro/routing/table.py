@@ -105,7 +105,6 @@ class RoutingTable:
         #: node id -> next-hop tuple (None when unrouted); filled by
         #: :meth:`next_hops_at` as walks reach each node.
         self._next_hops: dict[int, tuple[int, ...] | None] = {}
-        self.best: Mapping[int, RouteChoice] = _BestView(self)
 
     @classmethod
     def from_rows(
@@ -140,6 +139,13 @@ class RoutingTable:
     @property
     def prefix(self) -> IPv4Prefix:
         return self.announcement.prefix
+
+    @property
+    def best(self) -> Mapping[int, RouteChoice]:
+        """Read-only ``{node_id: RouteChoice}`` view, built per access:
+        a view stored on the table would make the two a reference cycle
+        that only the cyclic collector frees."""
+        return _BestView(self)
 
     # ------------------------------------------------------------------
     def _row_of(self, node_id: int) -> int | None:

@@ -906,7 +906,14 @@ class TestInvariantViolations:
         })
         # The packed view is read-only and holds one tier per node, so
         # the forged set rides in a plain mapping over the table's rows.
-        t.best = {**t.best, 2: mixed}
+        forged_best = {**t.best, 2: mixed}
+
+        class ForgedTable(RoutingTable):
+            @property
+            def best(self):
+                return forged_best
+
+        t.__class__ = ForgedTable
         findings = check_table(net.topo, t)
         assert any(
             f.check == "equal-best" and "mixes" in f.message for f in findings

@@ -308,13 +308,17 @@ class TestManifest:
         ]
         assert events[-1]["status"] == "error"
 
-    def test_trace_dir_holds_only_manifest_and_stream(self, tmp_path):
-        """A traced parallel map leaves the manifest and the stream, nothing else."""
-        from repro.par.pool import map_deterministic
+    def test_trace_dir_holds_only_manifest_and_stream(
+            self, tmp_path, tiny_topology, monkeypatch):
+        """A traced fan-out leaves the manifest and the stream, nothing else."""
+        from repro.par.routing import WORKERS_ENV, compute_fanout
+        from tests.test_par import _stub_announcements
 
+        announcements = _stub_announcements(tiny_topology, 4)
+        monkeypatch.setenv(WORKERS_ENV, "2")
         with tracing(tmp_path, label="tr") as rec, obs.span("stage"):
-            absolute = map_deterministic(abs, [-1, -2, -3, -4], workers=2)
-        assert absolute == [1, 2, 3, 4]
+            tables = compute_fanout(tiny_topology, announcements)
+        assert [t.announcement for t in tables] == announcements
         assert rec is not None and rec.manifest_path is not None
         run_id = rec.manifest_path.name[len("run-"):-len(".json")]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -588,6 +592,27 @@ class TestObsCli:
             assert f"--{key}" not in capsys.readouterr().out
             assert cli.main(
                 ["obs", "ingest", str(path), "--history", str(history)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["world", "--small"],
+        ["run", "--small", "table3"],
+        ["explain", "client", "1", "--small"],
+        ["explain", "diff", "global", "regional", "--small"],
+    ], ids=["world", "run", "explain-client", "explain-diff"])
+    def test_trace_path_that_is_a_file_fails_up_front(
+            self, tmp_path, monkeypatch, capsys, argv):
+        from tests.test_par import _no_build
+
+        monkeypatch.setattr(cli, "World", _no_build)
+        monkeypatch.setattr(cli, "get_world", _no_build)
+        regular = tmp_path / "afile"
+        regular.write_text("kept", encoding="utf-8")
+        assert cli.main([*argv, "--trace", str(regular)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"repro: --trace names {str(regular)!r}, "
+                                "which exists and is not a directory\n")
+        assert regular.read_text(encoding="utf-8") == "kept"
 
     def test_compare_rejects_unreadable_files(self, tmp_path):
         assert cli.main(

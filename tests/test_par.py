@@ -3,7 +3,8 @@
 The package's one contract — parallel execution must be invisible in the
 results — is checked directly: every parallel path is compared against
 its serial twin for byte-level equality, and the on-disk cache is
-round-tripped, corrupted, and invalidated on purpose.
+round-tripped, corrupted, and invalidated on purpose.  The parallel
+path is driven the one way a user drives it, through ``REPRO_WORKERS``.
 """
 
 import struct
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import obs
+from repro.explain import provenance
 from repro.netaddr.ipv4 import IPv4Prefix
+from repro.par import routing as par_routing
 from repro.par.cache import (
     CACHE_DIR_ENV,
     FORMAT_VERSION,
@@ -30,32 +33,15 @@ from repro.par.cache import (
     tables_digest,
     topology_hash,
 )
-from repro.par.obsbuf import finish_capture, merge_payload, start_capture
-from repro.par.pool import (
-    WORKERS_ENV,
-    capture_blocks_parallel,
-    map_deterministic,
-    reset_worker_capture,
-    worker_count,
-)
-from repro.par.routing import compute_fanout
+from repro.par.routing import WORKERS_ENV, compute_fanout, worker_count
 from repro.routing.engine import RoutingEngine
 from repro.routing.route import Announcement, OriginSpec
 from repro.routing.table import RoutingTable
 from repro.topology.asys import LinkKind, Tier
 from tests.test_routing import Net
 
-
-def _square(x):
-    """Module-level so it pickles into worker processes."""
-    return x * x
-
-
-def _explode(x):
-    """Module-level crasher: raises on one input, squares the rest."""
-    if x == 3:
-        raise ValueError("boom")
-    return x * x
+#: The phase spans of one traced fan-out, in order.
+PHASES = ["par.stage", "par.fork", "par.dispatch", "par.merge"]
 
 
 def _no_build(*args, **kwargs):
@@ -72,6 +58,40 @@ def _stub_announcements(topology, count=3):
         )
         for i, stub in enumerate(stubs[:count])
     ]
+
+
+def _stray(topology, announcement):
+    """``announcement`` re-originated at a node the topology lacks."""
+    missing = 1 + max(node.node_id for node in topology.nodes())
+    return Announcement(prefix=announcement.prefix,
+                        origins=(OriginSpec(site_node=missing),))
+
+
+def _compute_many(monkeypatch, topology, announcements, workers):
+    """``compute_many`` on a fresh engine under ``REPRO_WORKERS=workers``."""
+    monkeypatch.setenv(WORKERS_ENV, workers)
+    return RoutingEngine(topology).compute_many(announcements)
+
+
+def _par_spans(recorder):
+    """Names of the ``par.*`` spans in a recording, pre-order."""
+    return [record.name for _, record in recorder.root.walk()
+            if record.name.startswith("par.")]
+
+
+@pytest.fixture
+def worker(tiny_topology, monkeypatch):
+    """This process set up as a routing worker over ``tiny_topology``."""
+    monkeypatch.setattr(par_routing, "_WORKER_ENGINE", None)
+    par_routing._init_routing_worker(tiny_topology)
+    return par_routing
+
+
+class _SpanlessEngine:
+    """A worker engine whose compute opens no span."""
+
+    def compute_uncached(self, announcement):
+        return announcement.prefix
 
 
 class TestWorkerCount:
@@ -103,53 +123,73 @@ class TestWorkerCount:
         assert cli.main(["digest", "--small"]) == 2
         assert WORKERS_ENV in capsys.readouterr().err
 
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "8")
-        assert worker_count(2) == 2
-        assert worker_count(0) == 1
-
 
 class TestMapDeterministic:
-    def test_serial_path_is_plain_map(self):
-        assert map_deterministic(_square, range(7), workers=1) == [
-            x * x for x in range(7)
-        ]
+    """``compute_many`` is an order-preserving map over its
+    announcements, whatever ``REPRO_WORKERS`` says."""
 
-    def test_parallel_matches_serial_order(self):
-        items = list(range(37))
-        expected = [x * x for x in items]
-        assert map_deterministic(_square, items, workers=2) == expected
+    def test_serial_path_is_plain_map(self, tiny_topology, monkeypatch):
+        """One worker computes in-process, in input order, with no pool."""
+        announcements = _stub_announcements(tiny_topology, 4)
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        with obs.recording("serial") as recorder:
+            tables = RoutingEngine(tiny_topology).compute_many(announcements)
+        assert [t.announcement for t in tables] == announcements
+        assert _par_spans(recorder) == []
+        assert [c.attrs["prefix"]
+                for c in recorder.root.find_all("routing.compute")] == [
+            str(a.prefix) for a in announcements]
 
-    def test_empty_input(self):
-        assert map_deterministic(_square, [], workers=4) == []
+    def test_parallel_matches_serial_order(self, tiny_topology, monkeypatch):
+        announcements = _stub_announcements(tiny_topology, 4)
+        serial = _compute_many(monkeypatch, tiny_topology, announcements, "1")
+        parallel = _compute_many(monkeypatch, tiny_topology, announcements,
+                                 "2")
+        assert [t.announcement for t in parallel] == announcements
+        assert [encode_table(t) for t in parallel] == [
+            encode_table(t) for t in serial]
+
+    def test_empty_input(self, tiny_topology, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "4")
+        with obs.recording("empty") as recorder:
+            assert RoutingEngine(tiny_topology).compute_many([]) == []
+        assert _par_spans(recorder) == []
 
 
 class TestCaptureBlocksParallel:
-    def test_plain_recorder_does_not_block(self):
-        recorder = obs.Recorder("plain")
-        obs.install(recorder)
-        try:
-            assert capture_blocks_parallel() is False
-        finally:
-            obs.uninstall()
+    """``compute_many`` fans out only when no process-local capture
+    would lose what the workers record."""
 
-    def test_provenance_blocks(self):
-        from repro.explain import provenance
+    def test_plain_recorder_does_not_block(self, tiny_topology, monkeypatch):
+        announcements = _stub_announcements(tiny_topology, 3)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        with obs.recording("plain") as recorder:
+            RoutingEngine(tiny_topology).compute_many(announcements)
+        assert _par_spans(recorder) == PHASES + ["par.chunk"] * 3
 
-        provenance.install(provenance.ProvenanceRecorder())
-        try:
-            assert capture_blocks_parallel() is True
-        finally:
-            provenance.install(None)
+    def test_provenance_blocks(self, tiny_topology, monkeypatch):
+        """Every announcement's selection trails land in the capture."""
+        announcements = _stub_announcements(tiny_topology, 3)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        with obs.recording("explain") as recorder, \
+                provenance.capturing() as capture:
+            tables = RoutingEngine(tiny_topology).compute_many(announcements)
+        assert _par_spans(recorder) == []
+        for table in tables:
+            prefix = str(table.prefix)
+            assert all(capture.selection_for(prefix, node) is not None
+                       for node in table.best)
+
 
 class TestWorkerCaptureReset:
-    def test_reset_clears_recorder_provenance_and_trace(self):
-        from repro.explain import provenance
-
+    def test_reset_clears_recorder_provenance_and_trace(self, tiny_topology,
+                                                        monkeypatch):
+        """A forked worker starts with the parent's captures switched off."""
+        monkeypatch.setattr(par_routing, "_WORKER_ENGINE", None)
         obs.install(obs.Recorder("parent"))
         provenance.install(provenance.ProvenanceRecorder())
         try:
-            reset_worker_capture()
+            par_routing._init_routing_worker(tiny_topology)
             assert obs.active() is None
             assert provenance.active() is None
         finally:
@@ -158,177 +198,118 @@ class TestWorkerCaptureReset:
 
 
 class TestObsBuffers:
-    def test_disabled_capture_is_free(self):
-        assert start_capture(False) is None
-        assert finish_capture(None) is None
-        merge_payload(None)  # no-op without a recorder either
+    """A traced task's spans come back as one ``par.chunk``: the finished
+    root of the worker's own recording."""
 
-    def test_capture_and_merge_in_order(self):
-        worker = start_capture(True)
-        try:
-            with obs.span("routing.compute"):
-                pass
-            obs.counter.inc("routing.routes_pushed", 5)
-            obs.gauge.set("routing.routed_nodes", 12)
-        finally:
-            payload = finish_capture(worker)
-        assert [s["name"] for s in payload["spans"]] == ["routing.compute"]
-        meta = payload["meta"]
-        assert meta["wall_ms"] > 0.0
-        assert meta["cpu_ms"] >= 0.0
-        parent = obs.Recorder("parent")
-        obs.install(parent)
-        try:
+    def test_disabled_capture_is_free(self, worker, tiny_topology):
+        """An untraced task records nothing and returns no chunk."""
+        [announcement] = _stub_announcements(tiny_topology, 1)
+        table, chunk = worker._compute_task((announcement, False))
+        assert chunk is None and obs.active() is None
+        assert encode_table(table) == encode_table(
+            RoutingEngine(tiny_topology).compute_uncached(announcement))
+
+    def test_capture_and_merge_in_order(self, tiny_topology, monkeypatch):
+        """Traced ``compute_many``: one chunk per announcement, in order."""
+        announcements = _stub_announcements(tiny_topology, 4)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        with obs.recording("parent") as recorder:
             with obs.span("world.routing"):
-                merge_payload(payload)
-                merge_payload(payload)
-        finally:
-            obs.uninstall()
-        merged = parent.root.children[0]
-        assert merged.name == "world.routing"
-        # Each payload becomes one par.chunk wrapper timed by the capture
-        # window; the worker's spans are the wrapper's children and its
-        # counters/gauges land on the wrapper (subtree totals match
-        # replaying them on the parent).
-        assert [c.name for c in merged.children] == ["par.chunk", "par.chunk"]
-        for chunk in merged.children:
-            assert chunk.wall_ms == meta["wall_ms"]
-            assert chunk.cpu_ms == meta["cpu_ms"]
-            assert [c.name for c in chunk.children] == ["routing.compute"]
-            assert chunk.counters["routing.routes_pushed"] == 5
-            assert chunk.gauges["routing.routed_nodes"] == 12
-        assert merged.subtree_counters()["routing.routes_pushed"] == 10
+                tables = RoutingEngine(tiny_topology).compute_many(
+                    announcements)
+        merge = recorder.root.find("par.merge")
+        assert [chunk.children[0].attrs["prefix"]
+                for chunk in merge.children] == [
+            str(a.prefix) for a in announcements]
+        assert [t.announcement for t in tables] == announcements
 
-    def test_zero_span_worker_still_merges_a_chunk(self):
-        """A worker that opened no spans still gets its wrapper span."""
-        worker = start_capture(True)
-        payload = finish_capture(worker)
-        assert payload["spans"] == []
-        assert payload["counters"] == {}
-        parent = obs.Recorder("parent")
-        obs.install(parent)
-        try:
-            with obs.span("world.routing"):
-                merge_payload(payload)
-        finally:
-            obs.uninstall()
-        merged = parent.root.children[0]
-        assert [c.name for c in merged.children] == ["par.chunk"]
-        chunk = merged.children[0]
-        assert chunk.children == []
-        assert chunk.counters == {}
-        assert chunk.wall_ms == payload["meta"]["wall_ms"]
+    def test_zero_span_worker_still_merges_a_chunk(self, worker,
+                                                   tiny_topology,
+                                                   monkeypatch):
+        """A task that opens no span still returns its timed chunk."""
+        monkeypatch.setattr(worker, "_WORKER_ENGINE", _SpanlessEngine())
+        [announcement] = _stub_announcements(tiny_topology, 1)
+        _, chunk = worker._compute_task((announcement, True))
+        assert chunk.name == "par.chunk"
+        assert chunk.children == [] and chunk.counters == {}
+        assert chunk.wall_ms > 0.0 and chunk.cpu_ms >= 0.0
 
-    def test_zero_span_worker_still_reports_memory(self):
+    def test_zero_span_worker_still_reports_memory(self, worker,
+                                                   tiny_topology,
+                                                   monkeypatch):
         """Peak RSS is process truth: reported even with zero spans."""
-        worker = start_capture(True)
-        payload = finish_capture(worker)
-        assert payload["spans"] == []
-        meta = payload["meta"]
-        assert meta["peak_rss_kib"] > 0
-        assert meta["rss_peak_delta_kib"] >= 0
-        parent = obs.Recorder("parent")
-        obs.install(parent)
-        try:
-            with obs.span("world.routing"):
-                merge_payload(payload)
-        finally:
-            obs.uninstall()
-        chunk = parent.root.children[0].children[0]
-        assert chunk.attrs["worker_rss_peak_kib"] == meta["peak_rss_kib"]
-        assert chunk.rss_peak_delta_kib == meta["rss_peak_delta_kib"]
+        monkeypatch.setattr(worker, "_WORKER_ENGINE", _SpanlessEngine())
+        [announcement] = _stub_announcements(tiny_topology, 1)
+        _, chunk = worker._compute_task((announcement, True))
+        assert chunk.attrs["worker_rss_peak_kib"] > 0
+        assert chunk.rss_peak_delta_kib >= 0
 
-    def test_worker_crash_mid_chunk_merges_deterministically(self):
-        """A capture that dies mid-span still pairs cleanly.
-
-        The worker-side try/finally produces a payload whose open span
-        is finished with error status, the buffer recorder is
-        uninstalled, and the parent can merge the surviving payload
-        next to a ``None`` from a chunk that never reported.
-        """
-        worker = start_capture(True)
-        payload = None
-        with pytest.raises(ValueError):
-            try:
-                with obs.span("routing.compute"):
-                    raise ValueError("boom")
-            finally:
-                payload = finish_capture(worker)
+    def test_worker_crash_mid_chunk_merges_deterministically(
+            self, worker, tiny_topology):
+        """A task that dies mid-span leaves no recorder behind, so the
+        worker's next chunk holds only its own spans."""
+        [announcement] = _stub_announcements(tiny_topology, 1)
+        with pytest.raises(ValueError, match="not in topology"):
+            worker._compute_task((_stray(tiny_topology, announcement), True))
         assert obs.active() is None
-        assert [s["name"] for s in payload["spans"]] == ["routing.compute"]
-        assert payload["spans"][0]["status"] == "error"
+        _, chunk = worker._compute_task((announcement, True))
+        assert [c.name for c in chunk.children] == ["routing.compute"]
+        assert chunk.children[0].status == "ok"
 
-        parent = obs.Recorder("parent")
-        obs.install(parent)
-        try:
-            with obs.span("world.routing"):
-                merge_payload(payload)
-                merge_payload(None)  # chunk whose worker died silently
-        finally:
-            obs.uninstall()
-        merged = parent.root.children[0]
-        assert [c.name for c in merged.children] == ["par.chunk"]
-        chunk = merged.children[0]
-        assert chunk.children[0].status == "error"
-
-    def test_pool_crash_propagates_and_parent_recorder_survives(self):
-        """A crashing task aborts the fan-out but not the recording."""
-        recorder = obs.Recorder("parent")
-        obs.install(recorder)
-        try:
-            with pytest.raises(ValueError):
+    def test_pool_crash_propagates_and_parent_recorder_survives(
+            self, tiny_topology, monkeypatch):
+        """A task whose origin is not in the topology aborts the fan-out
+        but not the recording."""
+        announcements = _stub_announcements(tiny_topology, 3)
+        announcements[1] = _stray(tiny_topology, announcements[1])
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        with obs.recording("parent") as recorder:
+            with pytest.raises(ValueError, match="not in topology"):
                 with obs.span("world.routing"):
-                    map_deterministic(_explode, [1, 2, 3, 4], workers=2)
+                    compute_fanout(tiny_topology, announcements)
             with obs.span("after.crash"):
                 pass
-        finally:
-            obs.uninstall()
         names = [c.name for c in recorder.root.children]
         assert names == ["world.routing", "after.crash"]
         region = recorder.root.children[0]
         assert region.status == "error"
-        # The phase spans opened before the crash closed with the region.
-        assert {c.name for c in region.children} <= {"par.fork", "par.dispatch"}
+        assert [c.name for c in region.children] == PHASES[:3]
+        assert region.children[-1].status == "error"
+        assert par_routing._FORK_TOPOLOGY is None
 
-    def test_duplicate_counter_names_sum_across_workers(self):
-        """Same counter incremented in two workers: subtree totals add."""
-        payloads = []
-        for index in range(2):
-            worker = start_capture(True)
-            try:
-                obs.counter.inc("dns.queries", 3)
-                obs.gauge.set("dns.cache_size", 7 + index)
-            finally:
-                payloads.append(finish_capture(worker))
-        parent = obs.Recorder("parent")
-        obs.install(parent)
-        try:
-            with obs.span("world.dns"):
-                for payload in payloads:
-                    merge_payload(payload)
-        finally:
-            obs.uninstall()
-        merged = parent.root.children[0]
-        assert merged.subtree_counters()["dns.queries"] == 6
-        # Each wrapper keeps its own worker's contribution.
-        assert [c.counters["dns.queries"] for c in merged.children] == [3, 3]
-        assert [c.gauges["dns.cache_size"] for c in merged.children] == [7, 8]
+    def test_duplicate_counter_names_sum_across_workers(self, tiny_topology,
+                                                        monkeypatch):
+        """The counters two workers bump under one name add up to a
+        serial traced compute's totals."""
+        announcements = _stub_announcements(tiny_topology, 4)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        with obs.recording("parallel") as parallel:
+            compute_fanout(tiny_topology, announcements)
+        with obs.recording("serial") as serial:
+            engine = RoutingEngine(tiny_topology)
+            for announcement in announcements:
+                engine.compute_uncached(announcement)
+        totals = serial.root.subtree_counters()
+        assert totals and parallel.root.subtree_counters() == totals
+        chunks = parallel.root.find("par.merge").children
+        for name, total in totals.items():
+            assert sum(c.subtree_counters().get(name, 0.0)
+                       for c in chunks) == total
 
-    def test_traced_fanout_records_phases_and_chunks(self, tiny_topology):
+    def test_traced_fanout_records_phases_and_chunks(self, tiny_topology,
+                                                     monkeypatch):
         """A traced 2-worker fan-out reads in the span tree.
 
         The pool phases, then one ``par.chunk`` per announcement in
         submission order, each holding that task's ``routing.compute``.
         """
         announcements = _stub_announcements(tiny_topology, 4)
-        obs.uninstall()
+        monkeypatch.setenv(WORKERS_ENV, "2")
         with obs.recording("fanout") as recorder:
             with obs.span("world.routing"):
-                compute_fanout(tiny_topology, announcements, workers=2)
+                compute_fanout(tiny_topology, announcements)
         [region] = recorder.root.children
-        assert [c.name for c in region.children] == [
-            "par.stage", "par.fork", "par.dispatch", "par.merge",
-        ]
+        assert [c.name for c in region.children] == PHASES
         chunks = region.children[-1].children
         assert [c.name for c in chunks] == ["par.chunk"] * 4
         for chunk, announcement in zip(chunks, announcements):
@@ -576,28 +557,21 @@ class TestCacheResolution:
         finally:
             clear_default_cache()
 
-    def test_pickling_ships_directory_only(self, tmp_path):
-        import pickle
-
-        cache = RoutingTableCache(tmp_path)
-        cache.stats.hits = 7
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.directory == cache.directory
-        assert clone.stats.hits == 0
-
 
 class TestEnginePersistentCache:
-    def test_warm_cache_skips_every_compute_span(self, tiny_topology, tmp_path):
+    def test_warm_cache_skips_every_compute_span(self, tiny_topology,
+                                                 tmp_path, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
         anns = _stub_announcements(tiny_topology, 3)
         cold = RoutingEngine(tiny_topology)
         cold.persistent_cache = RoutingTableCache(tmp_path)
-        cold_tables = cold.compute_many(anns, workers=1)
+        cold_tables = cold.compute_many(anns)
         assert cold.persistent_cache.stats.stores == len(anns)
 
         # A warm engine loads the batch; a second one loads the same
         # announcements one at a time through ``compute``.
         for load in (
-            lambda engine: engine.compute_many(anns, workers=1),
+            lambda engine: engine.compute_many(anns),
             lambda engine: [engine.compute(a) for a in anns],
         ):
             warm = RoutingEngine(tiny_topology)
@@ -628,19 +602,21 @@ class TestEnginePersistentCache:
 
 
 class TestParallelEquality:
-    def test_compute_many_digest_matches_serial(self, tiny_topology):
+    def test_compute_many_digest_matches_serial(self, tiny_topology,
+                                                monkeypatch):
         anns = _stub_announcements(tiny_topology, 4)
-        serial = RoutingEngine(tiny_topology).compute_many(anns, workers=1)
-        parallel = RoutingEngine(tiny_topology).compute_many(anns, workers=2)
+        serial = _compute_many(monkeypatch, tiny_topology, anns, "1")
+        parallel = _compute_many(monkeypatch, tiny_topology, anns, "2")
         assert tables_digest(parallel) == tables_digest(serial)
 
-    def test_small_world_digest_matches_serial(self, fresh_small):
+    def test_small_world_digest_matches_serial(self, fresh_small,
+                                               monkeypatch):
         """The CI cross-leg check, in-process: SMALL world announcements
         computed serially and with two workers give one digest."""
         anns = fresh_small.registry.announcements()
         topology = fresh_small.topology
-        serial = RoutingEngine(topology).compute_many(anns, workers=1)
-        parallel = RoutingEngine(topology).compute_many(anns, workers=2)
+        serial = _compute_many(monkeypatch, topology, anns, "1")
+        parallel = _compute_many(monkeypatch, topology, anns, "2")
         assert tables_digest(serial) == tables_digest(parallel)
         # The world precomputed the same tables during build.
         built = [fresh_small.engine.routing.compute(a) for a in anns]

@@ -9,8 +9,10 @@ comparison with the naive fixpoint solver of
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -195,6 +197,24 @@ class TestLazyIndex:
             assert missing not in table.best
         assert packed.catchment_of(1) == 1
         assert len(sorts) == 3
+
+
+class TestTableLifetime:
+    def test_dropped_table_is_freed_without_the_cyclic_collector(
+            self, presets):
+        """A table and its ``best`` view form no reference cycle, so the
+        last reference going frees the table at once."""
+        topology, announcements = presets("small")
+        gc.collect()
+        gc.disable()
+        try:
+            table = RoutingEngine(topology).compute(announcements[0])
+            assert len(table.best) > 0
+            alive = weakref.ref(table)
+            del table
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestFlatEdgeCases:
